@@ -43,7 +43,6 @@ from .enumeration import (
     rcb_space_size,
     sample_latin_squares,
     sample_rcb,
-    sample_uniform,
     space_cardinality,
 )
 from .errors import (
@@ -51,6 +50,7 @@ from .errors import (
     DegenerateDesign,
     DimensionMismatch,
     InvalidAlpha,
+    InvalidArgument,
     InvalidDegreesOfFreedom,
     InvalidProbability,
     NegativeArgument,
@@ -71,7 +71,6 @@ from .expected_ms import (
     expected_ms,
     ls_difference_decomposition,
     mean_difference_variance,
-    neyman_historical_e_s0,
 )
 from .fdist import FReference, f_quantile, f_survival, regularized_incomplete_beta
 from .inference import (
@@ -119,6 +118,7 @@ __all__ = [
     "ExpectedMeanSquares",
     "FReference",
     "InvalidAlpha",
+    "InvalidArgument",
     "InvalidDegreesOfFreedom",
     "InvalidProbability",
     "LsDifferenceDecomposition",
@@ -164,7 +164,6 @@ __all__ = [
     "ls_difference_decomposition",
     "mean_difference_variance",
     "monte_carlo_with_errors",
-    "neyman_historical_e_s0",
     "neyman_null_holds",
     "observe",
     "rcb_space_size",
@@ -173,7 +172,6 @@ __all__ = [
     "run_reproduction",
     "sample_latin_squares",
     "sample_rcb",
-    "sample_uniform",
     "space_cardinality",
     "survival_curve",
     "table_from_document",

@@ -1,4 +1,4 @@
-"""Observed responses and ANOVA statistics for one realized randomization.
+"""Observed responses and ANOVA statistics for realized randomizations.
 
 Observation reveals exactly one potential outcome per unit: the one for the
 assigned treatment (plus that outcome's technical error, when error draws are
@@ -15,10 +15,12 @@ with xbar(t) the observed mean for treatment t.  F = S1^2/S0^2; when S0^2 is
 exactly 0 the statistic is +inf if S1^2 > 0 (rejects any finite cutoff) and
 NaN if both vanish (a degenerate draw, counted as a non-rejection).
 
-The scalar path (`anova`) uses math.fsum reductions in fixed index order.
-The batch path (`batch_anova_rcb` / `batch_anova_ls`) vectorizes the same
-formulas over many assignments with numpy; the test suite pins the two paths
-against each other.
+Each design has one routine mapping a stack of S label grids to observed
+responses and one numpy kernel mapping those responses to S0^2 and S1^2.
+`batch_anova_rcb` / `batch_anova_ls` run them on S assignments; `observe` and
+`anova` run the same code on a stack of one, so a single assignment gets the
+same bits as its row of a batch.  The test suite checks the kernels against
+an independent math.fsum oracle.
 """
 
 from __future__ import annotations
@@ -29,14 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import Assignment
-from .errors import DegenerateDesign, ShapeMismatch
-from .potential_outcomes import (
-    DesignKind,
-    PotentialOutcomeTable,
-    fsum_all,
-    fsum_along,
-    validate,
-)
+from .errors import DegenerateDesign, InvalidArgument, ShapeMismatch
+from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 
 @dataclass(frozen=True)
@@ -61,19 +57,13 @@ class ObservedExperiment:
 
 @dataclass(frozen=True)
 class AnovaSummary:
-    """Mean sums of squares, the F statistic, and companions.
-
-    welch_stat is df1*S1^2 / (df1*S1^2 + df0*S0^2); pooled is its denominator,
-    which stays constant over the randomizations under the sharp null.
-    """
+    """Mean sums of squares, the F statistic and its degrees of freedom."""
 
     s0_sq: float
     s1_sq: float
     f_stat: float
     df_treatment: int
     df_residual: int
-    welch_stat: float
-    pooled: float
 
     @property
     def is_degenerate(self) -> bool:
@@ -85,109 +75,6 @@ def f_from_sums(s0_sq: float, s1_sq: float) -> float:
     if s0_sq == 0.0:
         return math.inf if s1_sq > 0.0 else math.nan
     return s1_sq / s0_sq
-
-
-def observe(
-    table: PotentialOutcomeTable,
-    assignment: Assignment,
-    errors: np.ndarray | None = None,
-) -> ObservedExperiment:
-    """Reveal the assigned potential outcomes (optionally with error draws)."""
-    validate(table)
-    if assignment.design is not table.design:
-        raise ShapeMismatch(
-            f"assignment is for {assignment.design.value}, table is "
-            f"{table.design.value}"
-        )
-    x = table.outcomes
-    if errors is not None:
-        errors = np.asarray(errors, dtype=float)
-        if errors.shape != x.shape:
-            raise ShapeMismatch(
-                f"error array shape {errors.shape} != outcome shape {x.shape}"
-            )
-        x = x + errors
-    n, _, t = x.shape
-    if table.design is DesignKind.RCB:
-        perms = assignment.rcb_perms
-        if perms is None or perms.shape != (n, t):
-            raise ShapeMismatch(
-                f"RCB assignment shape {None if perms is None else perms.shape} "
-                f"!= ({n}, {t})"
-            )
-        inverse = np.argsort(perms, axis=1)  # plot carrying each treatment
-        blocks = np.arange(n)[:, None]
-        y = x[blocks, inverse, np.arange(t)[None, :]]
-    else:
-        square = assignment.ls_square
-        if square is None or square.shape != (t, t):
-            raise ShapeMismatch(
-                f"LS assignment shape {None if square is None else square.shape} "
-                f"!= ({t}, {t})"
-            )
-        ii, jj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
-        y = x[ii, jj, square]
-    return ObservedExperiment(
-        design=table.design,
-        observed=y,
-        assignment=assignment,
-        error_draws=errors,
-    )
-
-
-def anova(experiment: ObservedExperiment) -> AnovaSummary:
-    """ANOVA summary of one observed experiment (exact fsum reductions)."""
-    y = experiment.observed
-    if experiment.design is DesignKind.RCB:
-        n, t = y.shape
-        df1, df0 = t - 1, (n - 1) * (t - 1)
-        if df0 < 1:
-            raise DegenerateDesign(
-                f"RCB with {n} block(s) has no residual degrees of freedom"
-            )
-        ybar_t = fsum_along(y, 0) / n
-        ybar_i = fsum_along(y, 1) / t
-        ybar = math.fsum(ybar_t.tolist()) / t
-        resid = y - ybar_t[None, :] - ybar_i[:, None] + ybar
-        s0 = fsum_all(resid * resid) / df0
-        s1 = n / df1 * fsum_all((ybar_t - ybar) ** 2)
-    else:
-        t = y.shape[0]
-        df1, df0 = t - 1, (t - 1) * (t - 2)
-        if df0 < 1:
-            raise DegenerateDesign(
-                f"LS of order {t} has no residual degrees of freedom"
-            )
-        square = experiment.assignment.ls_square
-        treat_means = np.array(
-            [math.fsum(y[square == k].tolist()) for k in range(t)]
-        ) / t
-        ybar_i = fsum_along(y, 1) / t
-        ybar_j = fsum_along(y, 0) / t
-        ybar = math.fsum(ybar_i.tolist()) / t
-        resid = (
-            y
-            - ybar_i[:, None]
-            - ybar_j[None, :]
-            - treat_means[square]
-            + 2.0 * ybar
-        )
-        s0 = fsum_all(resid * resid) / df0
-        s1 = t / df1 * fsum_all((treat_means - ybar) ** 2)
-
-    s0 = max(s0, 0.0)
-    s1 = max(s1, 0.0)
-    pooled = df1 * s1 + df0 * s0
-    welch = df1 * s1 / pooled if pooled > 0.0 else math.nan
-    return AnovaSummary(
-        s0_sq=s0,
-        s1_sq=s1,
-        f_stat=f_from_sums(s0, s1),
-        df_treatment=df1,
-        df_residual=df0,
-        welch_stat=welch,
-        pooled=pooled,
-    )
 
 
 def design_dfs(design: DesignKind, num_blocks: int, num_treatments: int) -> tuple[int, int]:
@@ -206,18 +93,26 @@ def design_dfs(design: DesignKind, num_blocks: int, num_treatments: int) -> tupl
     return t - 1, df0
 
 
-def batch_anova_rcb(x: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S0^2, S1^2) arrays for a batch of RCB assignments.
-
-    x is the (N, T, T) outcome array; perms is (S, N, T) with perms[s, i, j]
-    the treatment of plot j in block i under assignment s.
-    """
+def _observed_rcb(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """(S, N, T) responses y_i(t) for (S, N, T) per-block permutations."""
     n, _, t = x.shape
-    df1, df0 = design_dfs(DesignKind.RCB, n, t)
-    inverse = np.argsort(perms, axis=2)
+    inverse = np.argsort(perms, axis=2)  # plot carrying each treatment
     blocks = np.arange(n)[None, :, None]
     treatments = np.arange(t)[None, None, :]
-    y = x[blocks, inverse, treatments]  # (S, N, T): y_i(t)
+    return x[blocks, inverse, treatments]
+
+
+def _observed_ls(x: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """(S, T, T) responses y_ij for (S, T, T) Latin squares."""
+    t = x.shape[0]
+    ii, jj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
+    return x[ii[None, :, :], jj[None, :, :], squares]
+
+
+def _mean_squares_rcb(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2) arrays from (S, N, T) RCB responses."""
+    _, n, t = y.shape
+    df1, df0 = design_dfs(DesignKind.RCB, n, t)
     ybar_t = y.mean(axis=1)
     ybar_i = y.mean(axis=2)
     ybar = y.mean(axis=(1, 2))
@@ -227,16 +122,10 @@ def batch_anova_rcb(x: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.maximum(s0, 0.0), np.maximum(s1, 0.0)
 
 
-def batch_anova_ls(x: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S0^2, S1^2) arrays for a batch of LS assignments.
-
-    x is the (T, T, T) outcome array; squares is (S, T, T) of treatment labels.
-    """
-    t = x.shape[0]
+def _mean_squares_ls(y: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2) arrays from (S, T, T) LS responses and their squares."""
+    s, t, _ = y.shape
     df1, df0 = design_dfs(DesignKind.LS, t, t)
-    s = squares.shape[0]
-    ii, jj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
-    y = x[ii[None, :, :], jj[None, :, :], squares]  # (S, T, T)
     onehot = squares[..., None] == np.arange(t)[None, None, None, :]
     treat_means = np.einsum("sij,sijk->sk", y, onehot.astype(float)) / t
     ybar_i = y.mean(axis=2)
@@ -255,3 +144,82 @@ def batch_anova_ls(x: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.n
     s0 = (resid * resid).sum(axis=(1, 2)) / df0
     s1 = t / df1 * ((treat_means - ybar[:, None]) ** 2).sum(axis=1)
     return np.maximum(s0, 0.0), np.maximum(s1, 0.0)
+
+
+def batch_anova_rcb(x: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2) arrays for a batch of RCB assignments.
+
+    x is the (N, T, T) outcome array; perms is (S, N, T) with perms[s, i, j]
+    the treatment of plot j in block i under assignment s.
+    """
+    return _mean_squares_rcb(_observed_rcb(x, perms))
+
+
+def batch_anova_ls(x: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2) arrays for a batch of LS assignments.
+
+    x is the (T, T, T) outcome array; squares is (S, T, T) of treatment labels.
+    """
+    return _mean_squares_ls(_observed_ls(x, squares), squares)
+
+
+def observe(
+    table: PotentialOutcomeTable,
+    assignment: Assignment,
+    errors: np.ndarray | None = None,
+) -> ObservedExperiment:
+    """Reveal the assigned potential outcomes (optionally with error draws).
+
+    Raises ShapeMismatch when the assignment or the error array does not fit
+    the table, and InvalidArgument when the label grid is not a per-block
+    permutation (RCB) or a Latin square (LS).
+    """
+    validate(table)
+    if assignment.design is not table.design:
+        raise ShapeMismatch(
+            f"assignment is for {assignment.design.value}, table is "
+            f"{table.design.value}"
+        )
+    x = table.outcomes
+    if errors is not None:
+        errors = np.asarray(errors, dtype=float)
+        if errors.shape != x.shape:
+            raise ShapeMismatch(
+                f"error array shape {errors.shape} != outcome shape {x.shape}"
+            )
+        x = x + errors
+    n, _, t = x.shape
+    grid = assignment.labels()
+    if grid is None or grid.shape != (n, t):
+        raise ShapeMismatch(
+            f"{table.design.value} assignment shape "
+            f"{None if grid is None else grid.shape} != ({n}, {t})"
+        )
+    if not assignment.is_valid():
+        kind = "a permutation per block" if table.design is DesignKind.RCB else "a Latin square"
+        raise InvalidArgument(f"assignment labels are not {kind}: {grid.tolist()}")
+    observed = _observed_rcb if table.design is DesignKind.RCB else _observed_ls
+    return ObservedExperiment(
+        design=table.design,
+        observed=observed(x, grid[None])[0],
+        assignment=assignment,
+        error_draws=errors,
+    )
+
+
+def anova(experiment: ObservedExperiment) -> AnovaSummary:
+    """ANOVA summary of one observed experiment, by the batch kernel."""
+    y = experiment.observed
+    df1, df0 = design_dfs(experiment.design, *y.shape)
+    if experiment.design is DesignKind.RCB:
+        s0, s1 = _mean_squares_rcb(y[None])
+    else:
+        s0, s1 = _mean_squares_ls(y[None], experiment.assignment.ls_square[None])
+    s0_sq, s1_sq = float(s0[0]), float(s1[0])
+    return AnovaSummary(
+        s0_sq=s0_sq,
+        s1_sq=s1_sq,
+        f_stat=f_from_sums(s0_sq, s1_sq),
+        df_treatment=df1,
+        df_residual=df0,
+    )

@@ -6,6 +6,8 @@ of the concatenated permutations.  LS randomizations are Latin squares of
 order T, streamed in row-major lexicographic order by backtracking.  Exact
 enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
+The enumerators and samplers build only valid assignments, so they do not
+check them one by one; `observe` checks the grids that callers build.
 
 Uniform sampling: RCB draws independent Fisher-Yates permutations per block.
 For LS the default measure is uniform over ALL Latin squares of the order,
@@ -26,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, SpaceTooLarge, WrongDesign
+from .errors import DimensionMismatch, InvalidArgument, SpaceTooLarge
 from .potential_outcomes import DesignKind, PotentialOutcomeTable
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -46,10 +48,13 @@ def enumeration_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUM_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise InvalidArgument(f"{ENUM_CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
 
 
 class SpaceKind(str, Enum):
@@ -91,7 +96,8 @@ class RandomizationSpace:
         ls_measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
     ) -> "RandomizationSpace":
         if size < 0:
-            raise ValueError(f"sample size must be >= 0, got {size}")
+            raise InvalidArgument(f"sample size must be >= 0, got {size}")
+        _check_burn_in(burn_in)
         return cls(
             kind=SpaceKind.SAMPLE,
             sample_size=size,
@@ -108,6 +114,7 @@ class Assignment:
     RCB: rcb_perms[i][j] is the (zero-based) treatment given to plot j of
     block i; each row is a permutation of 0..T-1.  LS: ls_square[i][j] is the
     treatment in cell (i, j); each symbol occurs once per row and column.
+    Construction does not check this; is_valid() does, and observe() calls it.
     """
 
     design: DesignKind
@@ -121,17 +128,10 @@ class Assignment:
                 arr = np.asarray(arr, dtype=np.int64)
                 arr.setflags(write=False)
                 object.__setattr__(self, field, arr)
-        if self.design is DesignKind.RCB:
-            assert self.rcb_perms is not None and self.rcb_perms.ndim == 2
-        else:
-            assert self.ls_square is not None and self.ls_square.ndim == 2
-        # full bijection/Latin check in debug runs; python -O skips it
-        assert self.is_valid(), "assignment violates its design invariant"
 
     @property
     def num_treatments(self) -> int:
-        arr = self.rcb_perms if self.design is DesignKind.RCB else self.ls_square
-        return arr.shape[1]
+        return self.labels().shape[1]
 
     def labels(self) -> np.ndarray:
         """The treatment-label grid, whichever design."""
@@ -141,22 +141,23 @@ class Assignment:
         """Hashable form, for aggregation and distinctness checks."""
         return tuple(map(tuple, self.labels().tolist()))
 
-    def indicators(self) -> np.ndarray:
-        """Indicator array W[i][j][t] in {0,1} with one 1 per (i, j)."""
-        grid = self.labels()
-        t = self.num_treatments
-        return (grid[:, :, None] == np.arange(t)[None, None, :]).astype(np.int64)
-
     def is_valid(self) -> bool:
         """Bijection check per block (RCB) or Latin property (LS)."""
         grid = self.labels()
-        t = self.num_treatments
-        want = np.arange(t)
+        want = np.arange(self.num_treatments)
+        rows_ok = bool((np.sort(grid, axis=1) == want).all())
         if self.design is DesignKind.RCB:
-            return all(np.array_equal(np.sort(row), want) for row in grid)
-        rows_ok = all(np.array_equal(np.sort(row), want) for row in grid)
-        cols_ok = all(np.array_equal(np.sort(col), want) for col in grid.T)
-        return rows_ok and cols_ok and grid.shape[0] == t
+            return rows_ok
+        return (
+            rows_ok
+            and grid.shape[0] == len(want)
+            and bool((np.sort(grid, axis=0) == want[:, None]).all())
+        )
+
+
+def _check_burn_in(burn_in: int | None) -> None:
+    if burn_in is not None and burn_in < 1:
+        raise InvalidArgument(f"burn_in must be >= 1 sampler moves, got {burn_in}")
 
 
 def rcb_space_size(num_blocks: int, num_treatments: int) -> int:
@@ -355,6 +356,7 @@ def sample_latin_squares(
     order; measure="subgroup" permutes rows, columns and symbols of a fixed
     cyclic square, which is uniform only on that transformation orbit.
     """
+    _check_burn_in(burn_in)
     measure = LsMeasure(measure)
     rng = np.random.default_rng(seed)
     if count <= 0:
@@ -380,23 +382,6 @@ def sample_latin_squares(
         yield Assignment(DesignKind.LS, ls_square=square)
 
 
-def sample_uniform(
-    design: DesignKind,
-    num_treatments: int,
-    count: int,
-    seed: int,
-    num_blocks: int | None = None,
-    burn_in: int | None = None,
-    ls_measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
-) -> Iterator[Assignment]:
-    """Uniform sampler for either design; see sample_rcb / sample_latin_squares."""
-    if DesignKind(design) is DesignKind.RCB:
-        if num_blocks is None:
-            raise WrongDesign("RCB sampling needs num_blocks")
-        return sample_rcb(num_blocks, num_treatments, count, seed)
-    return sample_latin_squares(num_treatments, count, seed, burn_in, ls_measure)
-
-
 def assignment_stream(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[Assignment], int | None, bool]:
@@ -408,14 +393,11 @@ def assignment_stream(
             return enumerate_rcb(n, t), rcb_space_size(n, t), True
         return enumerate_latin_squares(t), latin_square_count(t), True
     if space.sample_size is None or space.seed is None:
-        raise ValueError("sampled spaces need sample_size and seed")
-    stream = sample_uniform(
-        table.design,
-        t,
-        space.sample_size,
-        space.seed,
-        num_blocks=table.num_blocks,
-        burn_in=space.burn_in,
-        ls_measure=space.ls_measure,
-    )
+        raise InvalidArgument("sampled spaces need sample_size and seed")
+    if table.design is DesignKind.RCB:
+        stream = sample_rcb(table.num_blocks, t, space.sample_size, space.seed)
+    else:
+        stream = sample_latin_squares(
+            t, space.sample_size, space.seed, space.burn_in, space.ls_measure
+        )
     return stream, space.sample_size, False

@@ -68,3 +68,7 @@ class ConvergenceFailure(RandovaError):
 
 class ParseError(RandovaError):
     """A table or report document is malformed; message names the field."""
+
+
+class InvalidArgument(RandovaError, ValueError):
+    """A setting or caller-built value is outside its domain (a ValueError too)."""

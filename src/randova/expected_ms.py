@@ -184,12 +184,6 @@ def expected_ms(table: PotentialOutcomeTable) -> ExpectedMeanSquares:
     )
 
 
-def neyman_historical_e_s0(table: PotentialOutcomeTable) -> float:
-    """The historical (incorrect) E(S0^2): the corrected form without the
-    blocking-factor-by-treatment interaction term."""
-    return expected_ms(table).e_s0_neyman
-
-
 def ls_difference_decomposition(
     table: PotentialOutcomeTable,
 ) -> LsDifferenceDecomposition:

@@ -30,6 +30,7 @@ from .enumeration import (
 )
 from .errors import (
     InvalidAlpha,
+    InvalidArgument,
     NegativeErrorSd,
     RandovaError,
     TechnicalErrorsPresent,
@@ -265,11 +266,11 @@ def survival_curve(
     The default grid is grid_points points on [0, U] with
     U = max(2 * F-quantile(0.95), largest finite F in the support).
     """
+    if cutoff_grid is None and grid_points < 2:
+        raise InvalidArgument(f"grid needs at least 2 points, got {grid_points}")
     summary = exact_distribution(table, space)
     ref = FReference(summary.df_treatment, summary.df_residual)
     if cutoff_grid is None:
-        if grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {grid_points}")
         upper = 2.0 * f_quantile(ref, 0.95)
         finite = [p.f_stat for p in summary.support if math.isfinite(p.f_stat)]
         if finite:
@@ -319,7 +320,7 @@ def monte_carlo_with_errors(
     if not sigma_eps > 0.0:
         raise NegativeErrorSd(f"sigma_eps must be > 0, got {sigma_eps}")
     if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+        raise InvalidArgument(f"replications must be >= 1, got {replications}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
 

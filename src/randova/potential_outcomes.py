@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NegativeErrorSd,
     NonFiniteEntry,
 )
@@ -315,7 +316,7 @@ def check_additivity(
     """Decide additivity at the given absolute tolerance and report diagnostics."""
     validate(table)
     if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+        raise InvalidArgument(f"tolerance must be >= 0, got {tolerance}")
     x = table.outcomes
     t = x.shape[2]
     flat = x.reshape(-1, t)  # units x treatments

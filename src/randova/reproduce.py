@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .documents import load_table
+from .errors import InvalidArgument
 from .expected_ms import expected_ms, ls_difference_decomposition
 from .fdist import FReference, f_quantile, f_survival
 from .inference import exact_distribution, survival_curve, type1_error
@@ -44,7 +45,7 @@ class CheckResult:
 def load_bundled_table(name: str) -> PotentialOutcomeTable:
     """One of table1..table4 from the package data."""
     if name not in BUNDLED_TABLE_NAMES:
-        raise ValueError(f"unknown bundled table {name!r}")
+        raise InvalidArgument(f"unknown bundled table {name!r}")
     path = resources.files("randova.data").joinpath(f"{name}.json")
     with resources.as_file(path) as concrete:
         return load_table(concrete)

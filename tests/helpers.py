@@ -1,8 +1,12 @@
 """Shared test utilities: random table generators and brute-force oracles.
 
-The oracles here deliberately re-derive quantities by direct enumeration
-(observe + scalar anova per assignment, plain loops) so closed forms in the
-package are checked against an independent route.
+The oracles here deliberately re-derive quantities by direct enumeration and
+plain loops, so the package is checked against an independent route.
+`fsum_anova` is the ANOVA oracle: it reads one assignment's responses off the
+outcome table cell by cell and forms S0^2, S1^2 and F with math.fsum
+reductions in fixed index order, sharing no code with the package's numpy
+kernels.  The brute-force checks of those kernels (batch rows, enumeration
+means against the closed forms, rejection counts) go through it.
 """
 
 from __future__ import annotations
@@ -123,13 +127,63 @@ def treatment_means(experiment):
     return np.array([math.fsum(y[square == k].tolist()) / t for k in range(t)])
 
 
+def observed_by_loops(table, assignment):
+    """Observed responses, cell by cell: y[i][t] is the outcome of the plot of
+    block i that got treatment t (RCB); y[i][j] that of cell (i, j) (LS)."""
+    x = table.outcomes
+    grid = assignment.labels().tolist()
+    n, p, _ = x.shape
+    y = np.empty((n, p))
+    for i in range(n):
+        for j in range(p):
+            k = grid[i][j]
+            if table.design is rv.DesignKind.RCB:
+                y[i, k] = x[i, j, k]
+            else:
+                y[i, j] = x[i, j, k]
+    return y
+
+
+def fsum_anova(table, assignment):
+    """(S0^2, S1^2, F) of one assignment by math.fsum in fixed index order."""
+    fsum = math.fsum
+    y = observed_by_loops(table, assignment).tolist()
+    grid = assignment.labels().tolist()
+    n, t = len(y), len(y[0])
+    cells = [(i, j) for i in range(n) for j in range(t)]
+    row_means = [fsum(row) / t for row in y]
+    if table.design is rv.DesignKind.RCB:
+        df1, df0 = t - 1, (n - 1) * (t - 1)
+        group_means = [fsum(row[k] for row in y) / n for k in range(t)]
+        grand = fsum(group_means) / t
+        resid = [y[i][k] - group_means[k] - row_means[i] + grand for i, k in cells]
+        s1 = n / df1 * fsum((m - grand) ** 2 for m in group_means)
+    else:
+        df1, df0 = t - 1, (t - 1) * (t - 2)
+        group_means = [
+            fsum(y[i][j] for i, j in cells if grid[i][j] == k) / t for k in range(t)
+        ]
+        col_means = [fsum(row[j] for row in y) / t for j in range(t)]
+        grand = fsum(row_means) / t
+        resid = [
+            y[i][j] - row_means[i] - col_means[j] - group_means[grid[i][j]] + 2.0 * grand
+            for i, j in cells
+        ]
+        s1 = t / df1 * fsum((m - grand) ** 2 for m in group_means)
+    s0 = max(fsum(r * r for r in resid) / df0, 0.0)
+    s1 = max(s1, 0.0)
+    if s0 == 0.0:
+        return s0, s1, math.inf if s1 > 0.0 else math.nan
+    return s0, s1, s1 / s0
+
+
 def enumeration_mean_squares(table):
-    """Enumeration means of (S0^2, S1^2) via the scalar anova path."""
+    """Enumeration means of (S0^2, S1^2) via the fsum_anova oracle."""
     s0s, s1s = [], []
     for assignment in all_assignments(table):
-        summary = rv.anova(rv.observe(table, assignment))
-        s0s.append(summary.s0_sq)
-        s1s.append(summary.s1_sq)
+        s0, s1, _ = fsum_anova(table, assignment)
+        s0s.append(s0)
+        s1s.append(s1)
     return math.fsum(s0s) / len(s0s), math.fsum(s1s) / len(s1s)
 
 

@@ -181,7 +181,7 @@ def test_criterion_07_historical_identity():
         else:
             table = random_ls_table(rng)
         ems = rv.expected_ms(table)
-        historical = rv.neyman_historical_e_s0(table)
+        historical = ems.e_s0_neyman
         scale = max(1.0, abs(ems.e_s0))
         worst = max(worst, abs(ems.e_s0 - historical - ems.interaction_term) / scale)
         min_interaction = min(min_interaction, ems.interaction_term)

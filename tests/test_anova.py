@@ -6,6 +6,7 @@ import pytest
 import randova as rv
 from helpers import (
     all_assignments,
+    fsum_anova,
     random_table,
     sharp_null_table,
     treatment_means,
@@ -55,6 +56,21 @@ class TestObserve:
         with pytest.raises(rv.ShapeMismatch):
             rv.observe(tables["table1"], square)
 
+    def test_non_bijective_rcb_grid_raises(self, tables):
+        # treatment 0 twice in block 1, treatment 1 never
+        bad = rv.Assignment(rv.DesignKind.RCB, rcb_perms=np.array([[0, 0], [0, 1]]))
+        assert not bad.is_valid()
+        with pytest.raises(rv.InvalidArgument):
+            rv.observe(tables["table1"], bad)
+
+    def test_non_latin_ls_grid_raises(self, tables):
+        # every row a permutation, but column 0 repeats treatment 0
+        rows = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
+        bad = rv.Assignment(rv.DesignKind.LS, ls_square=rows)
+        assert not bad.is_valid()
+        with pytest.raises(rv.InvalidArgument):
+            rv.observe(tables["table2"], bad)
+
     def test_wrong_permutation_shape_raises(self, tables):
         bad = rv.Assignment(rv.DesignKind.RCB, rcb_perms=np.array([[0, 1]]))
         with pytest.raises(rv.ShapeMismatch):
@@ -95,7 +111,6 @@ class TestAnova:
         assert summary.s1_sq == 0.0
         assert summary.is_degenerate
         assert math.isnan(summary.f_stat)
-        assert math.isnan(summary.welch_stat)
 
     def test_zero_residual_with_signal_gives_infinite_f(self):
         # outcomes additive in block and treatment, flat across plots:
@@ -109,7 +124,6 @@ class TestAnova:
         assert summary.s0_sq == 0.0
         assert summary.s1_sq > 0.0
         assert summary.f_stat == math.inf
-        assert summary.welch_stat == pytest.approx(1.0)
 
     def test_table4_f_takes_two_values(self, tables):
         values = set()
@@ -171,8 +185,8 @@ class TestAnova:
         margins = []
         for assignment in all_assignments(table):
             experiment = rv.observe(table, assignment)
-            summary = rv.anova(experiment)
-            pooled.append(summary.pooled)
+            s = rv.anova(experiment)
+            pooled.append(s.df_treatment * s.s1_sq + s.df_residual * s.s0_sq)
             y = experiment.observed
             totals.append(float(((y - y.mean()) ** 2).sum()))
             if design is rv.DesignKind.RCB:
@@ -186,18 +200,6 @@ class TestAnova:
         assert spread <= 1e-9 * max(abs(p) for p in pooled)
         assert max(totals) - min(totals) <= 1e-9 * max(totals)
         assert max(margins) - min(margins) <= 1e-9 * max(max(margins), 1e-30)
-
-    def test_welch_statistic_definition(self, tables):
-        summary = rv.anova(
-            rv.observe(tables["table1"], identity_rcb_assignment(2, 2))
-        )
-        df1, df0 = summary.df_treatment, summary.df_residual
-        expected = df1 * summary.s1_sq / (df1 * summary.s1_sq + df0 * summary.s0_sq)
-        assert summary.welch_stat == pytest.approx(expected, rel=1e-12)
-        assert 0.0 <= summary.welch_stat <= 1.0
-        assert summary.pooled == pytest.approx(
-            df1 * summary.s1_sq + df0 * summary.s0_sq, rel=1e-12
-        )
 
 
 class TestBatchKernels:
@@ -213,6 +215,20 @@ class TestBatchKernels:
         else:
             s0_batch, s1_batch = rv.batch_anova_ls(table.outcomes, labels)
         for idx, assignment in enumerate(assignments):
+            s0, s1, _ = fsum_anova(table, assignment)
+            assert s0_batch[idx] == pytest.approx(s0, rel=1e-12, abs=1e-12)
+            assert s1_batch[idx] == pytest.approx(s1, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_assignment_equals_its_batch_row_bit_for_bit(self, seed):
+        rng = np.random.default_rng(550 + seed)
+        design = rv.DesignKind.RCB if seed % 2 == 0 else rv.DesignKind.LS
+        table = random_table(rng, design)
+        assignments = all_assignments(table)
+        labels = np.stack([a.labels() for a in assignments])
+        kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
+        s0_batch, s1_batch = kernel(table.outcomes, labels)
+        for idx, assignment in enumerate(assignments):
             summary = rv.anova(rv.observe(table, assignment))
-            assert s0_batch[idx] == pytest.approx(summary.s0_sq, rel=1e-12, abs=1e-12)
-            assert s1_batch[idx] == pytest.approx(summary.s1_sq, rel=1e-12, abs=1e-12)
+            assert summary.s0_sq == s0_batch[idx]
+            assert summary.s1_sq == s1_batch[idx]

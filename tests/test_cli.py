@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -23,6 +24,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **env):
+    """`python -m randova` in a child process: (exit code, stdout, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "randova", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, **env},
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestExpectedMs:
@@ -257,3 +270,23 @@ class TestArgumentErrors:
             capsys, "type1", table_paths["table2"], "--sample", "50", "--seed", "9"
         )
         assert json.loads(out)["seed"] == 9
+
+    def test_bad_enum_cap_exits_2_without_traceback(self, table_paths):
+        code, out, err = run_module("type1", table_paths["table4"], RANDOVA_ENUM_CAP="abc")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "RANDOVA_ENUM_CAP" in err
+        assert "Traceback" not in err
+
+    def test_zero_reps_exits_2_without_traceback(self, table_paths):
+        code, out, err = run_module("mc", table_paths["table4"], "--reps", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "replications" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("burn_in", ["-5", "0"])
+    def test_burn_in_below_one_exits_2(self, capsys, table_paths, burn_in):
+        code, out, err = run_cli(
+            capsys, "type1", table_paths["table2"], "--sample", "50", "--burn-in", burn_in
+        )
+        assert (code, out) == (2, "")
+        assert "burn_in" in err

@@ -43,13 +43,6 @@ class TestEnumerateRcb:
         with pytest.raises(rv.SpaceTooLarge):
             list(rv.enumerate_rcb(3, 2))
 
-    def test_indicator_array(self):
-        assignment = next(iter(rv.enumerate_rcb(2, 3)))
-        w = assignment.indicators()
-        assert w.shape == (2, 3, 3)
-        assert np.all(w.sum(axis=2) == 1)
-        assert np.all(w.sum(axis=1) == 1)
-
 
 class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order,count", [(1, 1), (2, 2), (3, 12), (4, 576)])
@@ -58,6 +51,13 @@ class TestEnumerateLatinSquares:
         assert len(squares) == count
         assert len({a.as_tuple() for a in squares}) == count
         assert all(a.is_valid() for a in squares)
+
+    def test_every_order_five_square_is_valid(self):
+        count = 0
+        for square in rv.enumerate_latin_squares(5):
+            assert square.is_valid()
+            count += 1
+        assert count == 161280
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_against_independent_counting_oracle(self, order):
@@ -133,6 +133,27 @@ class TestSampling:
                     hits[i, j, square[i, j]] += 1
         freqs = hits / draws
         assert np.abs(freqs - 1 / order).max() < 0.04
+
+    def test_every_rcb_draw_is_valid(self):
+        draws = list(rv.sample_rcb(20, 5, 2000, seed=5))
+        assert len(draws) == 2000
+        assert all(a.rcb_perms.shape == (20, 5) and a.is_valid() for a in draws)
+
+    @pytest.mark.parametrize("measure", ["all", "subgroup"])
+    @pytest.mark.parametrize("order", [1, 5, 8])
+    def test_every_ls_draw_is_valid(self, order, measure):
+        draws = list(rv.sample_latin_squares(order, 100, seed=order, measure=measure))
+        assert len(draws) == 100
+        assert all(
+            a.ls_square.shape == (order, order) and a.is_valid() for a in draws
+        )
+
+    @pytest.mark.parametrize("burn_in", [0, -5])
+    def test_burn_in_below_one_rejected(self, burn_in):
+        with pytest.raises(rv.InvalidArgument):
+            list(rv.sample_latin_squares(5, 100, 1, burn_in=burn_in))
+        with pytest.raises(rv.InvalidArgument):
+            rv.RandomizationSpace.sample(100, seed=1, burn_in=burn_in)
 
     def test_order_one_sampling(self):
         squares = list(rv.sample_latin_squares(1, 3, seed=0))

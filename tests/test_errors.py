@@ -1,0 +1,38 @@
+import numpy as np
+import pytest
+
+import randova as rv
+
+BAD_SETTINGS = {
+    "zero mc replications": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), replications=0
+    ),
+    "negative sample size": lambda: rv.RandomizationSpace.sample(-1, seed=0),
+    "one grid point": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), grid_points=1
+    ),
+    "negative additivity tolerance": lambda: rv.check_additivity(
+        rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((2, 2, 2))), tolerance=-1.0
+    ),
+    "unknown bundled table": lambda: rv.load_bundled_table("x"),
+    "sampled space without seed": lambda: rv.exact_distribution(
+        rv.load_bundled_table("table2"),
+        rv.RandomizationSpace(kind=rv.SpaceKind.SAMPLE, sample_size=10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_setting_raises_invalid_argument(case):
+    with pytest.raises(rv.InvalidArgument) as excinfo:
+        BAD_SETTINGS[case]()
+    # callers may catch it as either
+    assert isinstance(excinfo.value, rv.RandovaError)
+    assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_enum_cap_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, raw)
+    with pytest.raises(rv.InvalidArgument):
+        list(rv.enumerate_rcb(2, 2))

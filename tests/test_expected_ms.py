@@ -63,7 +63,7 @@ class TestReferenceValues:
 
 class TestHistoricalExpression:
     def test_table1_value(self, tables):
-        assert rv.neyman_historical_e_s0(tables["table1"]) == pytest.approx(
+        assert rv.expected_ms(tables["table1"]).e_s0_neyman == pytest.approx(
             213.625, abs=1e-9
         )
 
@@ -74,7 +74,7 @@ class TestHistoricalExpression:
         ems = rv.expected_ms(table)
         dec = rv.ls_difference_decomposition(table)
         omitted = dec.interaction_sum / (3 - 1) ** 2
-        assert rv.neyman_historical_e_s0(table) == pytest.approx(
+        assert ems.e_s0_neyman == pytest.approx(
             ems.e_s0 - omitted, rel=1e-12
         )
         assert omitted == pytest.approx(569.93 / 4, abs=0.005)
@@ -85,7 +85,7 @@ class TestHistoricalExpression:
         for design in (rv.DesignKind.RCB, rv.DesignKind.LS):
             table = random_table(rng, design, sd=float(rng.uniform(0, 2)))
             ems = rv.expected_ms(table)
-            historical = rv.neyman_historical_e_s0(table)
+            historical = ems.e_s0_neyman
             scale = max(1.0, abs(ems.e_s0))
             assert abs(ems.e_s0 - historical - ems.interaction_term) <= 1e-12 * scale
             assert ems.interaction_term >= 0.0
@@ -95,11 +95,11 @@ class TestHistoricalExpression:
         table = rcb_block_constant_table(rng)
         ems = rv.expected_ms(table)
         assert ems.interaction_term == 0.0
-        assert rv.neyman_historical_e_s0(table) == ems.e_s0
+        assert ems.e_s0_neyman == ems.e_s0
         ls_table = ls_interaction_free_table(rng)
         ls_ems = rv.expected_ms(ls_table)
         assert ls_ems.interaction_term == 0.0
-        assert rv.neyman_historical_e_s0(ls_table) == ls_ems.e_s0
+        assert ls_ems.e_s0_neyman == ls_ems.e_s0
 
 
 class TestOracleEquivalence:
