@@ -70,11 +70,16 @@ class AnovaSummary:
         return math.isnan(self.f_stat)
 
 
-def f_from_sums(s0_sq: float, s1_sq: float) -> float:
-    """F ratio with the degenerate conventions (inf / NaN on zero residual)."""
-    if s0_sq == 0.0:
-        return math.inf if s1_sq > 0.0 else math.nan
-    return s1_sq / s0_sq
+def f_from_sums(s0_sq, s1_sq):
+    """F ratio with the degenerate conventions (inf / NaN on zero residual).
+
+    Elementwise on arrays; a float for two scalars.
+    """
+    s0 = np.asarray(s0_sq, dtype=float)
+    s1 = np.asarray(s1_sq, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(s0 == 0.0, np.where(s1 > 0.0, np.inf, np.nan), s1 / s0)
+    return f if f.ndim else float(f)
 
 
 def design_dfs(design: DesignKind, num_blocks: int, num_treatments: int) -> tuple[int, int]:

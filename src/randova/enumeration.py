@@ -2,12 +2,15 @@
 
 RCB randomizations are independent per-block permutations of the treatment
 labels; the space has (T!)^N elements and is streamed in lexicographic order
-of the concatenated permutations.  LS randomizations are Latin squares of
-order T, streamed in row-major lexicographic order by backtracking.  Exact
-enumeration is capped (default 10^7 assignments, override with the
-RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
-The enumerators and samplers build only valid assignments, so they do not
-check them one by one; `observe` checks the grids that callers build.
+of the concatenated permutations, gathered chunk by chunk from the table of
+the T! permutations by mixed-radix index.  LS randomizations are Latin
+squares of order T, streamed in row-major lexicographic order from a table
+of every square of the order, built row by row from the T! permutations on
+first use.  Exact enumeration is capped (default 10^7 assignments, override
+with the RANDOVA_ENUM_CAP environment variable); beyond the cap callers must
+sample.  The enumerators and samplers build only valid assignments, so they
+do not check them one by one; `observe` checks the grids that callers build.
+Enumerated assignments are read-only row views of those tables and chunks.
 
 Uniform sampling: RCB draws independent Fisher-Yates permutations per block.
 For LS the default measure is uniform over ALL Latin squares of the order,
@@ -19,7 +22,7 @@ reference square (a strictly smaller orbit unless T <= 3).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -35,10 +38,13 @@ DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV_VAR = "RANDOVA_ENUM_CAP"
 
 # Total Latin square counts for orders 1..5.  Orders 1-4 are re-derived by an
-# independent counting oracle in the test suite; order 5 was produced once by
-# the backtracking enumerator and is pinned as a regression value.
+# independent counting oracle in the test suite; order 5 is pinned as a
+# regression value, and a backtracking oracle in the tests re-derives every
+# square of orders 1-5.
 LATIN_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
 MAX_EXACT_LS_ORDER = 5
+
+_RCB_CHUNK = 4096  # assignments gathered per step of the RCB enumerator
 
 DEFAULT_JM_BURN_IN_FACTOR = 2  # moves between emissions = factor * T^3
 
@@ -74,7 +80,9 @@ class RandomizationSpace:
     EXACT visits each assignment exactly once.  SAMPLE draws sample_size
     assignments, deterministically given seed; burn_in (LS only) is the
     number of Jacobson-Matthews moves between emitted squares and defaults
-    to 2*T^3.
+    to 2*T^3.  Construction rejects settings that cannot be traversed (a
+    sampled space without size or seed, a negative size, burn_in < 1, an
+    unknown measure) with InvalidArgument.
     """
 
     kind: SpaceKind = SpaceKind.EXACT
@@ -82,6 +90,19 @@ class RandomizationSpace:
     seed: int | None = None
     burn_in: int | None = None
     ls_measure: LsMeasure = LsMeasure.ALL_SQUARES
+
+    def __post_init__(self) -> None:
+        try:
+            kind = SpaceKind(self.kind)
+        except ValueError:
+            raise InvalidArgument(f"unknown space kind {self.kind!r}") from None
+        if kind is SpaceKind.SAMPLE and (self.sample_size is None or self.seed is None):
+            raise InvalidArgument("sampled spaces need sample_size and seed")
+        if self.sample_size is not None and self.sample_size < 0:
+            raise InvalidArgument(f"sample size must be >= 0, got {self.sample_size}")
+        _check_burn_in(self.burn_in)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
 
     @classmethod
     def exact(cls) -> "RandomizationSpace":
@@ -95,15 +116,12 @@ class RandomizationSpace:
         burn_in: int | None = None,
         ls_measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
     ) -> "RandomizationSpace":
-        if size < 0:
-            raise InvalidArgument(f"sample size must be >= 0, got {size}")
-        _check_burn_in(burn_in)
         return cls(
             kind=SpaceKind.SAMPLE,
             sample_size=size,
             seed=seed,
             burn_in=burn_in,
-            ls_measure=LsMeasure(ls_measure),
+            ls_measure=ls_measure,
         )
 
 
@@ -128,6 +146,22 @@ class Assignment:
                 arr = np.asarray(arr, dtype=np.int64)
                 arr.setflags(write=False)
                 object.__setattr__(self, field, arr)
+
+    @classmethod
+    def _of_rows(cls, design: DesignKind, grids: np.ndarray) -> Iterator["Assignment"]:
+        """One Assignment per row of a read-only int64 (S, rows, T) stack.
+
+        For the enumerators, whose grids are valid and already read-only
+        int64: each Assignment holds its row view and skips __init__, which
+        would only re-set those flags at about 2 us per assignment.
+        """
+        fields = {"design": design, "rcb_perms": None, "ls_square": None}
+        grid_field = "rcb_perms" if design is DesignKind.RCB else "ls_square"
+        for grid in grids:
+            assignment = object.__new__(cls)
+            assignment.__dict__.update(fields)
+            assignment.__dict__[grid_field] = grid
+            yield assignment
 
     @property
     def num_treatments(self) -> int:
@@ -158,6 +192,16 @@ class Assignment:
 def _check_burn_in(burn_in: int | None) -> None:
     if burn_in is not None and burn_in < 1:
         raise InvalidArgument(f"burn_in must be >= 1 sampler moves, got {burn_in}")
+
+
+def _ls_measure(measure: LsMeasure | str) -> LsMeasure:
+    try:
+        return LsMeasure(measure)
+    except ValueError:
+        choices = ", ".join(m.value for m in LsMeasure)
+        raise InvalidArgument(
+            f"unknown Latin-square measure {measure!r}; choose from {choices}"
+        ) from None
 
 
 def rcb_space_size(num_blocks: int, num_treatments: int) -> int:
@@ -194,38 +238,54 @@ def enumerate_rcb(
             f"RCB space has {size} assignments, above the cap {cap}; "
             "use uniform sampling instead"
         )
-    labels = range(num_treatments)
-    for perms in itertools.product(
-        itertools.permutations(labels), repeat=num_blocks
-    ):
-        yield Assignment(DesignKind.RCB, rcb_perms=np.array(perms, dtype=np.int64))
+    perms = _permutation_table(num_treatments)
+    radix = len(perms)
+    for lo in range(0, size, _RCB_CHUNK):
+        # block 0 is the most significant digit, as in itertools.product
+        index = np.arange(lo, min(lo + _RCB_CHUNK, size))
+        digits = np.empty((len(index), num_blocks), dtype=np.int64)
+        for block in range(num_blocks - 1, -1, -1):
+            index, digits[:, block] = np.divmod(index, radix)
+        chunk = perms[digits].astype(np.int64)
+        chunk.setflags(write=False)
+        yield from Assignment._of_rows(DesignKind.RCB, chunk)
 
 
-def _latin_square_grids(order: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking over cells in row-major order, symbols ascending."""
-    cells = order * order
-    grid = [0] * cells
-    row_used = [0] * order
-    col_used = [0] * order
-    full = (1 << order) - 1
+@functools.lru_cache(maxsize=1)
+def _permutation_table(num_treatments: int) -> np.ndarray:
+    """All permutations of 0..T-1 in lexicographic order, (T!, T) int8, read-only.
 
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == cells:
-            yield tuple(grid)
-            return
-        i, j = divmod(pos, order)
-        avail = ~(row_used[i] | col_used[j]) & full
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            grid[pos] = bit.bit_length() - 1
-            row_used[i] |= bit
-            col_used[j] |= bit
-            yield from rec(pos + 1)
-            row_used[i] ^= bit
-            col_used[j] ^= bit
+    The table for n symbols takes each first symbol f in turn and follows it
+    with the table for n-1 symbols, every label >= f moved up by one; the
+    shift is monotone, so the rows stay in lexicographic order.
+    """
+    table = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, num_treatments + 1):
+        first = np.repeat(np.arange(n, dtype=np.int8), len(table))
+        rest = np.tile(table, (n, 1))
+        rest += rest >= first[:, None]
+        table = np.column_stack([first, rest])
+    table.setflags(write=False)
+    return table
 
-    yield from rec(0)
+
+@functools.lru_cache(maxsize=None)
+def _latin_square_table(order: int) -> np.ndarray:
+    """Every Latin square of the order, (M, T, T) int64, read-only, in
+    row-major lexicographic order: squares are grown one row at a time by
+    every permutation that clashes with no earlier row in any column."""
+    perms = _permutation_table(order)
+    disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
+    rows = np.arange(len(perms))[:, None]
+    for _ in range(order - 1):
+        allowed = disjoint[rows[:, 0]]
+        for k in range(1, rows.shape[1]):
+            allowed &= disjoint[rows[:, k]]
+        square, nxt = np.nonzero(allowed)
+        rows = np.column_stack([rows[square], nxt])
+    table = perms[rows].astype(np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assignment]:
@@ -244,9 +304,7 @@ def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assi
             f"Latin-square space has {known} squares, above the cap {cap}; "
             "use uniform sampling instead"
         )
-    for flat in _latin_square_grids(order):
-        square = np.array(flat, dtype=np.int64).reshape(order, order)
-        yield Assignment(DesignKind.LS, ls_square=square)
+    yield from Assignment._of_rows(DesignKind.LS, _latin_square_table(order))
 
 
 class _RandomIntBuffer:
@@ -357,7 +415,7 @@ def sample_latin_squares(
     cyclic square, which is uniform only on that transformation orbit.
     """
     _check_burn_in(burn_in)
-    measure = LsMeasure(measure)
+    measure = _ls_measure(measure)
     rng = np.random.default_rng(seed)
     if count <= 0:
         return
@@ -392,8 +450,6 @@ def assignment_stream(
             n = table.num_blocks
             return enumerate_rcb(n, t), rcb_space_size(n, t), True
         return enumerate_latin_squares(t), latin_square_count(t), True
-    if space.sample_size is None or space.seed is None:
-        raise InvalidArgument("sampled spaces need sample_size and seed")
     if table.design is DesignKind.RCB:
         stream = sample_rcb(table.num_blocks, t, space.sample_size, space.seed)
     else:

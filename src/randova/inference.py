@@ -12,13 +12,21 @@ significant digits, which merges floating-point twins while keeping truly
 distinct values apart.  Assignment streams are consumed in fixed-size chunks
 through the vectorized ANOVA kernels; per-chunk compensated partial sums make
 the reported means exact and bit-reproducible.
+
+The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
+their cumulative sums), not as one object per atom: atoms are grouped with
+numpy over integer keys of the 12-digit roundings, and P(F > k) is answered by
+one bisection of the F column.  `support` builds SupportPoint objects from
+the columns on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +54,11 @@ from .potential_outcomes import (
 
 _CHUNK = 4096
 _SUPPORT_DIGITS = 12
+# A value whose scaled fraction lies this close to .5 is keyed by its string
+# form.  The scaling is one correctly rounded product or quotient with an
+# exact power of ten, so it cannot cross a tie; the margin is a safety band.
+_TIE_MARGIN = 1e-3
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact powers of ten
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
 DEFAULT_MC_ERROR_SD = 0.01
@@ -61,24 +74,92 @@ class SupportPoint:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizationSummary:
-    """Distribution of (S0^2, S1^2, F) over the traversed assignments."""
+    """Distribution of (S0^2, S1^2, F) over the traversed assignments.
+
+    The atoms are stored as columns sorted by F (NaN atoms last), then by
+    S0^2: f_stat, s0_sq, s1_sq and counts, the number of assignments at each
+    atom.  cumulative[i] is the number of assignments in the first i atoms.
+    """
 
     design: DesignKind
-    support: tuple[SupportPoint, ...]
+    f_stat: np.ndarray
+    s0_sq: np.ndarray
+    s1_sq: np.ndarray
+    counts: np.ndarray
     mean_s0: float
     mean_s1: float
     is_exact: bool
     assignment_count: int
     df_treatment: int
     df_residual: int
+    cumulative: np.ndarray = field(init=False, repr=False)
+    _comparable_atoms: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        columns = {"f_stat": float, "s0_sq": float, "s1_sq": float, "counts": np.int64}
+        for name, dtype in columns.items():
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        cumulative = np.concatenate([[0], np.cumsum(self.counts)])
+        cumulative.setflags(write=False)
+        object.__setattr__(self, "cumulative", cumulative)
+        # atoms whose F is not NaN; they precede the NaN atoms
+        object.__setattr__(
+            self, "_comparable_atoms", int(np.count_nonzero(~np.isnan(self.f_stat)))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field; the columns compare as arrays, NaN F atoms alike."""
+        if not isinstance(other, RandomizationSummary):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        """Agrees with __eq__: the float columns, whose NaN and signed zeros
+        compare equal in more than one bit pattern, are left out."""
+        return hash(
+            (
+                self.design,
+                self.counts.tobytes(),
+                self.mean_s0,
+                self.mean_s1,
+                self.is_exact,
+                self.assignment_count,
+                self.df_treatment,
+                self.df_residual,
+            )
+        )
+
+    @cached_property
+    def support(self) -> tuple[SupportPoint, ...]:
+        """The atoms as SupportPoint objects, in column order."""
+        n = self.assignment_count
+        return tuple(
+            SupportPoint(s0_sq=v0, s1_sq=v1, f_stat=f, probability=c / n)
+            for v0, v1, f, c in zip(
+                self.s0_sq.tolist(),
+                self.s1_sq.tolist(),
+                self.f_stat.tolist(),
+                self.counts.tolist(),
+            )
+        )
 
     def probability_f_above(self, cutoff: float) -> float:
         """P(F > cutoff), strict; degenerate atoms never count."""
-        return math.fsum(
-            p.probability for p in self.support if p.f_stat > cutoff
-        )
+        comparable = self._comparable_atoms
+        at_or_below = min(int(np.searchsorted(self.f_stat, cutoff, side="right")), comparable)
+        above = int(self.cumulative[comparable] - self.cumulative[at_or_below])
+        return above / self.assignment_count
 
 
 @dataclass(frozen=True)
@@ -126,17 +207,6 @@ class MonteCarloReport:
     rejection_probabilities: tuple[float, ...] | None
 
 
-def _chunked(stream: Iterator[Assignment], size: int) -> Iterator[list[Assignment]]:
-    chunk: list[Assignment] = []
-    for item in stream:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _batch_sums(
     design: DesignKind, x: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +215,48 @@ def _batch_sums(
     return batch_anova_ls(x, labels)
 
 
-def _sig_key(value: float) -> float:
-    return float(f"{value:.{_SUPPORT_DIGITS}g}")
+def _scalar_key(value: float) -> int:
+    """Integer key of the value's 12-significant-digit rounding, read off its
+    string form: exponent * 10^13 + signed 12-digit mantissa."""
+    if not math.isfinite(value):
+        return {math.inf: 1, -math.inf: 2}.get(value, 3) * 10**16
+    mantissa, _, exponent = f"{value:.{_SUPPORT_DIGITS - 1}e}".partition("e")
+    return int(exponent) * 10**13 + int(mantissa.replace(".", ""))
+
+
+def _atom_keys(values: np.ndarray) -> np.ndarray:
+    """_scalar_key of every value, vectorized.
+
+    A positive value v is scaled by one exact power of ten into [1e11, 1e12)
+    and rounded to its 12-digit mantissa; zero keys to 0.  Values outside the
+    range where that power is exact, and values whose scaled fraction lies
+    within _TIE_MARGIN of a rounding tie, fall back to the string form.
+    """
+    v = np.asarray(values, dtype=float)
+    usable = (v > 0.0) & np.isfinite(v)
+    safe = np.where(usable, v, 1.0)
+    exponent = np.floor(np.log10(safe)).astype(np.int64)
+
+    shift = 11 - exponent
+    up = _POW10[np.clip(shift, 0, 22)]
+    down = _POW10[np.clip(-shift, 0, 22)]
+    m = np.where(shift >= 0, safe * up, safe / down)
+    # floor(log10) can be one off next to a power of ten; m is then out of range
+    fast = (
+        usable
+        & (exponent >= -11)
+        & (exponent <= 22)
+        & (m >= 1e11)
+        & (m < 1e12)
+        & (np.abs(m - np.floor(m) - 0.5) > _TIE_MARGIN)
+    )
+    mantissa = np.rint(np.where(fast, m, 0.0)).astype(np.int64)
+    carry = mantissa == 10**12  # 9.999999999995e0 rounds to 1.00000000000e1
+    keys = np.where(carry, (exponent + 1) * 10**13 + 10**11, exponent * 10**13 + mantissa)
+    keys[v == 0.0] = 0
+    for i in np.flatnonzero(~fast & (v != 0.0)).tolist():
+        keys[i] = _scalar_key(float(v[i]))
+    return keys
 
 
 def _require_noiseless(table: PotentialOutcomeTable) -> None:
@@ -166,43 +276,43 @@ def _distribution_over(
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)
 
-    groups: dict[tuple[float, float], list] = {}
+    s0_parts: list[np.ndarray] = []
+    s1_parts: list[np.ndarray] = []
     s0_partials: list[float] = []
     s1_partials: list[float] = []
-    count = 0
-    for chunk in _chunked(iter(assignments), _CHUNK):
-        labels = np.stack([a.labels() for a in chunk])
+    stream = iter(assignments)
+    while chunk := list(itertools.islice(stream, _CHUNK)):
+        labels = np.array([a.labels() for a in chunk])
         s0, s1 = _batch_sums(design, outcomes, labels)
         s0_partials.append(math.fsum(s0.tolist()))
         s1_partials.append(math.fsum(s1.tolist()))
-        count += len(chunk)
-        for v0, v1 in zip(s0.tolist(), s1.tolist()):
-            key = (_sig_key(v0), _sig_key(v1))
-            entry = groups.get(key)
-            if entry is None:
-                groups[key] = [v0, v1, 1]
-            else:
-                entry[2] += 1
+        s0_parts.append(s0)
+        s1_parts.append(s1)
 
-    if count == 0:
+    if not s0_parts:
         raise RandovaError("the assignment stream was empty")
+    s0 = np.concatenate(s0_parts)
+    s1 = np.concatenate(s1_parts)
+    count = len(s0)
 
-    support = [
-        SupportPoint(
-            s0_sq=v0,
-            s1_sq=v1,
-            f_stat=f_from_sums(v0, v1),
-            probability=c / count,
-        )
-        for (v0, v1, c) in groups.values()
-    ]
-    support.sort(
-        key=lambda p: (math.isnan(p.f_stat), p.f_stat if not math.isnan(p.f_stat) else 0.0, p.s0_sq)
+    # one atom per distinct pair of keys; the first assignment seen stands for it
+    _, rank0 = np.unique(_atom_keys(s0), return_inverse=True)
+    _, rank1 = np.unique(_atom_keys(s1), return_inverse=True)
+    _, first, counts = np.unique(
+        rank0 * (rank1.max() + 1) + rank1, return_index=True, return_counts=True
     )
+    atom_s0, atom_s1 = s0[first], s1[first]
+    f = f_from_sums(atom_s0, atom_s1)
+    degenerate = np.isnan(f)
+    # by F (NaN last), then S0^2, then first appearance in the stream
+    order = np.lexsort((first, atom_s0, np.where(degenerate, 0.0, f), degenerate))
 
     return RandomizationSummary(
         design=design,
-        support=tuple(support),
+        f_stat=f[order],
+        s0_sq=atom_s0[order],
+        s1_sq=atom_s1[order],
+        counts=counts[order],
         mean_s0=math.fsum(s0_partials) / count,
         mean_s1=math.fsum(s1_partials) / count,
         is_exact=is_exact,
@@ -272,9 +382,9 @@ def survival_curve(
     ref = FReference(summary.df_treatment, summary.df_residual)
     if cutoff_grid is None:
         upper = 2.0 * f_quantile(ref, 0.95)
-        finite = [p.f_stat for p in summary.support if math.isfinite(p.f_stat)]
-        if finite:
-            upper = max(upper, max(finite))
+        finite = summary.f_stat[np.isfinite(summary.f_stat)]
+        if finite.size:
+            upper = max(upper, float(finite[-1]))
         grid = np.linspace(0.0, upper, grid_points)
     else:
         grid = np.asarray(cutoff_grid, dtype=float)

@@ -7,6 +7,9 @@ outcome table cell by cell and forms S0^2, S1^2 and F with math.fsum
 reductions in fixed index order, sharing no code with the package's numpy
 kernels.  The brute-force checks of those kernels (batch rows, enumeration
 means against the closed forms, rejection counts) go through it.
+`latin_square_grids` is the Latin-square oracle: plain backtracking over the
+cells, which the package's table-built enumerator must match square for
+square and in order.
 """
 
 from __future__ import annotations
@@ -197,6 +200,35 @@ def enumeration_contrast_moments(table, t_a, t_b):
     mean = math.fsum(diffs) / len(diffs)
     var = math.fsum((d - mean) ** 2 for d in diffs) / len(diffs)
     return mean, var
+
+
+def latin_square_grids(order):
+    """Every Latin square of the order as a flat row-major tuple, in
+    lexicographic order: backtracking over cells in row-major order, symbols
+    ascending."""
+    cells = order * order
+    grid = [0] * cells
+    row_used = [0] * order
+    col_used = [0] * order
+    full = (1 << order) - 1
+
+    def rec(pos):
+        if pos == cells:
+            yield tuple(grid)
+            return
+        i, j = divmod(pos, order)
+        avail = ~(row_used[i] | col_used[j]) & full
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            grid[pos] = bit.bit_length() - 1
+            row_used[i] |= bit
+            col_used[j] |= bit
+            yield from rec(pos + 1)
+            row_used[i] ^= bit
+            col_used[j] ^= bit
+
+    yield from rec(0)
 
 
 def count_latin_squares_bruteforce(order):

@@ -1,11 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import randova as rv
-from helpers import count_latin_squares_bruteforce
+from helpers import count_latin_squares_bruteforce, latin_square_grids
 
 
 class TestEnumerateRcb:
@@ -37,6 +40,26 @@ class TestEnumerateRcb:
         with pytest.raises(rv.SpaceTooLarge):
             list(rv.enumerate_rcb(3, 3, cap=100))
 
+    @pytest.mark.parametrize("blocks,treatments", [(2, 3), (3, 3), (1, 4)])
+    def test_itertools_product_order(self, blocks, treatments):
+        want = list(
+            itertools.product(itertools.permutations(range(treatments)), repeat=blocks)
+        )
+        got = [a.as_tuple() for a in rv.enumerate_rcb(blocks, treatments)]
+        assert got == want
+
+    def test_grids_are_read_only_int64(self):
+        for a in rv.enumerate_rcb(2, 3):
+            assert a.rcb_perms.dtype == np.int64
+            assert not a.rcb_perms.flags.writeable
+
+    def test_enumerated_assignments_are_what_the_constructor_builds(self):
+        stream = itertools.chain(rv.enumerate_rcb(2, 3), rv.enumerate_latin_squares(3))
+        for a in stream:
+            built = rv.Assignment(a.design, rcb_perms=a.rcb_perms, ls_square=a.ls_square)
+            assert vars(a).keys() == vars(built).keys()
+            assert all(vars(built)[name] is value for name, value in vars(a).items())
+
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "5")
         assert len(list(rv.enumerate_rcb(2, 2))) == 4
@@ -62,6 +85,24 @@ class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order", [3, 4])
     def test_against_independent_counting_oracle(self, order):
         assert count_latin_squares_bruteforce(order) == rv.latin_square_count(order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_matches_the_backtracking_oracle_in_order(self, order):
+        want = np.array(list(latin_square_grids(order)))
+        got = np.array([a.ls_square.ravel() for a in rv.enumerate_latin_squares(order)])
+        assert got.shape == want.shape == (rv.latin_square_count(order), order * order)
+        assert (got == want).all()
+
+    def test_import_does_not_build_the_table(self):
+        code = (
+            "import randova\n"
+            "from randova.enumeration import _latin_square_table\n"
+            "assert _latin_square_table.cache_info().currsize == 0\n"
+            "next(randova.enumerate_latin_squares(3))\n"
+            "assert _latin_square_table.cache_info().currsize == 1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_row_major_lexicographic_order(self):
         flats = [sum(a.as_tuple(), ()) for a in rv.enumerate_latin_squares(3)]

@@ -19,6 +19,19 @@ BAD_SETTINGS = {
         rv.load_bundled_table("table2"),
         rv.RandomizationSpace(kind=rv.SpaceKind.SAMPLE, sample_size=10),
     ),
+    "negative size of a space built directly": lambda: rv.RandomizationSpace(
+        kind=rv.SpaceKind.SAMPLE, sample_size=-5, seed=1
+    ),
+    "burn_in of a space built directly": lambda: rv.RandomizationSpace(
+        kind=rv.SpaceKind.SAMPLE, sample_size=5, seed=1, burn_in=0
+    ),
+    "unknown space kind": lambda: rv.RandomizationSpace(kind="bogus"),
+    "unknown measure of a sampled space": lambda: rv.RandomizationSpace.sample(
+        10, seed=1, ls_measure="bogus"
+    ),
+    "unknown measure of the Latin-square sampler": lambda: list(
+        rv.sample_latin_squares(4, 3, seed=1, measure="bogus")
+    ),
 }
 
 

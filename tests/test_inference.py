@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -351,3 +352,163 @@ class TestOracleEquivalenceRandom:
         ems = rv.expected_ms(table)
         assert summary.mean_s0 == pytest.approx(ems.e_s0, rel=1e-9)
         assert summary.mean_s1 == pytest.approx(ems.e_s1, rel=1e-9)
+
+
+def _sig_key(value):
+    """The atom rule as a string: the value rounded to 12 significant digits."""
+    return float(f"{value:.12g}")
+
+
+def _same_grouping(a, b):
+    """True when the two key sequences split the positions into the same groups."""
+    pairs = set(zip(a, b))
+    return len(pairs) == len(set(a)) == len(set(b))
+
+
+class TestAtomKeys:
+    """The vectorized atom key groups values exactly as the 12-digit string rounding."""
+
+    EDGES = [
+        # 1 ulp apart across a rounding boundary: two atoms, as before
+        2.0000000000049996,
+        2.0000000000050004,
+        # carry into the next decade
+        9.9999999999995,
+        9.999999999999499,
+        9.9999999999995 * (1 + 2**-52),
+        10.0,
+        9.99999999999,
+        0.99999999999995,
+        1.0,
+        # next to powers of ten, where floor(log10) may be one off
+        np.nextafter(1000.0, 0.0),
+        np.nextafter(1000.0, np.inf),
+        np.nextafter(1e-5, 0.0),
+        999999999999.5,
+        # zero, tiny and huge values
+        0.0,
+        -0.0,
+        1.7e-33,
+        1.7e-33 * (1 + 2**-52),
+        1e-11,
+        1e-12,
+        1e22,
+        1.5e22,
+        1e23,
+        1e23 * (1 + 1e-15),
+        3.3e25,
+        1e300,
+    ]
+
+    def test_edge_values(self):
+        keys = rv.inference._atom_keys(np.array(self.EDGES)).tolist()
+        assert _same_grouping(keys, [_sig_key(v) for v in self.EDGES])
+        assert keys[0] != keys[1]
+
+    def test_seeded_mean_squares(self):
+        rng = np.random.default_rng(3100)
+        base = 10.0 ** rng.uniform(-12.0, 25.0, size=20_000)
+        # twins a few ulps to 1e-12 apart, many of them straddling a rounding edge
+        near = base * (1.0 + rng.normal(0.0, 1e-12, size=base.size))
+        ulps = np.nextafter(base[:10_000], np.inf)
+        # values next to a tie of the 12th digit, and their neighbours
+        ties = (rng.integers(10**11, 10**12, size=8_000) + 0.5) * 10.0 ** rng.integers(
+            -22, 11, size=8_000
+        )
+        tie_sides = [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)]
+        table = random_ls_table(rng, order=4)
+        labels = np.stack([a.labels() for a in rv.enumerate_latin_squares(4)])
+        s0, s1 = rv.batch_anova_ls(table.outcomes, labels[rng.integers(0, 576, 13_000)])
+        values = np.concatenate([base, near, ulps, *tie_sides, s0, s1])
+        assert values.size == 100_000
+        keys = rv.inference._atom_keys(values).tolist()
+        assert _same_grouping(keys, [_sig_key(v) for v in values.tolist()])
+
+    def test_out_of_range_values_take_the_string_form(self, monkeypatch):
+        seen = []
+        scalar = rv.inference._scalar_key
+
+        def recording(value):
+            seen.append(value)
+            return scalar(value)
+
+        monkeypatch.setattr(rv.inference, "_scalar_key", recording)
+        rv.inference._atom_keys(np.array([1.7e-33, 3.0, 3.3e25, 1e300]))
+        assert seen == [1.7e-33, 3.3e25, 1e300]
+
+
+class TestProbabilityQuery:
+    @staticmethod
+    def _summary():
+        # F atoms 0.5, 2.0, inf (S0^2 = 0 < S1^2) and NaN (0/0): 1, 2, 3, 4 assignments
+        return rv.RandomizationSummary(
+            design=rv.DesignKind.RCB,
+            f_stat=np.array([0.5, 2.0, np.inf, np.nan]),
+            s0_sq=np.array([2.0, 1.0, 0.0, 0.0]),
+            s1_sq=np.array([1.0, 2.0, 3.0, 0.0]),
+            counts=np.array([1, 2, 3, 4]),
+            mean_s0=0.4,
+            mean_s1=1.4,
+            is_exact=True,
+            assignment_count=10,
+            df_treatment=2,
+            df_residual=2,
+        )
+
+    def test_strict_at_an_atom(self):
+        summary = self._summary()
+        assert summary.probability_f_above(0.5) == 5 / 10
+        assert summary.probability_f_above(np.nextafter(0.5, 0.0)) == 6 / 10
+        assert summary.probability_f_above(2.0) == 3 / 10
+
+    def test_tails(self):
+        summary = self._summary()
+        # below the smallest F: everything but the NaN mass
+        assert summary.probability_f_above(-1.0) == 1.0 - 4 / 10
+        assert summary.probability_f_above(-math.inf) == 6 / 10
+        # above the largest finite F: only the infinite atoms
+        assert summary.probability_f_above(1e300) == 3 / 10
+        assert summary.probability_f_above(math.inf) == 0.0
+        assert summary.probability_f_above(math.nan) == 0.0
+
+    def test_support_is_built_from_the_columns(self):
+        support = self._summary().support
+        assert [p.probability for p in support] == [0.1, 0.2, 0.3, 0.4]
+        assert [p.s0_sq for p in support] == [2.0, 1.0, 0.0, 0.0]
+        assert support[2].f_stat == math.inf and math.isnan(support[3].f_stat)
+
+    def test_equal_summaries_compare_equal(self, tables):
+        assert rv.exact_distribution(tables["table2"]) == rv.exact_distribution(tables["table2"])
+        assert rv.exact_distribution(tables["table2"]) != rv.exact_distribution(tables["table3"])
+        degenerate = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.full((3, 3, 3), 2.0))
+        assert rv.exact_distribution(degenerate) == rv.exact_distribution(degenerate)
+
+    def test_equal_summaries_hash_equal(self, tables):
+        a, b = rv.exact_distribution(tables["table2"]), rv.exact_distribution(tables["table2"])
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        summary = self._summary()
+        # another NaN bit pattern and a negative zero: equal, so the same hash
+        other_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
+        twin = dataclasses.replace(
+            summary,
+            f_stat=np.array([0.5, 2.0, np.inf, other_nan]),
+            s0_sq=np.array([2.0, 1.0, -0.0, 0.0]),
+        )
+        assert twin == summary and hash(twin) == hash(summary)
+
+    def test_strict_on_a_real_table(self, tables):
+        summary = rv.exact_distribution(tables["table3"])
+        n = summary.assignment_count
+        for f in summary.f_stat[np.isfinite(summary.f_stat)].tolist():
+            above = sum(p.probability * n for p in summary.support if p.f_stat > f)
+            assert summary.probability_f_above(f) * n == pytest.approx(above, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["table2", "table3"])
+    def test_matches_the_sum_over_atoms_within_one_ulp(self, tables, name):
+        summary = rv.exact_distribution(tables[name])
+        grid = rv.survival_curve(tables[name]).cutoffs.tolist()
+        grid += summary.f_stat.tolist() + [-1.0, math.inf]
+        for k in grid:
+            old = math.fsum(p.probability for p in summary.support if p.f_stat > k)
+            new = summary.probability_f_above(k)
+            assert abs(new - old) <= math.ulp(old)
