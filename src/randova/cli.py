@@ -21,6 +21,7 @@ from .enumeration import (
 from .errors import RandovaError, SpaceTooLarge
 from .expected_ms import expected_ms, ls_difference_decomposition
 from .inference import (
+    DEFAULT_GRID_POINTS,
     DEFAULT_MC_ERROR_SD,
     DEFAULT_MC_REPLICATIONS,
     monte_carlo_with_errors,
@@ -45,8 +46,6 @@ def _table_inputs(path: str, table: PotentialOutcomeTable) -> dict:
 
 def _space_from_args(args: argparse.Namespace) -> RandomizationSpace:
     if getattr(args, "sample", None) is not None:
-        if args.sample < 1:
-            raise RandovaError(f"--sample must be >= 1, got {args.sample}")
         seed = args.seed if args.seed is not None else 0
         return RandomizationSpace.sample(
             args.sample,
@@ -128,10 +127,7 @@ def _cmd_type1(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     space = _space_from_args(args)
-    points = args.grid if args.grid is not None else 200
-    if points < 2:
-        raise RandovaError(f"--grid needs at least 2 points, got {points}")
-    curve = survival_curve(table, space=space, grid_points=points)
+    curve = survival_curve(table, space=space, grid_points=args.grid)
     payload = {
         "df_treatment": curve.df_treatment,
         "df_residual": curve.df_residual,
@@ -258,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_curve.add_argument("table")
     p_curve.add_argument(
-        "--grid", type=int, default=None, help="number of grid points (default 200)"
+        "--grid",
+        type=int,
+        default=DEFAULT_GRID_POINTS,
+        help=f"number of grid points (default {DEFAULT_GRID_POINTS})",
     )
     p_curve.add_argument("--csv", default=None, help="also write the curve as CSV")
     p_curve.add_argument("--seed", type=int, default=None)

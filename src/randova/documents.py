@@ -153,9 +153,9 @@ def table_to_document(table: PotentialOutcomeTable) -> dict:
     return doc
 
 
-def _encode(value: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(value: Any, out: list[str], level: int) -> None:
+    pad = "  " * level
+    pad_in = pad + "  "
     if value is None:
         out.append("null")
     elif value is True:
@@ -175,7 +175,7 @@ def _encode(value: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, np.ndarray):
-        _encode(value.tolist(), out, indent, level)
+        _encode(value.tolist(), out, level)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -183,7 +183,7 @@ def _encode(value: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for idx, item in enumerate(value):
             out.append(pad_in)
-            _encode(item, out, indent, level + 1)
+            _encode(item, out, level + 1)
             out.append(",\n" if idx + 1 < len(value) else "\n")
         out.append(pad + "]")
     elif isinstance(value, dict):
@@ -194,17 +194,18 @@ def _encode(value: Any, out: list[str], indent: int, level: int) -> None:
         items = list(value.items())
         for idx, (key, item) in enumerate(items):
             out.append(pad_in + json.dumps(str(key)) + ": ")
-            _encode(item, out, indent, level + 1)
+            _encode(item, out, level + 1)
             out.append(",\n" if idx + 1 < len(items) else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to a report")
 
 
-def dumps_report(document: dict, indent: int = 2) -> str:
-    """Serialize a report document; floats carry 17 significant digits."""
+def dumps_report(document: dict) -> str:
+    """Serialize a report document with a two-space indent; floats carry 17
+    significant digits."""
     out: list[str] = []
-    _encode(document, out, indent, 0)
+    _encode(document, out, 0)
     return "".join(out)
 
 

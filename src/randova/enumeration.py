@@ -81,7 +81,7 @@ class RandomizationSpace:
     assignments, deterministically given seed; burn_in (LS only) is the
     number of Jacobson-Matthews moves between emitted squares and defaults
     to 2*T^3.  Construction rejects settings that cannot be traversed (a
-    sampled space without size or seed, a negative size, burn_in < 1, an
+    sampled space without size or seed, a size below 1, burn_in < 1, an
     unknown measure) with InvalidArgument.
     """
 
@@ -98,8 +98,8 @@ class RandomizationSpace:
             raise InvalidArgument(f"unknown space kind {self.kind!r}") from None
         if kind is SpaceKind.SAMPLE and (self.sample_size is None or self.seed is None):
             raise InvalidArgument("sampled spaces need sample_size and seed")
-        if self.sample_size is not None and self.sample_size < 0:
-            raise InvalidArgument(f"sample size must be >= 0, got {self.sample_size}")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise InvalidArgument(f"sample size must be >= 1, got {self.sample_size}")
         _check_burn_in(self.burn_in)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))

@@ -24,8 +24,10 @@ these expectations only through the additive sigma_eps^2, so they are handled
 analytically, never by simulation.
 
 Pair sums run over ordered pairs t != t' (both orders), matching the
-enumeration identities; rho(t,t') is computed directly from residual
-cross-moments so the r = 0/0 convention never contaminates a product.
+enumeration identities.  Nothing here sums over the table: rho(t,t') is read
+from Decomposition.eta_cross_moments and the unscaled interaction sum from
+Decomposition.interaction_sum, both computed once in `decompose`, so the
+r = 0/0 convention never contaminates a product.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, DimensionMismatch, SameTreatment, WrongDesign
+from .anova import design_dfs
+from .errors import DimensionMismatch, SameTreatment, WrongDesign
 from .potential_outcomes import (
     Decomposition,
     DesignKind,
     PotentialOutcomeTable,
-    centered_deviations,
     decompose,
     fsum_all,
 )
@@ -95,35 +97,14 @@ class MeanDifferenceVariance:
     variance: float
 
 
-@dataclass(frozen=True)
-class _Components:
-    eta_variance_sum: float  # sum_t sigma_eta^2(t)
-    cross_sum: float  # sum over ordered pairs t != t' of rho(t,t')
-    interaction_sum: float  # unscaled sum of squared blocking x treatment terms
-    treatment_effect_sum: float  # sum_t {Xbar(t) - Xbar(.)}^2
-
-
-def _components(dec: Decomposition) -> _Components:
-    t = dec.num_treatments
+def _cross_sum(dec: Decomposition) -> float:
+    """Sum over ordered pairs t != t' of rho(t,t')."""
+    moments = dec.eta_cross_moments.tolist()
     cross = 0.0
-    for a in range(t):
-        for b in range(a + 1, t):
-            cross += 2.0 * dec.eta_cross_moment(a, b)
-
-    if dec.design is DesignKind.RCB:
-        interaction = fsum_all(centered_deviations(dec.block_corrections) ** 2)
-    else:
-        interaction = fsum_all(
-            centered_deviations(dec.row_corrections) ** 2
-        ) + fsum_all(centered_deviations(dec.column_corrections) ** 2)
-
-    treatment = fsum_all((dec.grand_means - dec.overall_mean) ** 2)
-    return _Components(
-        eta_variance_sum=math.fsum(dec.eta_variances.tolist()),
-        cross_sum=cross,
-        interaction_sum=interaction,
-        treatment_effect_sum=treatment,
-    )
+    for a in range(dec.num_treatments):
+        for b in range(a + 1, dec.num_treatments):
+            cross += 2.0 * moments[a][b]
+    return cross
 
 
 def expected_ms(table: PotentialOutcomeTable) -> ExpectedMeanSquares:
@@ -131,46 +112,37 @@ def expected_ms(table: PotentialOutcomeTable) -> ExpectedMeanSquares:
     dec = decompose(table)
     t = dec.num_treatments
     n = table.num_blocks
+    design_dfs(table.design, n, t)  # DegenerateDesign without residual df
     sig_eps_sq = table.technical_error_sd**2
-    comp = _components(dec)
+    variance_sum = math.fsum(dec.eta_variances.tolist())
+    cross = _cross_sum(dec)
+    treatment_sum = fsum_all((dec.grand_means - dec.overall_mean) ** 2)
 
     if table.design is DesignKind.RCB:
-        if (n - 1) * (t - 1) < 1:
-            raise DegenerateDesign(
-                f"RCB with {n} block(s) has no residual degrees of freedom"
-            )
-        base = (
-            sig_eps_sq
-            + comp.eta_variance_sum / t
-            + comp.cross_sum / (t * (t - 1) ** 2)
-        )
-        interaction = comp.interaction_sum / ((n - 1) * (t - 1))
+        base = sig_eps_sq + variance_sum / t + cross / (t * (t - 1) ** 2)
+        interaction = dec.interaction_sum / ((n - 1) * (t - 1))
         e_s0 = base + interaction
         e_s0_neyman = base
-        treatment = n / (t - 1) * comp.treatment_effect_sum
+        treatment = n / (t - 1) * treatment_sum
         e_s1 = base + treatment
         bound = None
     else:
-        if (t - 1) * (t - 2) < 1:
-            raise DegenerateDesign(
-                f"LS of order {t} has no residual degrees of freedom"
-            )
         base0 = (
             sig_eps_sq
-            + (t - 2) / (t - 1) ** 2 * comp.eta_variance_sum
-            + 2.0 / (t - 1) ** 3 * comp.cross_sum
+            + (t - 2) / (t - 1) ** 2 * variance_sum
+            + 2.0 / (t - 1) ** 3 * cross
         )
-        interaction = comp.interaction_sum / (t - 1) ** 2
+        interaction = dec.interaction_sum / (t - 1) ** 2
         e_s0 = base0 + interaction
         e_s0_neyman = base0
-        treatment = t / (t - 1) * comp.treatment_effect_sum
+        treatment = t / (t - 1) * treatment_sum
         e_s1 = (
             sig_eps_sq
-            + comp.eta_variance_sum / (t - 1)
-            + comp.cross_sum / (t - 1) ** 3
+            + variance_sum / (t - 1)
+            + cross / (t - 1) ** 3
             + treatment
         )
-        bound = interaction - t / (t - 1) ** 3 * comp.eta_variance_sum
+        bound = interaction - t / (t - 1) ** 3 * variance_sum
 
     return ExpectedMeanSquares(
         design=table.design,
@@ -192,18 +164,18 @@ def ls_difference_decomposition(
         raise WrongDesign("difference decomposition is defined for LS tables only")
     dec = decompose(table)
     t = dec.num_treatments
-    comp = _components(dec)
+    variance_sum = math.fsum(dec.eta_variances.tolist())
 
-    mean_variance = comp.eta_variance_sum / t
+    mean_variance = variance_sum / t
     corr = dec.eta_correlations
     off_diag = fsum_all(corr) - float(np.trace(corr))
     mean_r = off_diag / (t * (t - 1))
-    constant_case = comp.interaction_sum - t * mean_variance * (1.0 - mean_r)
+    constant_case = dec.interaction_sum - t * mean_variance * (1.0 - mean_r)
 
     return LsDifferenceDecomposition(
-        interaction_sum=comp.interaction_sum,
-        neg_eta_variance_sum=-comp.eta_variance_sum,
-        correlation_term=comp.cross_sum / (t - 1),
+        interaction_sum=dec.interaction_sum,
+        neg_eta_variance_sum=-variance_sum,
+        correlation_term=_cross_sum(dec) / (t - 1),
         constant_case_difference=constant_case,
     )
 
@@ -224,7 +196,7 @@ def mean_difference_variance(
     sig_eps_sq = table.technical_error_sd**2
     s_t = float(dec.eta_variances[t])
     s_p = float(dec.eta_variances[t_prime])
-    rho = dec.eta_cross_moment(t, t_prime)
+    rho = float(dec.eta_cross_moments[t, t_prime])
 
     if table.design is DesignKind.RCB:
         n = table.num_blocks

@@ -445,9 +445,7 @@ def monte_carlo_with_errors(
         rng = np.random.default_rng(child)
         noise = rng.normal(0.0, sigma_eps, size=table.outcomes.shape)
         s0, s1 = _batch_sums(table.design, table.outcomes + noise, labels)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = s1 / s0
-        rejections.append(float(np.mean(f > cutoff)))
+        rejections.append(float(np.mean(f_from_sums(s0, s1) > cutoff)))
 
     mean = math.fsum(rejections) / replications
     if replications >= 2:

@@ -21,7 +21,11 @@ second moments
     sigma_eta^2(t) = sum_ij eta_ij(t)^2 / (N*T)      (divisor T^2 for LS)
     r(t,t')        = sum_ij eta_ij(t) eta_ij(t') / (N*T * sqrt(ss'))
 
-drive every closed-form expectation downstream.
+drive every closed-form expectation downstream.  `decompose` is the one
+place they are computed: it stores the residual cross-moments
+rho(t,t') = r(t,t') sqrt(s s') as the (T, T) matrix eta_cross_moments, and
+the unscaled blocking-factor-by-treatment interaction sum as
+interaction_sum.  expected_ms and check_additivity read them from there.
 
 All reductions use math.fsum in a fixed index order so results are exact to
 the last bit and bit-reproducible across runs.
@@ -72,13 +76,7 @@ def centered_deviations(values: np.ndarray) -> np.ndarray:
     rounds on division and leaves ulp-sized residue).
     """
     arr = np.asarray(values, dtype=float)
-    rows, t = arr.shape
-    out = np.empty_like(arr)
-    for i in range(rows):
-        row = arr[i].tolist()
-        for a in range(t):
-            out[i, a] = math.fsum(row[a] - row[b] for b in range(t)) / t
-    return out
+    return fsum_along(arr[:, :, None] - arr[:, None, :], 2) / arr.shape[1]
 
 
 @dataclass(frozen=True)
@@ -161,11 +159,17 @@ class Decomposition:
     LS, row_corrections[i, t] = R_i(t) and column_corrections[j, t] = C_j(t)
     and block_corrections is None.  residuals has the outcome shape.
 
+    eta_cross_moments[t, t'] is rho(t,t') = sum_ij eta_ij(t) eta_ij(t') / units,
+    a symmetric matrix; eta_variances is its diagonal clipped at 0.
     eta_correlations is the symmetric matrix r(t,t') with unit diagonal.
     Pairs involving a treatment with sigma_eta^2(t) == 0 are set to 0 (the
     0/0 case) and those treatments are flagged in zero_variance_treatments;
-    downstream formulas only ever use r multiplied by sqrt(ss'), so the
+    downstream formulas read rho from eta_cross_moments, not r, so the
     convention is harmless.
+
+    interaction_sum is the unscaled blocking-factor-by-treatment interaction:
+    sum_it {B_i(t) - Bbar_i(.)}^2 for RCB, and for LS the same sum over the
+    row corrections plus the one over the column corrections.
     """
 
     design: DesignKind
@@ -175,9 +179,11 @@ class Decomposition:
     row_corrections: np.ndarray | None
     column_corrections: np.ndarray | None
     residuals: np.ndarray
+    eta_cross_moments: np.ndarray
     eta_variances: np.ndarray
     eta_correlations: np.ndarray
     zero_variance_treatments: tuple[int, ...]
+    interaction_sum: float
 
     def __post_init__(self) -> None:
         for field in (
@@ -186,6 +192,7 @@ class Decomposition:
             "row_corrections",
             "column_corrections",
             "residuals",
+            "eta_cross_moments",
             "eta_variances",
             "eta_correlations",
         ):
@@ -198,12 +205,6 @@ class Decomposition:
     @property
     def num_treatments(self) -> int:
         return self.grand_means.shape[0]
-
-    def eta_cross_moment(self, t: int, u: int) -> float:
-        """r(t,u) * sqrt(sigma^2(t) sigma^2(u)) recovered without the 0/0 hazard."""
-        eta = self.residuals
-        denom = eta.shape[0] * eta.shape[1]
-        return fsum_all(eta[:, :, t] * eta[:, :, u]) / denom
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the outcome array from the decomposition components."""
@@ -228,20 +229,21 @@ def decompose(table: PotentialOutcomeTable) -> Decomposition:
     n, _, t = x.shape
     units = n * x.shape[1]
 
-    grand = fsum_along(x, 0)
-    grand = np.array([math.fsum(col.tolist()) for col in grand.T]) / units
+    col_sums = fsum_along(x, 0)  # shape (p, t)
+    grand = fsum_along(col_sums, 0) / units
     overall = math.fsum(grand.tolist()) / t
 
     row_means = fsum_along(x, 1) / x.shape[1]  # Xbar_i.(t), shape (n, t)
 
     if table.design is DesignKind.RCB:
-        block = row_means - grand[None, :]
-        resid = x - row_means[:, None, :]
+        block_corr = row_means - grand[None, :]
         row_corr = None
         col_corr = None
-        block_corr = block
+        resid = x - row_means[:, None, :]
+        interaction = fsum_all(centered_deviations(block_corr) ** 2)
     else:
-        col_means = fsum_along(x, 0) / n  # Xbar_.j(t), shape (t, t)
+        col_means = col_sums / n  # Xbar_.j(t), shape (t, t)
+        block_corr = None
         row_corr = row_means - grand[None, :]
         col_corr = col_means - grand[None, :]
         resid = (
@@ -250,24 +252,23 @@ def decompose(table: PotentialOutcomeTable) -> Decomposition:
             - col_means[None, :, :]
             + grand[None, None, :]
         )
-        block_corr = None
+        interaction = fsum_all(centered_deviations(row_corr) ** 2) + fsum_all(
+            centered_deviations(col_corr) ** 2
+        )
 
-    variances = np.array(
-        [fsum_all(resid[:, :, k] * resid[:, :, k]) / units for k in range(t)]
-    )
-    variances = np.maximum(variances, 0.0)
+    moments = np.empty((t, t))
+    for a in range(t):
+        for b in range(a, t):
+            moments[a, b] = moments[b, a] = (
+                fsum_all(resid[:, :, a] * resid[:, :, b]) / units
+            )
+    variances = np.maximum(np.diag(moments), 0.0)
     zero = tuple(int(k) for k in range(t) if variances[k] == 0.0)
 
-    corr = np.eye(t)
-    for a in range(t):
-        for b in range(a + 1, t):
-            if variances[a] == 0.0 or variances[b] == 0.0:
-                r = 0.0
-            else:
-                cross = fsum_all(resid[:, :, a] * resid[:, :, b]) / units
-                r = cross / math.sqrt(variances[a] * variances[b])
-                r = min(1.0, max(-1.0, r))
-            corr[a, b] = corr[b, a] = r
+    scale = np.sqrt(np.outer(variances, variances))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(scale > 0.0, np.clip(moments / scale, -1.0, 1.0), 0.0)
+    np.fill_diagonal(corr, 1.0)
 
     return Decomposition(
         design=table.design,
@@ -277,9 +278,11 @@ def decompose(table: PotentialOutcomeTable) -> Decomposition:
         row_corrections=row_corr,
         column_corrections=col_corr,
         residuals=resid,
+        eta_cross_moments=moments,
         eta_variances=variances,
         eta_correlations=corr,
         zero_variance_treatments=zero,
+        interaction_sum=interaction,
     )
 
 
@@ -339,35 +342,26 @@ def check_additivity(
     eta_bar = fsum_along(dec.residuals, 2) / t
     strict = float(np.abs(dec.residuals - eta_bar[:, :, None]).max())
 
-    if table.design is DesignKind.RCB:
-        block_term = fsum_all(centered_deviations(dec.block_corrections) ** 2)
-    else:
-        block_term = fsum_all(
-            centered_deviations(dec.row_corrections) ** 2
-        ) + fsum_all(centered_deviations(dec.column_corrections) ** 2)
-
     return AdditivityReport(
         is_additive=additive,
         treatment_shifts=shifts,
         max_deviation=max_dev,
         strict_unit_treatment=strict,
-        block_treatment=block_term,
+        block_treatment=dec.interaction_sum,
         tolerance=tolerance,
     )
 
 
-def neyman_null_holds(
-    table: PotentialOutcomeTable, tolerance: float = DEFAULT_ADDITIVITY_TOLERANCE
-) -> bool:
-    """True when all treatment grand means Xbar(t) agree within tolerance."""
+def neyman_null_holds(table: PotentialOutcomeTable) -> bool:
+    """True when all treatment grand means Xbar(t) agree within
+    DEFAULT_ADDITIVITY_TOLERANCE."""
     grand = decompose(table).grand_means
-    return float(grand.max() - grand.min()) <= tolerance
+    return float(grand.max() - grand.min()) <= DEFAULT_ADDITIVITY_TOLERANCE
 
 
-def fisher_sharp_null_holds(
-    table: PotentialOutcomeTable, tolerance: float = DEFAULT_ADDITIVITY_TOLERANCE
-) -> bool:
-    """True when every unit's potential outcomes agree across treatments."""
+def fisher_sharp_null_holds(table: PotentialOutcomeTable) -> bool:
+    """True when every unit's potential outcomes agree across treatments
+    within DEFAULT_ADDITIVITY_TOLERANCE."""
     x = table.outcomes
     spread = x.max(axis=2) - x.min(axis=2)
-    return float(spread.max()) <= tolerance
+    return float(spread.max()) <= DEFAULT_ADDITIVITY_TOLERANCE

@@ -202,6 +202,44 @@ def enumeration_contrast_moments(table, t_a, t_b):
     return mean, var
 
 
+def decomposition_moments_by_loops(dec):
+    """(rho, r, interaction sum) of a Decomposition by plain loops over its
+    residuals and corrections, with the math.fsum arithmetic `decompose` uses:
+    rho(t,t') one fsum per ordered pair, r = rho / sqrt(s s') clipped to
+    [-1, 1] (0 when either variance is 0), and each correction centered as
+    the mean of its pairwise differences before it is squared."""
+    eta = dec.residuals
+    units = eta.shape[0] * eta.shape[1]
+    t = eta.shape[2]
+    rho = np.array(
+        [
+            [math.fsum((eta[:, :, a] * eta[:, :, b]).ravel().tolist()) / units
+             for b in range(t)]
+            for a in range(t)
+        ]
+    )
+    var = np.maximum(np.diag(rho), 0.0)
+    r = np.eye(t)
+    for a in range(t):
+        for b in range(t):
+            if a != b and var[a] > 0.0 and var[b] > 0.0:
+                ratio = rho[a, b] / math.sqrt(var[a] * var[b])
+                r[a, b] = min(1.0, max(-1.0, ratio))
+    if dec.design is rv.DesignKind.RCB:
+        corrections = [dec.block_corrections]
+    else:
+        corrections = [dec.row_corrections, dec.column_corrections]
+    interaction = 0.0
+    for correction in corrections:
+        squares = []
+        for row in correction.tolist():
+            for a in range(t):
+                d = math.fsum(row[a] - row[b] for b in range(t)) / t
+                squares.append(d * d)
+        interaction += math.fsum(squares)
+    return rho, r, interaction
+
+
 def latin_square_grids(order):
     """Every Latin square of the order as a flat row-major tuple, in
     lexicographic order: backtracking over cells in row-major order, symbols

@@ -8,6 +8,10 @@ BAD_SETTINGS = {
         rv.load_bundled_table("table4"), replications=0
     ),
     "negative sample size": lambda: rv.RandomizationSpace.sample(-1, seed=0),
+    "empty sample": lambda: rv.RandomizationSpace.sample(0, seed=1),
+    "mc over an empty sample": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), space=rv.RandomizationSpace.sample(0, seed=1)
+    ),
     "one grid point": lambda: rv.survival_curve(
         rv.load_bundled_table("table2"), grid_points=1
     ),

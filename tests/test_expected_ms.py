@@ -96,10 +96,12 @@ class TestHistoricalExpression:
         ems = rv.expected_ms(table)
         assert ems.interaction_term == 0.0
         assert ems.e_s0_neyman == ems.e_s0
+        assert rv.check_additivity(table).block_treatment == 0.0
         ls_table = ls_interaction_free_table(rng)
         ls_ems = rv.expected_ms(ls_table)
         assert ls_ems.interaction_term == 0.0
         assert ls_ems.e_s0_neyman == ls_ems.e_s0
+        assert rv.check_additivity(ls_table).block_treatment == 0.0
 
 
 class TestOracleEquivalence:

@@ -6,9 +6,12 @@ import pytest
 import randova as rv
 from helpers import (
     additive_table,
+    decomposition_moments_by_loops,
+    ls_interaction_free_table,
     random_ls_table,
     random_rcb_table,
     random_table,
+    rcb_block_constant_table,
     sharp_null_table,
 )
 
@@ -107,6 +110,14 @@ class TestDecompose:
                 assert np.abs(dec.residuals.sum(axis=0)).max() < 1e-12
                 assert np.abs(dec.residuals.sum(axis=1)).max() < 1e-12
             assert np.all(dec.eta_variances >= 0)
+            assert np.array_equal(dec.eta_cross_moments, dec.eta_cross_moments.T)
+            assert np.array_equal(
+                np.maximum(np.diag(dec.eta_cross_moments), 0.0), dec.eta_variances
+            )
+            rho, r, interaction = decomposition_moments_by_loops(dec)
+            assert np.array_equal(dec.eta_cross_moments, rho)
+            assert np.array_equal(dec.eta_correlations, r)
+            assert dec.interaction_sum == interaction
             assert np.abs(dec.eta_correlations).max() <= 1.0
             assert np.allclose(dec.eta_correlations, dec.eta_correlations.T)
             assert dec.num_treatments == t
@@ -179,6 +190,21 @@ class TestAdditivity:
             assert report.is_additive
             assert report.strict_unit_treatment <= 1e-9
             assert report.block_treatment <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_treatment_is_the_decomposition_interaction_sum(self, seed):
+        rng = np.random.default_rng(150 + seed)
+        for design in (rv.DesignKind.RCB, rv.DesignKind.LS):
+            table = random_table(rng, design)
+            block_treatment = rv.check_additivity(table).block_treatment
+            assert block_treatment > 0.0
+            assert block_treatment == rv.decompose(table).interaction_sum
+            if design is rv.DesignKind.LS:
+                ls = rv.ls_difference_decomposition(table)
+                assert block_treatment == ls.interaction_sum
+        # corrections constant in t give an exact zero, not ulp-sized residue
+        for table in (rcb_block_constant_table(rng), ls_interaction_free_table(rng)):
+            assert rv.check_additivity(table).block_treatment == 0.0
 
     def test_tolerance_is_configurable(self):
         rng = np.random.default_rng(11)
