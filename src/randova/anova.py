@@ -11,8 +11,10 @@ supplied).  The mean sums of squares are
                  / ((T-1)(T-2))
           S1^2 = T/(T-1) * sum_t {xbar(t) - ybar..}^2
 
-with xbar(t) the observed mean for treatment t.  F = S1^2/S0^2; when S0^2 is
-exactly 0 the statistic is +inf if S1^2 > 0 (rejects any finite cutoff) and
+with xbar(t) the observed mean for treatment t.  One zero rule holds for both
+kernels: a mean square at or below (units * eps * max|y|)^2, taken per
+assignment, is rounding residue and is set to exactly 0.  F = S1^2/S0^2; when
+S0^2 is 0 the statistic is +inf if S1^2 > 0 (rejects any finite cutoff) and
 NaN if both vanish (a degenerate draw, counted as a non-rejection).
 
 Each design has one routine mapping a stack of S label grids to observed
@@ -114,6 +116,24 @@ def _observed_ls(x: np.ndarray, squares: np.ndarray) -> np.ndarray:
     return x[ii[None, :, :], jj[None, :, :], squares]
 
 
+def _zero_residue(
+    s0: np.ndarray, s1: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2) of (S, rows, T) responses y, each value at or below
+    (units * eps * max|y|)^2 of its assignment, rounding residue, set to 0
+    in place."""
+    scale = math.prod(y.shape[1:]) * np.finfo(float).eps
+    # the batch's largest |y| bounds every floor; only rows at or below that
+    # bound need their own maximum, a slow reduction over short axes
+    bound = (scale * max(y.max(initial=0.0), -y.min(initial=0.0))) ** 2
+    low = np.minimum(s0, s1) <= bound
+    if low.any():
+        floor = (scale * np.abs(y[low]).max(axis=(1, 2))) ** 2
+        s0[low] = np.where(s0[low] > floor, s0[low], 0.0)
+        s1[low] = np.where(s1[low] > floor, s1[low], 0.0)
+    return s0, s1
+
+
 def _mean_squares_rcb(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) arrays from (S, N, T) RCB responses."""
     _, n, t = y.shape
@@ -124,7 +144,7 @@ def _mean_squares_rcb(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resid = y - ybar_t[:, None, :] - ybar_i[:, :, None] + ybar[:, None, None]
     s0 = (resid * resid).sum(axis=(1, 2)) / df0
     s1 = n / df1 * ((ybar_t - ybar[:, None]) ** 2).sum(axis=1)
-    return np.maximum(s0, 0.0), np.maximum(s1, 0.0)
+    return _zero_residue(s0, s1, y)
 
 
 def _mean_squares_ls(y: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +168,7 @@ def _mean_squares_ls(y: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np
     )
     s0 = (resid * resid).sum(axis=(1, 2)) / df0
     s1 = t / df1 * ((treat_means - ybar[:, None]) ** 2).sum(axis=1)
-    return np.maximum(s0, 0.0), np.maximum(s1, 0.0)
+    return _zero_residue(s0, s1, y)
 
 
 def batch_anova_rcb(x: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -204,8 +204,17 @@ def _ls_measure(measure: LsMeasure | str) -> LsMeasure:
         ) from None
 
 
+def _check_sizes(**sizes: int) -> None:
+    """DimensionMismatch unless every named size is >= 1."""
+    if min(sizes.values()) < 1:
+        got = ", ".join(f"{name}={size}" for name, size in sizes.items())
+        raise DimensionMismatch(f"sizes must be >= 1, got {got}")
+
+
 def rcb_space_size(num_blocks: int, num_treatments: int) -> int:
-    """Cardinality (T!)^N of the RCB randomization space."""
+    """Cardinality (T!)^N of the RCB randomization space; DimensionMismatch
+    unless N, T >= 1."""
+    _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
     return math.factorial(num_treatments) ** num_blocks
 
 
@@ -226,13 +235,8 @@ def enumerate_rcb(
     num_blocks: int, num_treatments: int, cap: int | None = None
 ) -> Iterator[Assignment]:
     """Stream all (T!)^N per-block permutation assignments, lexicographically."""
-    if num_blocks < 1 or num_treatments < 1:
-        raise DimensionMismatch(
-            f"need num_blocks >= 1 and num_treatments >= 1, "
-            f"got {num_blocks}, {num_treatments}"
-        )
-    cap = enumeration_cap() if cap is None else cap
     size = rcb_space_size(num_blocks, num_treatments)
+    cap = enumeration_cap() if cap is None else cap
     if size > cap:
         raise SpaceTooLarge(
             f"RCB space has {size} assignments, above the cap {cap}; "
@@ -290,8 +294,7 @@ def _latin_square_table(order: int) -> np.ndarray:
 
 def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assignment]:
     """Stream every Latin square of the order, row-major lexicographic."""
-    if order < 1:
-        raise DimensionMismatch(f"order must be >= 1, got {order}")
+    _check_sizes(order=order)
     cap = enumeration_cap() if cap is None else cap
     known = latin_square_count(order)
     if known is None:
@@ -395,6 +398,7 @@ def sample_rcb(
     num_blocks: int, num_treatments: int, count: int, seed: int
 ) -> Iterator[Assignment]:
     """Independent uniform per-block permutations; deterministic given seed."""
+    _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
     rng = np.random.default_rng(seed)
     for _ in range(count):
         perms = np.stack([rng.permutation(num_treatments) for _ in range(num_blocks)])
@@ -414,6 +418,7 @@ def sample_latin_squares(
     order; measure="subgroup" permutes rows, columns and symbols of a fixed
     cyclic square, which is uniform only on that transformation orbit.
     """
+    _check_sizes(order=order)
     _check_burn_in(burn_in)
     measure = _ls_measure(measure)
     rng = np.random.default_rng(seed)

@@ -7,16 +7,21 @@ assignment (or approximated over a uniform sample).  Rejection uses the
 strict rule F > cutoff, so a degenerate F (0/0) never rejects and an infinite
 F (S0^2 = 0 < S1^2) always does.
 
-Support points aggregate assignments whose (S0^2, S1^2) agree to 12
-significant digits, which merges floating-point twins while keeping truly
-distinct values apart.  Assignment streams are consumed in fixed-size chunks
-through the vectorized ANOVA kernels; per-chunk compensated partial sums make
-the reported means exact and bit-reproducible.
+Support points aggregate assignments whose S0^2 and S1^2 each fall in the
+same atom.  One rule makes the atoms of a column: sort its distinct values
+and start a new atom wherever the gap to the previous value exceeds 1e-12
+times the larger of the two.  It merges floating-point twins, whatever digit
+they straddle, and keeps truly distinct values apart; since gaps chain, an
+atom of m distinct values spans at most (m - 1) * 1e-12 relative.  Exact
+zeros come from the ANOVA kernels' zero rule, so 0.0 is an atom of its own.
+Assignment streams are consumed in fixed-size chunks through the vectorized
+ANOVA kernels; per-chunk compensated partial sums make the reported means
+exact and bit-reproducible.
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
-numpy over integer keys of the 12-digit roundings, and P(F > k) is answered by
-one bisection of the F column.  `support` builds SupportPoint objects from
+numpy over the atom ranks of the two columns, and P(F > k) is answered by one
+bisection of the F column.  `support` builds SupportPoint objects from
 the columns on demand.
 """
 
@@ -53,12 +58,7 @@ from .potential_outcomes import (
 )
 
 _CHUNK = 4096
-_SUPPORT_DIGITS = 12
-# A value whose scaled fraction lies this close to .5 is keyed by its string
-# form.  The scaling is one correctly rounded product or quotient with an
-# exact power of ten, so it cannot cross a tie; the margin is a safety band.
-_TIE_MARGIN = 1e-3
-_POW10 = np.array([float(10**k) for k in range(23)])  # exact powers of ten
+_ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
 DEFAULT_MC_ERROR_SD = 0.01
@@ -215,48 +215,15 @@ def _batch_sums(
     return batch_anova_ls(x, labels)
 
 
-def _scalar_key(value: float) -> int:
-    """Integer key of the value's 12-significant-digit rounding, read off its
-    string form: exponent * 10^13 + signed 12-digit mantissa."""
-    if not math.isfinite(value):
-        return {math.inf: 1, -math.inf: 2}.get(value, 3) * 10**16
-    mantissa, _, exponent = f"{value:.{_SUPPORT_DIGITS - 1}e}".partition("e")
-    return int(exponent) * 10**13 + int(mantissa.replace(".", ""))
-
-
-def _atom_keys(values: np.ndarray) -> np.ndarray:
-    """_scalar_key of every value, vectorized.
-
-    A positive value v is scaled by one exact power of ten into [1e11, 1e12)
-    and rounded to its 12-digit mantissa; zero keys to 0.  Values outside the
-    range where that power is exact, and values whose scaled fraction lies
-    within _TIE_MARGIN of a rounding tie, fall back to the string form.
-    """
-    v = np.asarray(values, dtype=float)
-    usable = (v > 0.0) & np.isfinite(v)
-    safe = np.where(usable, v, 1.0)
-    exponent = np.floor(np.log10(safe)).astype(np.int64)
-
-    shift = 11 - exponent
-    up = _POW10[np.clip(shift, 0, 22)]
-    down = _POW10[np.clip(-shift, 0, 22)]
-    m = np.where(shift >= 0, safe * up, safe / down)
-    # floor(log10) can be one off next to a power of ten; m is then out of range
-    fast = (
-        usable
-        & (exponent >= -11)
-        & (exponent <= 22)
-        & (m >= 1e11)
-        & (m < 1e12)
-        & (np.abs(m - np.floor(m) - 0.5) > _TIE_MARGIN)
-    )
-    mantissa = np.rint(np.where(fast, m, 0.0)).astype(np.int64)
-    carry = mantissa == 10**12  # 9.999999999995e0 rounds to 1.00000000000e1
-    keys = np.where(carry, (exponent + 1) * 10**13 + 10**11, exponent * 10**13 + mantissa)
-    keys[v == 0.0] = 0
-    for i in np.flatnonzero(~fast & (v != 0.0)).tolist():
-        keys[i] = _scalar_key(float(v[i]))
-    return keys
+def _atom_ranks(values: np.ndarray) -> np.ndarray:
+    """Atom rank of each value: the sorted distinct values start a new atom
+    wherever the gap to the previous one exceeds _ATOM_RTOL times the larger
+    magnitude of the two (a non-finite value always does).  Gaps chain, so an
+    atom of m distinct values spans at most (m - 1) * _ATOM_RTOL relative."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    lo, hi = distinct[:-1], distinct[1:]
+    split = (hi - lo > _ATOM_RTOL * np.maximum(np.abs(lo), np.abs(hi))) | ~np.isfinite(hi)
+    return np.concatenate([[0], np.cumsum(split)])[inverse]
 
 
 def _require_noiseless(table: PotentialOutcomeTable) -> None:
@@ -295,9 +262,8 @@ def _distribution_over(
     s1 = np.concatenate(s1_parts)
     count = len(s0)
 
-    # one atom per distinct pair of keys; the first assignment seen stands for it
-    _, rank0 = np.unique(_atom_keys(s0), return_inverse=True)
-    _, rank1 = np.unique(_atom_keys(s1), return_inverse=True)
+    # one atom per distinct pair of ranks; the first assignment seen stands for it
+    rank0, rank1 = _atom_ranks(s0), _atom_ranks(s1)
     _, first, counts = np.unique(
         rank0 * (rank1.max() + 1) + rank1, return_index=True, return_counts=True
     )
@@ -399,14 +365,6 @@ def survival_curve(
     )
 
 
-def _materialized_labels(
-    table: PotentialOutcomeTable, space: RandomizationSpace
-) -> tuple[np.ndarray, bool]:
-    stream, _, is_exact = assignment_stream(table, space)
-    labels = np.stack([a.labels() for a in stream])
-    return labels, is_exact
-
-
 def monte_carlo_with_errors(
     table: PotentialOutcomeTable,
     sigma_eps: float = DEFAULT_MC_ERROR_SD,
@@ -437,7 +395,8 @@ def monte_carlo_with_errors(
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)
     cutoff = f_quantile(FReference(df1, df0), 1.0 - alpha)
-    labels, _ = _materialized_labels(table, space)
+    stream, _, _ = assignment_stream(table, space)
+    labels = np.stack([a.labels() for a in stream])
 
     streams = np.random.SeedSequence(seed).spawn(replications)
     rejections: list[float] = []

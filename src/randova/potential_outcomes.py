@@ -165,7 +165,10 @@ class Decomposition:
     Pairs involving a treatment with sigma_eta^2(t) == 0 are set to 0 (the
     0/0 case) and those treatments are flagged in zero_variance_treatments;
     downstream formulas read rho from eta_cross_moments, not r, so the
-    convention is harmless.
+    convention is harmless.  The moments are formed from the residuals scaled
+    by the power of two that brings max |eta| into [0.5, 1), which is exact;
+    r and the flags are read at that scale, so outcomes small enough for rho
+    to underflow still get their r.
 
     interaction_sum is the unscaled blocking-factor-by-treatment interaction:
     sum_it {B_i(t) - Bbar_i(.)}^2 for RCB, and for LS the same sum over the
@@ -256,18 +259,24 @@ def decompose(table: PotentialOutcomeTable) -> Decomposition:
             centered_deviations(col_corr) ** 2
         )
 
-    moments = np.empty((t, t))
+    # moments of the residuals scaled by 2^-k into [0.5, 1): exact, and tiny
+    # outcomes keep their correlations instead of underflowing
+    k = int(np.frexp(np.abs(resid).max())[1])
+    scaled = np.ldexp(resid, -k)
+    unit_moments = np.empty((t, t))
     for a in range(t):
         for b in range(a, t):
-            moments[a, b] = moments[b, a] = (
-                fsum_all(resid[:, :, a] * resid[:, :, b]) / units
+            unit_moments[a, b] = unit_moments[b, a] = (
+                fsum_all(scaled[:, :, a] * scaled[:, :, b]) / units
             )
+    moments = np.ldexp(unit_moments, 2 * k)
     variances = np.maximum(np.diag(moments), 0.0)
-    zero = tuple(int(k) for k in range(t) if variances[k] == 0.0)
+    unit_variances = np.maximum(np.diag(unit_moments), 0.0)
+    zero = tuple(int(i) for i in range(t) if unit_variances[i] == 0.0)
 
-    scale = np.sqrt(np.outer(variances, variances))
+    scale = np.sqrt(np.outer(unit_variances, unit_variances))
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(scale > 0.0, np.clip(moments / scale, -1.0, 1.0), 0.0)
+        corr = np.where(scale > 0.0, np.clip(unit_moments / scale, -1.0, 1.0), 0.0)
     np.fill_diagonal(corr, 1.0)
 
     return Decomposition(

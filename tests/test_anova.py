@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import randova as rv
+from randova.anova import _zero_residue
 from helpers import (
     all_assignments,
     fsum_anova,
@@ -104,26 +105,44 @@ class TestAnova:
             s0s.append(rv.anova(rv.observe(table, assignment)).s0_sq)
         assert math.fsum(s0s) / 12 == pytest.approx(252.07, abs=0.005)
 
-    def test_constant_table_is_degenerate(self):
-        table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.full((2, 2, 2), 3.0))
-        summary = rv.anova(rv.observe(table, identity_rcb_assignment(2, 2)))
+    # 0.1 and 1e6 + 0.1 are not dyadic: the kernels' means leave rounding
+    # residue, which the zero rule sets to exactly 0
+    @pytest.mark.parametrize("value", [3.0, 0.1, 1e6 + 0.1])
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_constant_table_is_degenerate(self, design, value):
+        table = rv.PotentialOutcomeTable(design, np.full((3, 3, 3), value))
+        if design is rv.DesignKind.RCB:
+            assignment = identity_rcb_assignment(3, 3)
+        else:
+            assignment = next(iter(rv.enumerate_latin_squares(3)))
+        summary = rv.anova(rv.observe(table, assignment))
         assert summary.s0_sq == 0.0
         assert summary.s1_sq == 0.0
         assert summary.is_degenerate
         assert math.isnan(summary.f_stat)
 
-    def test_zero_residual_with_signal_gives_infinite_f(self):
+    @pytest.mark.parametrize(
+        "taus", [[0.0, 16.0, 32.0], [0.1, 0.7, 1e6 + 0.3]], ids=["dyadic", "non-dyadic"]
+    )
+    def test_zero_residual_with_signal_gives_infinite_f(self, taus):
         # outcomes additive in block and treatment, flat across plots:
-        # residuals vanish for every assignment while S1^2 > 0; integer
-        # values with exact means keep the cancellation exact in floats
+        # residuals vanish for every assignment while S1^2 > 0; with
+        # non-dyadic values the zero rule removes the rounding residue
         blocks = np.array([1.0, 4.0, -2.0])
-        taus = np.array([0.0, 16.0, 32.0])
+        taus = np.array(taus)
         x = np.zeros((3, 3, 3)) + blocks[:, None, None] + taus[None, None, :]
         table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
         summary = rv.anova(rv.observe(table, identity_rcb_assignment(3, 3)))
         assert summary.s0_sq == 0.0
         assert summary.s1_sq > 0.0
         assert summary.f_stat == math.inf
+
+    def test_zero_floor_is_per_assignment(self):
+        # 1e-20 is residue beside a response of 1e6, not beside responses of 1
+        y = np.stack([np.ones((2, 2)), np.full((2, 2), 1e6)])
+        s0, s1 = _zero_residue(np.array([1e-20, 1e-20]), np.array([1.0, 1e-20]), y)
+        assert s0.tolist() == [1e-20, 0.0]
+        assert s1.tolist() == [1.0, 0.0]
 
     def test_table4_f_takes_two_values(self, tables):
         values = set()

@@ -283,6 +283,16 @@ class TestArgumentErrors:
         assert err.startswith("error:") and "replications" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sizes", [("-1", "3"), ("2", "-1"), ("0", "3")])
+    def test_bad_rcb_sizes_exit_2_without_traceback(self, sizes):
+        blocks, treatments = sizes
+        code, out, err = run_module(
+            "enumerate-count", "--design", "rcb", "--blocks", blocks, "--treatments", treatments
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and ">= 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("burn_in", ["-5", "0"])
     def test_burn_in_below_one_exits_2(self, capsys, table_paths, burn_in):
         code, out, err = run_cli(

@@ -53,3 +53,21 @@ def test_enum_cap_must_be_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, raw)
     with pytest.raises(rv.InvalidArgument):
         list(rv.enumerate_rcb(2, 2))
+
+
+BAD_SIZES = {
+    "RCB space with no blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, 0, 3),
+    "RCB space with negative blocks": lambda: rv.rcb_space_size(-1, 3),
+    "RCB space with negative treatments": lambda: rv.rcb_space_size(2, -1),
+    "RCB enumeration with no treatments": lambda: list(rv.enumerate_rcb(2, 0)),
+    "RCB sampler with no blocks": lambda: list(rv.sample_rcb(0, 3, 5, seed=1)),
+    "RCB sampler with no treatments": lambda: list(rv.sample_rcb(3, 0, 5, seed=1)),
+    "Latin-square enumeration of order 0": lambda: list(rv.enumerate_latin_squares(0)),
+    "Latin-square sampler of order 0": lambda: list(rv.sample_latin_squares(0, 3, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIZES)
+def test_bad_size_raises_dimension_mismatch(case):
+    with pytest.raises(rv.DimensionMismatch):
+        BAD_SIZES[case]()

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import randova as rv
 from helpers import (
     all_assignments,
     fsum_anova,
+    observed_by_loops,
     random_ls_table,
     random_rcb_table,
     sharp_null_table,
@@ -56,8 +59,10 @@ class TestExactDistribution:
             assert summary.mean_s0 == pytest.approx(weighted_s0, rel=1e-9)
             assert summary.mean_s1 == pytest.approx(weighted_s1, rel=1e-9)
 
-    def test_constant_table_single_degenerate_point(self):
-        table = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.full((3, 3, 3), 2.0))
+    @pytest.mark.parametrize("value", [2.0, 0.1, 1e6 + 0.1])
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_constant_table_single_degenerate_point(self, design, value):
+        table = rv.PotentialOutcomeTable(design, np.full((3, 3, 3), value))
         summary = rv.exact_distribution(table)
         assert len(summary.support) == 1
         point = summary.support[0]
@@ -65,6 +70,16 @@ class TestExactDistribution:
         assert point.s1_sq == 0.0
         assert math.isnan(point.f_stat)
         assert point.probability == 1.0
+
+    @pytest.mark.parametrize("design, n, t", [("rcb", 3, 3), ("ls", 3, 3), ("ls", 4, 4)])
+    def test_additive_table_without_unit_variation_is_one_infinite_atom(self, design, n, t):
+        # treatment effects only, not dyadic: S0^2 is zero for every assignment
+        taus = np.array([0.1, 0.7, 1e6 + 0.3, 2.9])[:t]
+        table = rv.PotentialOutcomeTable(design, np.zeros((n, t, t)) + taus)
+        summary = rv.exact_distribution(table)
+        assert summary.f_stat.tolist() == [math.inf]
+        assert summary.s0_sq.tolist() == [0.0]
+        assert summary.s1_sq[0] > 0.0
 
     def test_closed_forms_match_distribution_means(self, tables):
         for name in ("table1", "table2", "table3", "table4"):
@@ -354,87 +369,88 @@ class TestOracleEquivalenceRandom:
         assert summary.mean_s1 == pytest.approx(ems.e_s1, rel=1e-9)
 
 
-def _sig_key(value):
-    """The atom rule as a string: the value rounded to 12 significant digits."""
-    return float(f"{value:.12g}")
+def _atom_count(values):
+    ranks = rv.inference._atom_ranks(np.array(values, dtype=float))
+    return len(set(ranks.tolist()))
 
 
-def _same_grouping(a, b):
-    """True when the two key sequences split the positions into the same groups."""
-    pairs = set(zip(a, b))
-    return len(pairs) == len(set(a)) == len(set(b))
+class TestAtomRule:
+    """Neighbouring distinct values share an atom when their gap is at most
+    1e-12 times the larger one."""
+
+    def test_twins_across_a_12th_digit_rounding_boundary_are_one_atom(self):
+        assert _atom_count([2.0000000000049996, 2.0000000000050004]) == 1
+
+    def test_values_1e_11_apart_are_two_atoms(self):
+        assert _atom_count([3.0, 3.0 * (1.0 + 1e-11)]) == 2
+
+    def test_ulp_neighbours_of_a_power_of_ten_are_one_atom(self):
+        values = [np.nextafter(1000.0, 0.0), 1000.0, np.nextafter(1000.0, np.inf)]
+        assert _atom_count(values) == 1
+
+    def test_signed_zeros_are_one_atom(self):
+        assert _atom_count([0.0, -0.0]) == 1
+
+    def test_zero_and_a_tiny_value_are_two_atoms(self):
+        assert _atom_count([0.0, 1.7e-33]) == 2
+
+    def test_gaps_chain_within_an_atom(self):
+        # each gap is below the tolerance, the whole span is not
+        assert _atom_count([1.0, 1.0 + 9e-13, 1.0 + 1.8e-12]) == 1
+
+    def test_ranks_follow_the_value_order(self):
+        values = np.array([5.0, 1.0, 5.0 * (1.0 + 2**-52), 3.0, 1.0])
+        assert rv.inference._atom_ranks(values).tolist() == [2, 0, 2, 1, 0]
 
 
-class TestAtomKeys:
-    """The vectorized atom key groups values exactly as the 12-digit string rounding."""
+def _exact_mean_squares(table, assignment):
+    """(S0^2, S1^2) of one assignment in exact rational arithmetic."""
+    y = [[Fraction(v) for v in row] for row in observed_by_loops(table, assignment).tolist()]
+    grid = assignment.labels().tolist()
+    n, t = len(y), len(y[0])
+    cells = [(i, j) for i in range(n) for j in range(t)]
+    row_means = [sum(row) / t for row in y]
+    grand = sum(row_means) / n
+    if table.design is rv.DesignKind.RCB:
+        df1, df0 = t - 1, (n - 1) * (t - 1)
+        group_means = [sum(row[k] for row in y) / n for k in range(t)]
+        resid = [y[i][k] - group_means[k] - row_means[i] + grand for i, k in cells]
+    else:
+        df1, df0 = t - 1, (t - 1) * (t - 2)
+        group_means = [sum(y[i][j] for i, j in cells if grid[i][j] == k) / t for k in range(t)]
+        col_means = [sum(row[j] for row in y) / t for j in range(t)]
+        resid = [
+            y[i][j] - row_means[i] - col_means[j] - group_means[grid[i][j]] + 2 * grand
+            for i, j in cells
+        ]
+    s0 = sum(r * r for r in resid) / df0
+    s1 = Fraction(n, df1) * sum((m - grand) ** 2 for m in group_means)
+    return s0, s1
 
-    EDGES = [
-        # 1 ulp apart across a rounding boundary: two atoms, as before
-        2.0000000000049996,
-        2.0000000000050004,
-        # carry into the next decade
-        9.9999999999995,
-        9.999999999999499,
-        9.9999999999995 * (1 + 2**-52),
-        10.0,
-        9.99999999999,
-        0.99999999999995,
-        1.0,
-        # next to powers of ten, where floor(log10) may be one off
-        np.nextafter(1000.0, 0.0),
-        np.nextafter(1000.0, np.inf),
-        np.nextafter(1e-5, 0.0),
-        999999999999.5,
-        # zero, tiny and huge values
-        0.0,
-        -0.0,
-        1.7e-33,
-        1.7e-33 * (1 + 2**-52),
-        1e-11,
-        1e-12,
-        1e22,
-        1.5e22,
-        1e23,
-        1e23 * (1 + 1e-15),
-        3.3e25,
-        1e300,
-    ]
 
-    def test_edge_values(self):
-        keys = rv.inference._atom_keys(np.array(self.EDGES)).tolist()
-        assert _same_grouping(keys, [_sig_key(v) for v in self.EDGES])
-        assert keys[0] != keys[1]
-
-    def test_seeded_mean_squares(self):
-        rng = np.random.default_rng(3100)
-        base = 10.0 ** rng.uniform(-12.0, 25.0, size=20_000)
-        # twins a few ulps to 1e-12 apart, many of them straddling a rounding edge
-        near = base * (1.0 + rng.normal(0.0, 1e-12, size=base.size))
-        ulps = np.nextafter(base[:10_000], np.inf)
-        # values next to a tie of the 12th digit, and their neighbours
-        ties = (rng.integers(10**11, 10**12, size=8_000) + 0.5) * 10.0 ** rng.integers(
-            -22, 11, size=8_000
-        )
-        tie_sides = [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)]
-        table = random_ls_table(rng, order=4)
-        labels = np.stack([a.labels() for a in rv.enumerate_latin_squares(4)])
-        s0, s1 = rv.batch_anova_ls(table.outcomes, labels[rng.integers(0, 576, 13_000)])
-        values = np.concatenate([base, near, ulps, *tie_sides, s0, s1])
-        assert values.size == 100_000
-        keys = rv.inference._atom_keys(values).tolist()
-        assert _same_grouping(keys, [_sig_key(v) for v in values.tolist()])
-
-    def test_out_of_range_values_take_the_string_form(self, monkeypatch):
-        seen = []
-        scalar = rv.inference._scalar_key
-
-        def recording(value):
-            seen.append(value)
-            return scalar(value)
-
-        monkeypatch.setattr(rv.inference, "_scalar_key", recording)
-        rv.inference._atom_keys(np.array([1.7e-33, 3.0, 3.3e25, 1e300]))
-        assert seen == [1.7e-33, 3.3e25, 1e300]
+@pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+@pytest.mark.parametrize("seed", range(6))
+def test_atoms_are_the_distinct_exact_values(design, seed):
+    """On integer tables the atoms, and their counts, are the distinct exact
+    rational values of (S0^2, S1^2) over all assignments."""
+    rng = np.random.default_rng(4100 + seed)
+    shape = (3, 3, 3) if design is rv.DesignKind.RCB else (4, 4, 4)
+    table = rv.PotentialOutcomeTable(design, rng.integers(0, 4, size=shape).astype(float))
+    exact = Counter(_exact_mean_squares(table, a) for a in all_assignments(table))
+    summary = rv.exact_distribution(table)
+    assert len(summary.counts) == len(exact)
+    for s0, s1, count in zip(summary.s0_sq, summary.s1_sq, summary.counts):
+        matches = [
+            pair
+            for pair in exact
+            if math.isclose(s0, pair[0], rel_tol=1e-9, abs_tol=1e-12)
+            and math.isclose(s1, pair[1], rel_tol=1e-9, abs_tol=1e-12)
+        ]
+        assert len(matches) == 1
+        assert exact[matches[0]] == count
+        # the zero rule: a float zero is an exact zero and the converse
+        assert (s0 == 0.0) == (matches[0][0] == 0)
+        assert (s1 == 0.0) == (matches[0][1] == 0)
 
 
 class TestProbabilityQuery:

@@ -93,6 +93,16 @@ class TestDecompose:
         off_diag = dec.eta_correlations[~np.eye(3, dtype=bool)]
         assert np.all(off_diag == 0.0)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_tiny_outcomes_keep_their_correlations(self, design, scale):
+        # the residual moments underflow at these scales; r does not
+        x = random_table(np.random.default_rng(77), design).outcomes
+        r = rv.decompose(rv.PotentialOutcomeTable(design, x)).eta_correlations
+        tiny = rv.decompose(rv.PotentialOutcomeTable(design, x * scale))
+        assert np.allclose(tiny.eta_correlations, r, rtol=0.0, atol=1e-12)
+        assert tiny.zero_variance_treatments == ()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_centering_invariants(self, seed):
         rng = np.random.default_rng(seed)
