@@ -68,7 +68,8 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
         "--burn-in",
         type=int,
         default=None,
-        help="Latin-square sampler moves between draws (default 2*T^3)",
+        help="Latin-square sampler moves per draw before its chain is checked"
+        " for a proper square (default 2*T^3)",
     )
     parser.add_argument(
         "--ls-measure",

@@ -10,14 +10,19 @@ first use.  Exact enumeration is capped (default 10^7 assignments, override
 with the RANDOVA_ENUM_CAP environment variable); beyond the cap callers must
 sample.  The enumerators and samplers build only valid assignments, so they
 do not check them one by one; `observe` checks the grids that callers build.
-Enumerated assignments are read-only row views of those tables and chunks.
+Enumerated and sampled assignments are read-only row views of those tables
+and chunks.  Every enumerator and sampler checks its arguments when called.
 
-Uniform sampling: RCB draws independent Fisher-Yates permutations per block.
-For LS the default measure is uniform over ALL Latin squares of the order,
-realized by Jacobson-Matthews +-1 moves on the incidence cube with a
-configurable burn-in between emitted squares; a "subgroup" measure is also
+Uniform sampling builds a chunk of draws at a time.  RCB draws independent
+uniform permutations per block, as the argsort of uniform keys.  For LS the
+default measure is uniform over ALL Latin squares of the order, realized by
+one Jacobson-Matthews chain (+-1 moves on the incidence cube) per draw, the
+chains of a chunk run in lockstep: each chain runs burn_in moves, then is
+checked every m moves (m a fixed constant per order) and emits its square
+at the first check that finds it proper.  A "subgroup" measure is also
 available which only randomizes rows/columns/symbols of a fixed cyclic
-reference square (a strictly smaller orbit unless T <= 3).
+reference square (a strictly smaller orbit unless T <= 3; up to order 3
+both measures draw from it).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,9 +49,11 @@ ENUM_CAP_ENV_VAR = "RANDOVA_ENUM_CAP"
 LATIN_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
 MAX_EXACT_LS_ORDER = 5
 
-_RCB_CHUNK = 4096  # assignments gathered per step of the RCB enumerator
+_CHUNK = 4096  # assignments built per step of the enumerators and samplers
 
-DEFAULT_JM_BURN_IN_FACTOR = 2  # moves between emissions = factor * T^3
+DEFAULT_JM_BURN_IN_FACTOR = 2  # burn-in moves of each chain = factor * T^3
+_JM_CHECK_SPACING_FACTOR = 4  # moves between a chain's later checks = factor * T
+_JM_MOVES_PER_DRAW = 64  # moves whose random integers one Generator call draws
 
 
 def enumeration_cap() -> int:
@@ -79,10 +86,11 @@ class RandomizationSpace:
 
     EXACT visits each assignment exactly once.  SAMPLE draws sample_size
     assignments, deterministically given seed; burn_in (LS only) is the
-    number of Jacobson-Matthews moves between emitted squares and defaults
-    to 2*T^3.  Construction rejects settings that cannot be traversed (a
-    sampled space without size or seed, a size below 1, burn_in < 1, an
-    unknown measure) with InvalidArgument.
+    number of moves each draw's Jacobson-Matthews chain runs before it is
+    first checked for a proper square (later checks follow every 4*T
+    moves), and defaults to 2*T^3.  Construction rejects settings that
+    cannot be traversed (a sampled space without size or seed, a size below
+    1, burn_in < 1, an unknown measure) with InvalidArgument.
     """
 
     kind: SpaceKind = SpaceKind.EXACT
@@ -148,20 +156,25 @@ class Assignment:
                 object.__setattr__(self, field, arr)
 
     @classmethod
-    def _of_rows(cls, design: DesignKind, grids: np.ndarray) -> Iterator["Assignment"]:
-        """One Assignment per row of a read-only int64 (S, rows, T) stack.
+    def _of_rows(
+        cls, design: DesignKind, chunks: Iterable[np.ndarray]
+    ) -> Iterator["Assignment"]:
+        """One Assignment per row of each int64 (S, rows, T) chunk, which it
+        makes read-only.
 
-        For the enumerators, whose grids are valid and already read-only
-        int64: each Assignment holds its row view and skips __init__, which
-        would only re-set those flags at about 2 us per assignment.
+        For the enumerators and samplers, whose grids are valid: each
+        Assignment holds its row view and skips __init__, which would only
+        re-set those flags at about 2 us per assignment.
         """
         fields = {"design": design, "rcb_perms": None, "ls_square": None}
         grid_field = "rcb_perms" if design is DesignKind.RCB else "ls_square"
-        for grid in grids:
-            assignment = object.__new__(cls)
-            assignment.__dict__.update(fields)
-            assignment.__dict__[grid_field] = grid
-            yield assignment
+        for chunk in chunks:
+            chunk.setflags(write=False)
+            for grid in chunk:
+                assignment = object.__new__(cls)
+                assignment.__dict__.update(fields)
+                assignment.__dict__[grid_field] = grid
+                yield assignment
 
     @property
     def num_treatments(self) -> int:
@@ -219,7 +232,9 @@ def rcb_space_size(num_blocks: int, num_treatments: int) -> int:
 
 
 def latin_square_count(order: int) -> int | None:
-    """Total Latin squares of the order, or None when not tabulated (order > 5)."""
+    """Total Latin squares of the order, or None when not tabulated (order > 5);
+    DimensionMismatch unless the order is >= 1."""
+    _check_sizes(order=order)
     return LATIN_SQUARE_COUNTS.get(order)
 
 
@@ -231,28 +246,37 @@ def space_cardinality(
     return latin_square_count(num_treatments)
 
 
-def enumerate_rcb(
-    num_blocks: int, num_treatments: int, cap: int | None = None
-) -> Iterator[Assignment]:
-    """Stream all (T!)^N per-block permutation assignments, lexicographically."""
-    size = rcb_space_size(num_blocks, num_treatments)
+def _check_cap(size: int, cap: int | None, space: str) -> None:
     cap = enumeration_cap() if cap is None else cap
     if size > cap:
         raise SpaceTooLarge(
-            f"RCB space has {size} assignments, above the cap {cap}; "
+            f"{space} has {size} assignments, above the cap {cap}; "
             "use uniform sampling instead"
         )
+
+
+def enumerate_rcb(
+    num_blocks: int, num_treatments: int, cap: int | None = None
+) -> Iterator[Assignment]:
+    """Stream all (T!)^N per-block permutation assignments, lexicographically.
+
+    Sizes and the cap are checked at the call, not at the first next().
+    """
+    size = rcb_space_size(num_blocks, num_treatments)
+    _check_cap(size, cap, "RCB space")
+    return Assignment._of_rows(DesignKind.RCB, _rcb_chunks(num_blocks, num_treatments, size))
+
+
+def _rcb_chunks(num_blocks: int, num_treatments: int, size: int) -> Iterator[np.ndarray]:
     perms = _permutation_table(num_treatments)
     radix = len(perms)
-    for lo in range(0, size, _RCB_CHUNK):
+    for lo in range(0, size, _CHUNK):
         # block 0 is the most significant digit, as in itertools.product
-        index = np.arange(lo, min(lo + _RCB_CHUNK, size))
+        index = np.arange(lo, min(lo + _CHUNK, size))
         digits = np.empty((len(index), num_blocks), dtype=np.int64)
         for block in range(num_blocks - 1, -1, -1):
             index, digits[:, block] = np.divmod(index, radix)
-        chunk = perms[digits].astype(np.int64)
-        chunk.setflags(write=False)
-        yield from Assignment._of_rows(DesignKind.RCB, chunk)
+        yield perms[digits].astype(np.int64)
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,116 +317,35 @@ def _latin_square_table(order: int) -> np.ndarray:
 
 
 def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assignment]:
-    """Stream every Latin square of the order, row-major lexicographic."""
-    _check_sizes(order=order)
-    cap = enumeration_cap() if cap is None else cap
+    """Stream every Latin square of the order, row-major lexicographic.
+
+    The order and the cap are checked at the call, not at the first next().
+    """
     known = latin_square_count(order)
     if known is None:
         raise SpaceTooLarge(
             f"exact Latin-square enumeration is supported up to order "
             f"{MAX_EXACT_LS_ORDER}; order {order} must be sampled"
         )
-    if known > cap:
-        raise SpaceTooLarge(
-            f"Latin-square space has {known} squares, above the cap {cap}; "
-            "use uniform sampling instead"
-        )
-    yield from Assignment._of_rows(DesignKind.LS, _latin_square_table(order))
-
-
-class _RandomIntBuffer:
-    """Batched uniform integers on [0, high); scalar Generator calls are slow."""
-
-    def __init__(self, rng: np.random.Generator, high: int, block: int = 8192) -> None:
-        self._rng = rng
-        self._high = high
-        self._block = block
-        self._buffer: list[int] = []
-
-    def next(self) -> int:
-        if not self._buffer:
-            self._buffer = self._rng.integers(
-                0, self._high, size=self._block
-            ).tolist()
-        return self._buffer.pop()
-
-
-class _JacobsonMatthewsChain:
-    """+-1 moves on the T x T x T incidence cube, allowing one improper cell.
-
-    From a proper state, pick a random zero cell (r, c, s); the three lines
-    through it each contain a unique 1 at (r1, c, s), (r, c1, s), (r, c, s1).
-    Add 1 on the even corners of the subcube spanned with (r1, c1, s1) and
-    subtract 1 on the odd corners; the far corner may drop to -1, making the
-    state improper.  From an improper state the -1 cell plays the role of the
-    zero cell and the two 1-candidates on each line are chosen at random.
-    Stationary distribution over proper states is uniform.
-
-    State lives in nested Python lists: the cube is tiny (T <= ~12) and
-    per-move numpy indexing overhead would dominate.
-    """
-
-    def __init__(self, order: int, rng: np.random.Generator) -> None:
-        self.order = order
-        self._draw_t = _RandomIntBuffer(rng, order)
-        self._draw_2 = _RandomIntBuffer(rng, 2)
-        self.cube = [
-            [[0] * order for _ in range(order)] for _ in range(order)
-        ]
-        for i in range(order):
-            for j in range(order):
-                self.cube[i][j][(i + j) % order] = 1
-        self.improper: tuple[int, int, int] | None = None
-
-    def _move(self) -> None:
-        t = self.order
-        cube = self.cube
-        if self.improper is None:
-            draw = self._draw_t.next
-            while True:
-                r, c, s = draw(), draw(), draw()
-                if cube[r][c][s] == 0:
-                    break
-            r1 = next(k for k in range(t) if cube[k][c][s] == 1)
-            c1 = next(k for k in range(t) if cube[r][k][s] == 1)
-            s1 = next(k for k in range(t) if cube[r][c][k] == 1)
-        else:
-            r, c, s = self.improper
-            rows = [k for k in range(t) if cube[k][c][s] == 1]
-            cols = [k for k in range(t) if cube[r][k][s] == 1]
-            syms = [k for k in range(t) if cube[r][c][k] == 1]
-            r1 = rows[self._draw_2.next()]
-            c1 = cols[self._draw_2.next()]
-            s1 = syms[self._draw_2.next()]
-        cube[r][c][s] += 1
-        cube[r][c1][s1] += 1
-        cube[r1][c][s1] += 1
-        cube[r1][c1][s] += 1
-        cube[r1][c][s] -= 1
-        cube[r][c1][s] -= 1
-        cube[r][c][s1] -= 1
-        cube[r1][c1][s1] -= 1
-        self.improper = (r1, c1, s1) if cube[r1][c1][s1] == -1 else None
-
-    def advance(self, moves: int) -> np.ndarray:
-        """Run the given number of moves, then continue to a proper state."""
-        for _ in range(moves):
-            self._move()
-        while self.improper is not None:
-            self._move()
-        square = [[row.index(1) for row in plane] for plane in self.cube]
-        return np.array(square, dtype=np.int64)
+    _check_cap(known, cap, "Latin-square space")
+    return Assignment._of_rows(DesignKind.LS, [_latin_square_table(order)])
 
 
 def sample_rcb(
     num_blocks: int, num_treatments: int, count: int, seed: int
 ) -> Iterator[Assignment]:
-    """Independent uniform per-block permutations; deterministic given seed."""
+    """Independent uniform per-block permutations; deterministic given seed.
+
+    Each chunk of draws is the argsort of (S, N, T) uniform keys.  Sizes are
+    checked at the call, not at the first next().
+    """
     _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        perms = np.stack([rng.permutation(num_treatments) for _ in range(num_blocks)])
-        yield Assignment(DesignKind.RCB, rcb_perms=perms)
+    chunks = (
+        rng.random((min(_CHUNK, count - lo), num_blocks, num_treatments)).argsort(axis=2)
+        for lo in range(0, count, _CHUNK)
+    )
+    return Assignment._of_rows(DesignKind.RCB, chunks)
 
 
 def sample_latin_squares(
@@ -412,37 +355,138 @@ def sample_latin_squares(
     burn_in: int | None = None,
     measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
 ) -> Iterator[Assignment]:
-    """Approximately uniform Latin squares; deterministic given seed.
+    """Uniform Latin squares; deterministic given seed.
 
-    measure="all" uses the Jacobson-Matthews chain over all squares of the
-    order; measure="subgroup" permutes rows, columns and symbols of a fixed
-    cyclic square, which is uniform only on that transformation orbit.
+    measure="subgroup" permutes rows, columns and symbols of the cyclic
+    square, which is uniform on that transformation orbit.  measure="all"
+    targets all squares of the order.  Up to order 3 the orbit is every
+    square, so both measures draw from it exactly.  From order 4 on each
+    draw comes from its own Jacobson-Matthews chain started at the cyclic
+    square (see _jacobson_matthews_squares): the chain runs burn_in moves
+    (default 2*T^3), is then checked for a proper square every m = 4*T
+    moves, and emits the first proper square a check finds.  Arguments are
+    checked at the call, not at the first next().
     """
     _check_sizes(order=order)
     _check_burn_in(burn_in)
     measure = _ls_measure(measure)
     rng = np.random.default_rng(seed)
-    if count <= 0:
-        return
-    if order == 1:
-        for _ in range(count):
-            yield Assignment(DesignKind.LS, ls_square=np.zeros((1, 1), dtype=np.int64))
-        return
-    if measure is LsMeasure.TRANSFORMATION_SUBGROUP:
-        idx = np.arange(order)
-        reference = (idx[:, None] + idx[None, :]) % order
-        for _ in range(count):
-            rows = rng.permutation(order)
-            cols = rng.permutation(order)
-            symbols = rng.permutation(order)
-            square = symbols[reference[np.ix_(rows, cols)]]
-            yield Assignment(DesignKind.LS, ls_square=square)
-        return
-    moves = DEFAULT_JM_BURN_IN_FACTOR * order**3 if burn_in is None else burn_in
-    chain = _JacobsonMatthewsChain(order, rng)
-    for _ in range(count):
-        square = chain.advance(moves)
-        yield Assignment(DesignKind.LS, ls_square=square)
+    if measure is LsMeasure.TRANSFORMATION_SUBGROUP or order <= 3:
+        chunks = _orbit_squares(order, count, rng)
+    else:
+        moves = DEFAULT_JM_BURN_IN_FACTOR * order**3 if burn_in is None else burn_in
+        chunks = _jacobson_matthews_squares(order, count, rng, moves)
+    return Assignment._of_rows(DesignKind.LS, chunks)
+
+
+def _orbit_squares(order: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Chunks of squares symbols[(rows[i] + cols[j]) % T] for uniform
+    permutations rows, cols and symbols: uniform on the cyclic square's orbit."""
+    for lo in range(0, count, _CHUNK):
+        rows, cols, symbols = rng.random((3, min(_CHUNK, count - lo), order)).argsort(axis=2)
+        cyclic = (rows[:, :, None] + cols[:, None, :]) % order
+        yield np.take_along_axis(symbols[:, None, :], cyclic, axis=2)
+
+
+def _jacobson_matthews_squares(
+    order: int, count: int, rng: np.random.Generator, burn_in: int
+) -> Iterator[np.ndarray]:
+    """Chunks of squares, one Jacobson-Matthews chain per square.
+
+    The chains of a chunk run in lockstep on a (K, T, T, T) int8 incidence
+    cube, all from the cyclic square.  After burn_in moves, and then every
+    m = _JM_CHECK_SPACING_FACTOR * T moves, every running chain is checked;
+    a proper one stops and emits its square, the others run on.
+
+    The chain is uniform over proper squares at stationarity, so its square
+    at a time fixed in advance is.  The first proper state after an improper
+    excursion (m = 1) is not: at order 4 it draws the squares with 12
+    intercalates 8% of the time instead of 25%.  The first check that finds
+    a proper state is still a stopping time, but its bias fades fast as the
+    checks grow apart.  With 40,000 draws per setting, against the exact
+    intercalate distributions, m = 1, 2 and 4 are off by 2.5 to 120
+    standard errors at orders 4 and 5, while m = 8 shows no bias; at orders
+    6 to 8 the mean intercalate count stops moving from m = 16 on, against
+    m = 256 and a four-fold burn-in.  m = 4T is 1.5 to 2.5 times the
+    smallest spacing without a visible bias at orders 4 to 8; above order 8
+    it is untested.  Each check that finds a chain improper (67% of states at
+    order 4, 87% at order 8) costs that chain m more moves.
+    """
+    t = order
+    spacing = _JM_CHECK_SPACING_FACTOR * t
+    line = np.arange(t)
+    start = np.zeros((t, t, t), dtype=np.int8)
+    start[line[:, None], line, (line[:, None] + line) % t] = 1
+    for lo in range(0, count, _CHUNK):
+        chains = min(_CHUNK, count - lo)
+        cube = np.tile(start, (chains, 1, 1, 1))
+        hole = np.full((3, chains), -1)
+        running = np.arange(chains)
+        squares = np.empty((chains, t, t), dtype=np.int64)
+        moves = burn_in
+        while running.size:
+            hole = _jacobson_matthews_moves(cube, hole, moves, rng)
+            proper = hole[0] < 0
+            squares[running[proper]] = cube[proper].argmax(axis=3)
+            running, cube, hole = running[~proper], cube[~proper], hole[:, ~proper]
+            moves = spacing
+        yield squares
+
+
+def _one_on_line(line: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """Per row of a (K, T) slice of cubes, the index of its 1 or, where it
+    holds two (a line through the -1 cell), of the first or last by coin."""
+    ones = line == 1
+    first = ones.argmax(axis=1)
+    last = line.shape[1] - 1 - ones[:, ::-1].argmax(axis=1)
+    return np.where(coin, last, first)
+
+
+def _jacobson_matthews_moves(
+    cube: np.ndarray, hole: np.ndarray, moves: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Run the given number of +-1 moves on every cube of a (K, T, T, T)
+    int8 stack, in place, and return the updated hole.
+
+    hole is (3, K): the (r, c, s) of the -1 cell of each improper cube, and
+    r = -1 where the cube is proper.  A proper cube takes a uniform zero cell
+    (r, c, s): a uniform cell (r, c) and a uniform symbol s other than the
+    one it holds.  An improper cube takes its -1 cell.  The lines through
+    (r, c, s) each hold one 1, at (r1, c, s), (r, c1, s) and (r, c, s1), or
+    two if the cell is the -1 cell, of which a coin picks one.  The move
+    adds 1 on the even corners of the subcube spanned with (r1, c1, s1) and
+    subtracts 1 on the odd ones; the far corner may drop to -1, making the
+    cube improper.  Each move draws one integer per cube, split into r, c,
+    the symbol shift and three coins.
+    """
+    k, t = cube.shape[:2]
+    flat = cube.reshape(-1)
+    base = np.arange(k) * t**3
+    symbol_line, column_line, row_line = np.arange(t), np.arange(t) * t, np.arange(t) * t * t
+    r_hole, c_hole, s_hole = hole
+    for lo in range(0, moves, _JM_MOVES_PER_DRAW):
+        block = min(_JM_MOVES_PER_DRAW, moves - lo)
+        draws = rng.integers(0, t * t * (t - 1) * 8, size=(block, k))
+        draws, rows = np.divmod(draws, t)
+        draws, cols = np.divmod(draws, t)
+        coins, shifts = np.divmod(draws, t - 1)
+        for row, col, shift, coin in zip(rows, cols, shifts, coins):
+            improper = r_hole >= 0
+            r = np.where(improper, r_hole, row)
+            c = np.where(improper, c_hole, col)
+            at_r, at_c = base + r * t * t, c * t
+            s1 = _one_on_line(flat[(at_r + at_c)[:, None] + symbol_line], coin & 1)
+            s = np.where(improper, s_hole, (s1 + shift + 1) % t)
+            r1 = _one_on_line(flat[(base + at_c + s)[:, None] + row_line], coin & 2)
+            c1 = _one_on_line(flat[(at_r + s)[:, None] + column_line], coin & 4)
+            at_r1, at_c1 = base + r1 * t * t, c1 * t
+            even = [at_r + at_c + s, at_r + at_c1 + s1, at_r1 + at_c + s1, at_r1 + at_c1 + s]
+            odd = [at_r1 + at_c + s, at_r + at_c1 + s, at_r + at_c + s1, at_r1 + at_c1 + s1]
+            flat[np.stack(even)] += 1
+            flat[np.stack(odd)] -= 1
+            improper = flat[at_r1 + at_c1 + s1] < 0
+            r_hole, c_hole, s_hole = np.where(improper, r1, -1), c1, s1
+    return np.stack([r_hole, c_hole, s_hole])
 
 
 def assignment_stream(

@@ -293,6 +293,13 @@ class TestArgumentErrors:
         assert err.startswith("error:") and ">= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_bad_ls_order_exits_2_without_traceback(self, order):
+        code, out, err = run_module("enumerate-count", "--design", "ls", "--order", order)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and ">= 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("burn_in", ["-5", "0"])
     def test_burn_in_below_one_exits_2(self, capsys, table_paths, burn_in):
         code, out, err = run_cli(

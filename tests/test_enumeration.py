@@ -11,6 +11,17 @@ import randova as rv
 from helpers import count_latin_squares_bruteforce, latin_square_grids
 
 
+def intercalate_counts(squares):
+    """Intercalates (2x2 Latin subsquares) of each square of an (S, T, T) stack."""
+    order = squares.shape[1]
+    counts = np.zeros(len(squares), dtype=np.int64)
+    for i, k in itertools.combinations(range(order), 2):
+        for j, m in itertools.combinations(range(order), 2):
+            same_diagonals = squares[:, i, j] == squares[:, k, m]
+            counts += same_diagonals & (squares[:, i, m] == squares[:, k, j])
+    return counts
+
+
 class TestEnumerateRcb:
     def test_two_blocks_two_treatments(self):
         assignments = list(rv.enumerate_rcb(2, 2))
@@ -38,7 +49,7 @@ class TestEnumerateRcb:
 
     def test_cap_enforced(self):
         with pytest.raises(rv.SpaceTooLarge):
-            list(rv.enumerate_rcb(3, 3, cap=100))
+            rv.enumerate_rcb(3, 3, cap=100)
 
     @pytest.mark.parametrize("blocks,treatments", [(2, 3), (3, 3), (1, 4)])
     def test_itertools_product_order(self, blocks, treatments):
@@ -64,7 +75,7 @@ class TestEnumerateRcb:
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "5")
         assert len(list(rv.enumerate_rcb(2, 2))) == 4
         with pytest.raises(rv.SpaceTooLarge):
-            list(rv.enumerate_rcb(3, 2))
+            rv.enumerate_rcb(3, 2)
 
 
 class TestEnumerateLatinSquares:
@@ -110,11 +121,11 @@ class TestEnumerateLatinSquares:
 
     def test_order_above_five_requires_sampling(self):
         with pytest.raises(rv.SpaceTooLarge):
-            list(rv.enumerate_latin_squares(6))
+            rv.enumerate_latin_squares(6)
 
     def test_cap_enforced(self):
         with pytest.raises(rv.SpaceTooLarge):
-            list(rv.enumerate_latin_squares(4, cap=100))
+            rv.enumerate_latin_squares(4, cap=100)
 
     def test_cardinality_helpers(self):
         assert rv.space_cardinality(rv.DesignKind.RCB, 3, 4) == 24**3
@@ -163,6 +174,47 @@ class TestSampling:
         for key in exact:
             assert counts[key] / 12000 == pytest.approx(1 / 12, abs=0.01)
 
+    def test_ls_order2_draws_both_squares(self):
+        draws = [a.as_tuple() for a in rv.sample_latin_squares(2, 2000, seed=2)]
+        for square in {a.as_tuple() for a in rv.enumerate_latin_squares(2)}:
+            assert draws.count(square) / 2000 == pytest.approx(0.5, abs=0.05)
+
+    def test_ls_order4_chi_square_over_all_squares(self):
+        # 20 expected draws per square; chi^2(575) has mean 575, sd 34 and
+        # 0.9999 quantile about 710
+        index = {a.as_tuple(): k for k, a in enumerate(rv.enumerate_latin_squares(4))}
+        draws = 576 * 20
+        counts = np.bincount(
+            [index[a.as_tuple()] for a in rv.sample_latin_squares(4, draws, seed=4)],
+            minlength=576,
+        )
+        assert ((counts - 20) ** 2 / 20).sum() < 710
+
+    def test_ls_order5_intercalate_shares_match_exact_enumeration(self):
+        # of the 161,280 squares 10.71% have no intercalate and the rest 4;
+        # chi^2(1) has 0.9999 quantile 15.1
+        exact = np.bincount(intercalate_counts(
+            np.array([a.ls_square for a in rv.enumerate_latin_squares(5)])
+        ))
+        assert np.flatnonzero(exact).tolist() == [0, 4]
+        draws = 8000
+        got = np.bincount(intercalate_counts(
+            np.array([a.ls_square for a in rv.sample_latin_squares(5, draws, seed=5)])
+        ), minlength=5)
+        assert got.sum() == got[0] + got[4] == draws
+        want = exact[[0, 4]] / exact.sum() * draws
+        assert ((got[[0, 4]] - want) ** 2 / want).sum() < 15.1
+
+    def test_rcb_two_blocks_joint_chi_square(self):
+        # 36 equally likely (block 0, block 1) permutation pairs of 3
+        # treatments; chi^2(35) has 0.9999 quantile about 75
+        index = {a.as_tuple(): k for k, a in enumerate(rv.enumerate_rcb(2, 3))}
+        draws = 36 * 200
+        counts = np.bincount(
+            [index[a.as_tuple()] for a in rv.sample_rcb(2, 3, draws, seed=6)], minlength=36
+        )
+        assert ((counts - 200) ** 2 / 200).sum() < 75
+
     def test_ls_cell_marginals(self):
         # each treatment lands in each cell with probability 1/T
         order, draws = 4, 3000
@@ -192,7 +244,7 @@ class TestSampling:
     @pytest.mark.parametrize("burn_in", [0, -5])
     def test_burn_in_below_one_rejected(self, burn_in):
         with pytest.raises(rv.InvalidArgument):
-            list(rv.sample_latin_squares(5, 100, 1, burn_in=burn_in))
+            rv.sample_latin_squares(5, 100, 1, burn_in=burn_in)
         with pytest.raises(rv.InvalidArgument):
             rv.RandomizationSpace.sample(100, seed=1, burn_in=burn_in)
 

@@ -33,8 +33,8 @@ BAD_SETTINGS = {
     "unknown measure of a sampled space": lambda: rv.RandomizationSpace.sample(
         10, seed=1, ls_measure="bogus"
     ),
-    "unknown measure of the Latin-square sampler": lambda: list(
-        rv.sample_latin_squares(4, 3, seed=1, measure="bogus")
+    "unknown measure of the Latin-square sampler": lambda: rv.sample_latin_squares(
+        4, 3, seed=1, measure="bogus"
     ),
 }
 
@@ -52,18 +52,21 @@ def test_bad_setting_raises_invalid_argument(case):
 def test_enum_cap_must_be_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, raw)
     with pytest.raises(rv.InvalidArgument):
-        list(rv.enumerate_rcb(2, 2))
+        rv.enumerate_rcb(2, 2)
 
 
 BAD_SIZES = {
     "RCB space with no blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, 0, 3),
     "RCB space with negative blocks": lambda: rv.rcb_space_size(-1, 3),
     "RCB space with negative treatments": lambda: rv.rcb_space_size(2, -1),
-    "RCB enumeration with no treatments": lambda: list(rv.enumerate_rcb(2, 0)),
-    "RCB sampler with no blocks": lambda: list(rv.sample_rcb(0, 3, 5, seed=1)),
-    "RCB sampler with no treatments": lambda: list(rv.sample_rcb(3, 0, 5, seed=1)),
-    "Latin-square enumeration of order 0": lambda: list(rv.enumerate_latin_squares(0)),
-    "Latin-square sampler of order 0": lambda: list(rv.sample_latin_squares(0, 3, seed=1)),
+    "RCB enumeration with no treatments": lambda: rv.enumerate_rcb(2, 0),
+    "RCB sampler with no blocks": lambda: rv.sample_rcb(0, 3, 5, seed=1),
+    "RCB sampler with no treatments": lambda: rv.sample_rcb(3, 0, 5, seed=1),
+    "Latin-square enumeration of order 0": lambda: rv.enumerate_latin_squares(0),
+    "Latin-square sampler of order 0": lambda: rv.sample_latin_squares(0, 3, seed=1),
+    "Latin-square count of order 0": lambda: rv.latin_square_count(0),
+    "Latin-square count of negative order": lambda: rv.latin_square_count(-3),
+    "Latin-square space of order 0": lambda: rv.space_cardinality(rv.DesignKind.LS, 0, 0),
 }
 
 
