@@ -403,11 +403,11 @@ def _jacobson_matthews_squares(
     excursion (m = 1) is not: at order 4 it draws the squares with 12
     intercalates 8% of the time instead of 25%.  The first check that finds
     a proper state is still a stopping time, but its bias fades fast as the
-    checks grow apart.  With 40,000 draws per setting, against the exact
-    intercalate distributions, m = 1, 2 and 4 are off by 2.5 to 120
-    standard errors at orders 4 and 5, while m = 8 shows no bias; at orders
-    6 to 8 the mean intercalate count stops moving from m = 16 on, against
-    m = 256 and a four-fold burn-in.  m = 4T is 1.5 to 2.5 times the
+    checks grow apart.  With 40,000 draws per setting at orders 4 and 5,
+    against the exact intercalate distributions, m = 1, 2 and 4 are off by
+    2.5 to 120 standard errors, while m = 8 shows no bias; at orders 6 to 8
+    (6,000 to 40,000 draws) the mean intercalate count stops moving from
+    m = 16 on, against m = 256 and a four-fold burn-in.  m = 4T is 1.5 to 2.5 times the
     smallest spacing without a visible bias at orders 4 to 8; above order 8
     it is untested.  Each check that finds a chain improper (67% of states at
     order 4, 87% at order 8) costs that chain m more moves.
