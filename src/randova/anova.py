@@ -21,19 +21,40 @@ Each design has one routine mapping a stack of S label grids to observed
 responses and one numpy kernel mapping those responses to S0^2 and S1^2.
 `batch_anova_rcb` / `batch_anova_ls` run them on S assignments; `observe` and
 `anova` run the same code on a stack of one, so a single assignment gets the
-same bits as its row of a batch.  The test suite checks the kernels against
-an independent math.fsum oracle.
+same bits as its row of a batch.
+
+The table kernel serves the Monte Carlo study, which scores the same
+assignments against many outcome arrays.  A row is an RCB block or an LS row;
+under every assignment its labels are a permutation, and a row contributes
+additively.  `stage_rows` keeps, per row, the distinct permutations that
+occur and each assignment's index into them.  `row_tables` then gives, per
+row and distinct permutation, the row's responses centred on the row mean,
+w, by treatment (LS: also by column), their sum of squares and max|y|.
+Summing the tables over the rows of an assignment gives W (by treatment),
+Wc (LS, by column) and Q = sum w^2, and `table_mean_squares` forms
+
+    RCB:  S0^2 = (Q - |W|^2/N) / df0          S1^2 = |W|^2 / (N df1)
+    LS:   S0^2 = (Q - |Wc|^2/T - |Wt|^2/T) / df0
+          S1^2 = |Wt|^2 / (T df1)
+
+with the same zero rule, max|y| being the largest of the rows' maxima.  The
+subtraction in S0^2 loses up to about eps * Q absolutely, which is far above
+the zero floor, so a zero residual may come out as a tiny positive or
+negative S0^2: a negative one is zeroed, and a tiny positive one gives an F
+of order 1/eps, so in both cases F exceeds any usable cutoff as +inf does.
+The test suite checks both kernels against an independent math.fsum oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .enumeration import Assignment
-from .errors import DegenerateDesign, InvalidArgument, ShapeMismatch
+from .errors import DegenerateDesign, InvalidArgument, RandovaError, ShapeMismatch
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 
@@ -116,22 +137,37 @@ def _observed_ls(x: np.ndarray, squares: np.ndarray) -> np.ndarray:
     return x[ii[None, :, :], jj[None, :, :], squares]
 
 
+def _zero_below_floor(s0, s1, scale, top, top_of):
+    """(S0^2, S1^2) with each value at or below (scale * max|y|)^2 of its
+    assignment, rounding residue, set to 0 in place.
+
+    top bounds max|y| of every assignment (it broadcasts against s0); only
+    the values at or below that bound need their own maximum, which
+    top_of(mask) returns for the assignments the mask selects.
+    """
+    low = np.minimum(s0, s1) <= (scale * top) ** 2
+    if low.any():
+        floor = (scale * top_of(low)) ** 2
+        s0[low] = np.where(s0[low] > floor, s0[low], 0.0)
+        s1[low] = np.where(s1[low] > floor, s1[low], 0.0)
+    return s0, s1
+
+
 def _zero_residue(
     s0: np.ndarray, s1: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) of (S, rows, T) responses y, each value at or below
     (units * eps * max|y|)^2 of its assignment, rounding residue, set to 0
     in place."""
-    scale = math.prod(y.shape[1:]) * np.finfo(float).eps
-    # the batch's largest |y| bounds every floor; only rows at or below that
-    # bound need their own maximum, a slow reduction over short axes
-    bound = (scale * max(y.max(initial=0.0), -y.min(initial=0.0))) ** 2
-    low = np.minimum(s0, s1) <= bound
-    if low.any():
-        floor = (scale * np.abs(y[low]).max(axis=(1, 2))) ** 2
-        s0[low] = np.where(s0[low] > floor, s0[low], 0.0)
-        s1[low] = np.where(s1[low] > floor, s1[low], 0.0)
-    return s0, s1
+    # the batch's largest |y| bounds every floor; a row's own maximum is a
+    # slow reduction over short axes
+    return _zero_below_floor(
+        s0,
+        s1,
+        math.prod(y.shape[1:]) * np.finfo(float).eps,
+        max(y.max(initial=0.0), -y.min(initial=0.0)),
+        lambda low: np.abs(y[low]).max(axis=(1, 2)),
+    )
 
 
 def _mean_squares_rcb(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +222,128 @@ def batch_anova_ls(x: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.n
     x is the (T, T, T) outcome array; squares is (S, T, T) of treatment labels.
     """
     return _mean_squares_ls(_observed_ls(x, squares), squares)
+
+
+def stage_rows(
+    chunks: Iterable[np.ndarray], count: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The distinct permutations of each row over a stream of assignments,
+    and each assignment's index into them.
+
+    chunks are (S, rows, T) label stacks, count assignments in all.  Returns,
+    per row, the (P_r, T) distinct label rows in order of first appearance,
+    and the (rows, count) index array in the smallest unsigned dtype that
+    holds min(T!, count) - 1.  Only one chunk's labels are held at a time.
+    """
+    index = None
+    seen: list[dict[bytes, int]] = []
+    lo = 0
+    for labels in chunks:
+        s, rows, t = labels.shape
+        if index is None:
+            label_dtype = np.min_scalar_type(t - 1)
+            dtype = np.min_scalar_type(min(math.factorial(t), count) - 1)
+            index = np.empty((rows, count), dtype=dtype)
+            seen = [{} for _ in range(rows)]
+        # each row's labels as one opaque key: np.unique(axis=0) is ~8x slower
+        keys = np.ascontiguousarray(labels, dtype=label_dtype)
+        keys = keys.view(f"V{t * label_dtype.itemsize}")
+        for row, lookup in enumerate(seen):
+            local, inverse = np.unique(keys[:, row, 0], return_inverse=True)
+            codes = np.fromiter(
+                (lookup.setdefault(key.tobytes(), len(lookup)) for key in local),
+                dtype=np.int64,
+                count=len(local),
+            )
+            index[row, lo : lo + s] = codes[inverse]
+        lo += s
+    if index is None or lo != count:
+        raise RandovaError(f"the stream yielded {lo} assignments, expected {count}")
+    perms = tuple(
+        np.frombuffer(b"".join(lookup), dtype=label_dtype).reshape(len(lookup), t)
+        for lookup in seen
+    )
+    return perms, index
+
+
+@dataclass(frozen=True)
+class RowTables:
+    """Per-row tables of G outcome arrays (see the module docstring).
+
+    sums[r] is (K, G, P_r): for each distinct permutation of row r, the
+    centred responses by treatment (LS: by column, then by treatment) and
+    then their sum of squares.  maxima[r] is (G, P_r), the largest |y|.
+    """
+
+    design: DesignKind
+    num_treatments: int
+    sums: tuple[np.ndarray, ...]
+    maxima: tuple[np.ndarray, ...]
+
+
+def row_tables(
+    design: DesignKind, x: np.ndarray, perms: tuple[np.ndarray, ...]
+) -> RowTables:
+    """Tables of a (G, rows, T, T) stack of outcome arrays for the distinct
+    row permutations perms of stage_rows."""
+    t = x.shape[-1]
+    cols = np.arange(t)
+    sums, maxima = [], []
+    for row, p in enumerate(perms):
+        inverse = np.argsort(p, axis=1)  # plot or column of each treatment
+        if design is DesignKind.RCB:
+            y = x[:, row][:, inverse, cols]  # (G, P, T) by treatment
+        else:
+            y = x[:, row][:, cols, p]  # (G, P, T) by column
+        w = y - y.mean(axis=2, keepdims=True)
+        parts = [w]
+        if design is DesignKind.LS:
+            parts.append(np.take_along_axis(w, inverse[None], axis=2))
+        parts.append((w * w).sum(axis=2, keepdims=True))
+        sums.append(np.ascontiguousarray(np.concatenate(parts, axis=2).transpose(2, 0, 1)))
+        maxima.append(np.abs(y).max(axis=2))
+    return RowTables(DesignKind(design), t, tuple(sums), tuple(maxima))
+
+
+def _sum_of_squares(parts: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of parts**2, one full-length pass each."""
+    total = parts[0] * parts[0]
+    for part in parts[1:]:
+        total += part * part
+    return total
+
+
+def table_mean_squares(
+    tables: RowTables, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S0^2, S1^2), each (G, S), of the S assignments whose per-row
+    permutation indices are the columns of the (rows, S) index."""
+    acc = np.take(tables.sums[0], index[0], axis=2)
+    part = np.empty_like(acc)
+    for table, idx in zip(tables.sums[1:], index[1:]):
+        np.take(table, idx, axis=2, out=part)
+        acc += part
+    rows, t = len(tables.sums), tables.num_treatments
+    df1, df0 = design_dfs(tables.design, rows, t)
+    if tables.design is DesignKind.RCB:
+        w = _sum_of_squares(acc[:t])
+        s0 = (acc[t] - w / rows) / df0
+        s1 = w / (rows * df1)
+    else:
+        wt = _sum_of_squares(acc[t : 2 * t])
+        s0 = (acc[2 * t] - _sum_of_squares(acc[:t]) / t - wt / t) / df0
+        s1 = wt / (t * df1)
+
+    def top_of(low):
+        g, s = np.nonzero(low)
+        top = tables.maxima[0][g, index[0][s]]
+        for maxima, idx in zip(tables.maxima[1:], index[1:]):
+            np.maximum(top, maxima[g, idx[s]], out=top)
+        return top
+
+    top = np.max([m.max(axis=1, initial=0.0) for m in tables.maxima], axis=0)
+    scale = rows * t * np.finfo(float).eps
+    return _zero_below_floor(s0, s1, scale, top[:, None], top_of)
 
 
 def observe(

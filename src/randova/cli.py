@@ -13,12 +13,14 @@ from pathlib import Path
 
 from .documents import dumps_report, load_table, report_document, table_to_document
 from .enumeration import (
+    DEFAULT_JM_BURN_IN_FACTOR,
     LsMeasure,
     RandomizationSpace,
+    SpaceKind,
     latin_square_count,
     rcb_space_size,
 )
-from .errors import RandovaError, SpaceTooLarge
+from .errors import InvalidArgument, RandovaError, SpaceTooLarge
 from .expected_ms import expected_ms, ls_difference_decomposition
 from .inference import (
     DEFAULT_GRID_POINTS,
@@ -37,23 +39,52 @@ from .reproduce import (
 )
 
 
-def _table_inputs(path: str, table: PotentialOutcomeTable) -> dict:
+def _table_inputs(
+    path: str,
+    table: PotentialOutcomeTable,
+    space: RandomizationSpace = RandomizationSpace.exact(),
+) -> dict:
+    """The table's document without its outcomes, and for a sampled space
+    the draws, the seed and, for LS, the sampler's burn-in and measure."""
     doc = table_to_document(table)
     doc.pop("outcomes")
     doc["table"] = path
+    if space.kind is SpaceKind.SAMPLE:
+        doc["space"] = {"draws": space.sample_size, "seed": space.seed}
+        if table.design is DesignKind.LS:
+            burn_in = space.burn_in
+            if burn_in is None:
+                burn_in = DEFAULT_JM_BURN_IN_FACTOR * table.num_treatments**3
+            doc["space"].update(burn_in=burn_in, measure=space.ls_measure.value)
     return doc
 
 
-def _space_from_args(args: argparse.Namespace) -> RandomizationSpace:
-    if getattr(args, "sample", None) is not None:
-        seed = args.seed if args.seed is not None else 0
-        return RandomizationSpace.sample(
-            args.sample,
-            seed=seed,
-            burn_in=args.burn_in,
-            ls_measure=LsMeasure(args.ls_measure),
+def _space_from_args(
+    args: argparse.Namespace, table: PotentialOutcomeTable
+) -> RandomizationSpace:
+    """The space the flags ask for; InvalidArgument for a Latin-square
+    sampler flag that would be ignored (no --sample, or an RCB table)."""
+    ls_flags = [
+        flag
+        for flag, value in (("--burn-in", args.burn_in), ("--ls-measure", args.ls_measure))
+        if value is not None
+    ]
+    given = " and ".join(ls_flags)
+    if args.sample is None:
+        if ls_flags:
+            raise InvalidArgument(f"{given}: Latin-square sampler settings need --sample")
+        return RandomizationSpace.exact()
+    if ls_flags and table.design is DesignKind.RCB:
+        raise InvalidArgument(
+            f"{given}: Latin-square sampler settings do not apply to an RCB table"
         )
-    return RandomizationSpace.exact()
+    seed = args.seed if args.seed is not None else 0
+    return RandomizationSpace.sample(
+        args.sample,
+        seed=seed,
+        burn_in=args.burn_in,
+        ls_measure=args.ls_measure or LsMeasure.ALL_SQUARES,
+    )
 
 
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +105,7 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ls-measure",
         choices=[m.value for m in LsMeasure],
-        default=LsMeasure.ALL_SQUARES.value,
+        default=None,
         help="Latin-square sampling measure (default: all squares)",
     )
 
@@ -107,7 +138,7 @@ def _cmd_expected_ms(args: argparse.Namespace) -> int:
 
 def _cmd_type1(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    space = _space_from_args(args, table)
     report = type1_error(table, alpha=args.alpha, space=space)
     payload = {
         "rejection_probability": report.rejection_probability,
@@ -119,7 +150,7 @@ def _cmd_type1(args: argparse.Namespace) -> int:
         },
     }
     doc = report_document(
-        "type1_error", _table_inputs(args.table, table), payload, seed=args.seed
+        "type1_error", _table_inputs(args.table, table, space), payload, seed=args.seed
     )
     print(dumps_report(doc))
     return 0
@@ -127,7 +158,7 @@ def _cmd_type1(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    space = _space_from_args(args, table)
     curve = survival_curve(table, space=space, grid_points=args.grid)
     payload = {
         "df_treatment": curve.df_treatment,
@@ -148,7 +179,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         payload["csv"] = str(path)
     doc = report_document(
-        "survival_curve", _table_inputs(args.table, table), payload, seed=args.seed
+        "survival_curve", _table_inputs(args.table, table, space), payload, seed=args.seed
     )
     print(dumps_report(doc))
     return 0
@@ -156,7 +187,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    space = _space_from_args(args, table)
     seed = args.seed if args.seed is not None else 0
     report = monte_carlo_with_errors(
         table,
@@ -177,7 +208,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "rejection_probabilities": report.rejection_probabilities,
     }
     doc = report_document(
-        "monte_carlo", _table_inputs(args.table, table), payload, seed=seed
+        "monte_carlo", _table_inputs(args.table, table, space), payload, seed=seed
     )
     print(dumps_report(doc))
     return 0

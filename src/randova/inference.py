@@ -16,7 +16,9 @@ atom of m distinct values spans at most (m - 1) * 1e-12 relative.  Exact
 zeros come from the ANOVA kernels' zero rule, so 0.0 is an atom of its own.
 Assignment streams are consumed in fixed-size chunks through the vectorized
 ANOVA kernels; per-chunk compensated partial sums make the reported means
-exact and bit-reproducible.
+exact and bit-reproducible.  The Monte Carlo study instead stages the stream
+once into per-row permutation indices and scores groups of noise draws with
+the table kernel of `randova.anova`.
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -31,11 +33,19 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .anova import batch_anova_ls, batch_anova_rcb, design_dfs, f_from_sums
+from .anova import (
+    batch_anova_ls,
+    batch_anova_rcb,
+    design_dfs,
+    f_from_sums,
+    row_tables,
+    stage_rows,
+    table_mean_squares,
+)
 from .enumeration import (
     Assignment,
     RandomizationSpace,
@@ -58,6 +68,7 @@ from .potential_outcomes import (
 )
 
 _CHUNK = 4096
+_MC_ROWS = 4 * _CHUNK  # assignment x replication rows per table-kernel call
 _ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
@@ -215,6 +226,13 @@ def _batch_sums(
     return batch_anova_ls(x, labels)
 
 
+def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
+    """The assignments' label grids, stacked _CHUNK at a time."""
+    stream = iter(assignments)
+    while chunk := list(itertools.islice(stream, _CHUNK)):
+        yield np.array([a.labels() for a in chunk])
+
+
 def _atom_ranks(values: np.ndarray) -> np.ndarray:
     """Atom rank of each value: the sorted distinct values start a new atom
     wherever the gap to the previous one exceeds _ATOM_RTOL times the larger
@@ -247,9 +265,7 @@ def _distribution_over(
     s1_parts: list[np.ndarray] = []
     s0_partials: list[float] = []
     s1_partials: list[float] = []
-    stream = iter(assignments)
-    while chunk := list(itertools.islice(stream, _CHUNK)):
-        labels = np.array([a.labels() for a in chunk])
+    for labels in _label_chunks(assignments):
         s0, s1 = _batch_sums(design, outcomes, labels)
         s0_partials.append(math.fsum(s0.tolist()))
         s1_partials.append(math.fsum(s1.tolist()))
@@ -381,8 +397,14 @@ def monte_carlo_with_errors(
     perturbed outcomes into a fixed table, computes the full randomization
     distribution for that draw, and records P(F > cutoff).  Replications use
     independent seed-derived streams, so the result depends only on the seed,
-    not the execution schedule.  The assignment set is materialized once and
-    reused across replications.
+    not the execution schedule.
+
+    The assignments are streamed once into per-row index tables
+    (`stage_rows`); no stack of every label grid is kept.  Replications are
+    then scored in groups whose size keeps assignments x replications near
+    a fixed budget: one table per row and distinct permutation for each
+    noise draw of the group (`row_tables`), summed over the rows of every
+    assignment (`table_mean_squares`).
     """
     validate(table)
     if not sigma_eps > 0.0:
@@ -395,16 +417,26 @@ def monte_carlo_with_errors(
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)
     cutoff = f_quantile(FReference(df1, df0), 1.0 - alpha)
-    stream, _, _ = assignment_stream(table, space)
-    labels = np.stack([a.labels() for a in stream])
+    stream, count, _ = assignment_stream(table, space)
+    perms, index = stage_rows(_label_chunks(stream), count)
 
-    streams = np.random.SeedSequence(seed).spawn(replications)
+    children = np.random.SeedSequence(seed).spawn(replications)
+    group = max(1, _MC_ROWS // count)
+    span = min(count, _MC_ROWS)  # assignments per kernel call
     rejections: list[float] = []
-    for child in streams:
-        rng = np.random.default_rng(child)
-        noise = rng.normal(0.0, sigma_eps, size=table.outcomes.shape)
-        s0, s1 = _batch_sums(table.design, table.outcomes + noise, labels)
-        rejections.append(float(np.mean(f_from_sums(s0, s1) > cutoff)))
+    for lo in range(0, replications, group):
+        noise = np.stack(
+            [
+                np.random.default_rng(child).normal(0.0, sigma_eps, size=table.outcomes.shape)
+                for child in children[lo : lo + group]
+            ]
+        )
+        tables = row_tables(table.design, table.outcomes + noise, perms)
+        above = np.zeros(len(noise), dtype=np.int64)
+        for first in range(0, count, span):
+            s0, s1 = table_mean_squares(tables, index[:, first : first + span])
+            above += np.count_nonzero(f_from_sums(s0, s1) > cutoff, axis=1)
+        rejections.extend((above / count).tolist())
 
     mean = math.fsum(rejections) / replications
     if replications >= 2:

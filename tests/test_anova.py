@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 import randova as rv
-from randova.anova import _zero_residue
+from randova.anova import (
+    _zero_residue,
+    f_from_sums,
+    row_tables,
+    stage_rows,
+    table_mean_squares,
+)
+from randova.enumeration import assignment_stream
 from helpers import (
     all_assignments,
     fsum_anova,
+    random_ls_table,
+    random_rcb_table,
     random_table,
     sharp_null_table,
     treatment_means,
@@ -251,3 +260,65 @@ class TestBatchKernels:
             summary = rv.anova(rv.observe(table, assignment))
             assert summary.s0_sq == s0_batch[idx]
             assert summary.s1_sq == s1_batch[idx]
+
+
+def _table_kernel(table, labels, chunk=7):
+    """(S0^2, S1^2) of each label grid by the table kernel, staged from
+    chunks of the given size so that staging merges across chunks."""
+    perms, index = stage_rows(
+        (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
+    )
+    for row, distinct in enumerate(perms):
+        assert np.array_equal(distinct[index[row]], labels[:, row])
+    s0, s1 = table_mean_squares(row_tables(table.design, table.outcomes[None], perms), index)
+    return s0[0], s1[0]
+
+
+class TestTableKernel:
+    """The Monte Carlo table kernel against the math.fsum oracle, per assignment."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fsum_oracle_over_the_space(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        design = rv.DesignKind.RCB if seed % 2 == 0 else rv.DesignKind.LS
+        table = random_table(rng, design)
+        assignments = all_assignments(table)
+        s0, s1 = _table_kernel(table, np.stack([a.labels() for a in assignments]))
+        for idx, assignment in enumerate(assignments):
+            want0, want1, _ = fsum_anova(table, assignment)
+            assert s0[idx] == pytest.approx(want0, rel=1e-9)
+            assert s1[idx] == pytest.approx(want1, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "design, size, draws",
+        [(rv.DesignKind.RCB, (3, 3), 300), (rv.DesignKind.LS, 4, 200), (rv.DesignKind.LS, 5, 200)],
+    )
+    def test_matches_fsum_oracle_on_a_sample_whose_rows_repeat(self, design, size, draws):
+        rng = np.random.default_rng(11)
+        if design is rv.DesignKind.RCB:
+            table = random_rcb_table(rng, *size)
+        else:
+            table = random_ls_table(rng, size)
+        stream, _, _ = assignment_stream(table, rv.RandomizationSpace.sample(draws, seed=4))
+        assignments = list(stream)
+        labels = np.stack([a.labels() for a in assignments])
+        perms, _ = stage_rows([labels], draws)
+        assert all(len(distinct) < draws for distinct in perms)
+        s0, s1 = _table_kernel(table, labels)
+        for idx, assignment in enumerate(assignments):
+            want0, want1, _ = fsum_anova(table, assignment)
+            assert s0[idx] == pytest.approx(want0, rel=1e-9)
+            assert s1[idx] == pytest.approx(want1, rel=1e-9)
+
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_zero_rule_matches_the_batch_kernel(self, design):
+        # a constant table is degenerate and a table without unit variation
+        # has S0^2 = 0 < S1^2 for every assignment
+        taus = np.array([0.1, 0.7, 1e6 + 0.3])
+        for x in (np.full((3, 3, 3), 1e6 + 0.1), np.zeros((3, 3, 3)) + taus):
+            table = rv.PotentialOutcomeTable(design, x)
+            labels = np.stack([a.labels() for a in all_assignments(table)])
+            kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
+            want = f_from_sums(*kernel(x, labels))
+            got = f_from_sums(*_table_kernel(table, labels))
+            assert np.array_equal(got, want, equal_nan=True)

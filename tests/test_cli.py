@@ -307,3 +307,60 @@ class TestArgumentErrors:
         )
         assert (code, out) == (2, "")
         assert "burn_in" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--burn-in", "5"), ("--ls-measure", "subgroup"), ("--ls-measure", "all")]
+    )
+    def test_ls_sampler_flag_on_rcb_table_exits_2_without_traceback(self, table_paths, flags):
+        code, out, err = run_module(
+            "type1", table_paths["table1"], "--sample", "10", "--seed", "1", *flags
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and flags[0] in err and "RCB" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["type1", "curve", "mc"])
+    @pytest.mark.parametrize("flags", [("--burn-in", "5"), ("--ls-measure", "all")])
+    def test_ls_sampler_flag_without_sample_exits_2(self, capsys, table_paths, command, flags):
+        code, out, err = run_cli(capsys, command, table_paths["table2"], *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and flags[0] in err and "--sample" in err
+
+    def test_ls_sampler_flag_without_sample_has_no_traceback(self, table_paths):
+        code, out, err = run_module("mc", table_paths["table4"], "--burn-in", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestSampledSpaceInputs:
+    def test_ls_report_records_draws_seed_burn_in_and_measure(self, capsys, table_paths):
+        code, out, _ = run_cli(
+            capsys, "type1", table_paths["table2"], "--sample", "50", "--seed", "9",
+            "--burn-in", "7", "--ls-measure", "subgroup",
+        )
+        assert code == 0
+        space = {"draws": 50, "seed": 9, "burn_in": 7, "measure": "subgroup"}
+        assert json.loads(out)["inputs"]["space"] == space
+
+    def test_ls_report_records_the_default_burn_in(self, capsys, table_paths):
+        code, out, _ = run_cli(
+            capsys, "mc", table_paths["table4"], "--sample", "40", "--seed", "3", "--reps", "2"
+        )
+        assert code == 0
+        space = {"draws": 40, "seed": 3, "burn_in": 2 * 4**3, "measure": "all"}
+        assert json.loads(out)["inputs"]["space"] == space
+
+    def test_rcb_report_records_draws_and_seed(self, capsys, table_paths):
+        code, out, _ = run_cli(
+            capsys, "curve", table_paths["table1"], "--sample", "30", "--seed", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["space"] == {"draws": 30, "seed": 2}
+
+    def test_sampled_report_without_seed_records_seed_0(self, capsys, table_paths):
+        _, out, _ = run_cli(capsys, "type1", table_paths["table1"], "--sample", "30")
+        assert json.loads(out)["inputs"]["space"] == {"draws": 30, "seed": 0}
+
+    def test_exact_report_records_no_space(self, capsys, table_paths):
+        _, out, _ = run_cli(capsys, "type1", table_paths["table1"])
+        assert "space" not in json.loads(out)["inputs"]

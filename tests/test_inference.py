@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 import randova as rv
+import randova.inference as inference
+from randova.anova import design_dfs, f_from_sums
+from randova.enumeration import assignment_stream
 from helpers import (
+    additive_table,
     all_assignments,
     fsum_anova,
     observed_by_loops,
     random_ls_table,
     random_rcb_table,
+    rcb_block_constant_table,
     sharp_null_table,
     two_value_witness,
 )
@@ -350,6 +355,88 @@ class TestMonteCarlo:
         var = math.fsum((p - mean) ** 2 for p in ps) / (len(ps) - 1)
         assert report.standard_error == pytest.approx(
             math.sqrt(var / len(ps)), rel=1e-12
+        )
+
+
+def _reference_rejections(table, sigma_eps, replications, seed, space):
+    """Per-replication P(F > cutoff) by the batch kernels over every label
+    grid of the space, replaying the Monte Carlo noise streams."""
+    stream, _, _ = assignment_stream(table, space)
+    labels = np.stack([a.labels() for a in stream])
+    df1, df0 = design_dfs(table.design, table.num_blocks, table.num_treatments)
+    cutoff = rv.f_quantile(rv.FReference(df1, df0), 0.95)
+    kernel = rv.batch_anova_rcb if table.design is rv.DesignKind.RCB else rv.batch_anova_ls
+    rejections = []
+    for child in np.random.SeedSequence(seed).spawn(replications):
+        noise = np.random.default_rng(child).normal(0.0, sigma_eps, size=table.outcomes.shape)
+        s0, s1 = kernel(table.outcomes + noise, labels)
+        rejections.append(float(np.mean(f_from_sums(s0, s1) > cutoff)))
+    return rejections
+
+
+def _mc_tables():
+    rng = np.random.default_rng(1935)
+    bundled = rv.load_bundled_tables()
+    taus = np.array([0.1, 0.7, 1e6 + 0.3])
+    return {
+        **bundled,
+        "rcb_block_constant": rcb_block_constant_table(rng, 3, 3),
+        "two_value_witness": two_value_witness(rng),
+        "additive_rcb": additive_table(rng, "rcb", num_blocks=3),
+        "additive_ls": additive_table(rng, "ls", order=4),
+        # degenerate: constant (0/0) and without unit variation (S0^2 = 0 < S1^2)
+        "constant_ls": rv.PotentialOutcomeTable(rv.DesignKind.LS, np.full((3, 3, 3), 1e6 + 0.1)),
+        "no_unit_variation_rcb": rv.PotentialOutcomeTable(
+            rv.DesignKind.RCB, np.zeros((3, 3, 3)) + taus
+        ),
+    }
+
+
+MC_TABLES = _mc_tables()
+
+
+class TestMonteCarloAgainstBatchKernels:
+    """Every replication's rejection equals that of the batch kernels on the
+    same noise, on tables where the zero rule decides inf and NaN."""
+
+    @pytest.mark.parametrize("sigma_eps", [1e-20, 1e-12, 1e-6, 0.01, 1.0])
+    @pytest.mark.parametrize("name", sorted(MC_TABLES))
+    def test_each_replication_matches(self, name, sigma_eps):
+        table = MC_TABLES[name]
+        space = rv.RandomizationSpace.exact()
+        report = rv.monte_carlo_with_errors(
+            table, sigma_eps=sigma_eps, replications=6, seed=17, keep_replications=True
+        )
+        want = _reference_rejections(table, sigma_eps, 6, 17, space)
+        assert list(report.rejection_probabilities) == want
+
+    @pytest.mark.parametrize("rows_per_call", [100, 1000])
+    def test_groups_and_slices_do_not_change_replications(self, monkeypatch, rows_per_call):
+        # table4 has 576 squares: 100 rows per call slices the assignments,
+        # 1000 scores one replication per call, the default 28 per call
+        monkeypatch.setattr(inference, "_MC_ROWS", rows_per_call)
+        table = MC_TABLES["table4"]
+        report = rv.monte_carlo_with_errors(
+            table, sigma_eps=0.5, replications=40, seed=3, keep_replications=True
+        )
+        want = _reference_rejections(table, 0.5, 40, 3, rv.RandomizationSpace.exact())
+        assert list(report.rejection_probabilities) == want
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            random_rcb_table(np.random.default_rng(31), 4, 4),
+            random_ls_table(np.random.default_rng(32), 5),
+        ],
+        ids=["rcb4x4", "ls5"],
+    )
+    def test_sampled_space_matches(self, table):
+        space = rv.RandomizationSpace.sample(3000, seed=9)
+        report = rv.monte_carlo_with_errors(
+            table, sigma_eps=0.3, replications=12, seed=5, space=space, keep_replications=True
+        )
+        assert list(report.rejection_probabilities) == _reference_rejections(
+            table, 0.3, 12, 5, space
         )
 
 
