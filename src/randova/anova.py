@@ -30,8 +30,9 @@ additively.  `stage_rows` keeps, per row, the distinct permutations that
 occur and each assignment's index into them.  `row_tables` then gives, per
 row and distinct permutation, the row's responses centred on the row mean,
 w, by treatment (LS: also by column), their sum of squares and max|y|.
-Summing the tables over the rows of an assignment gives W (by treatment),
-Wc (LS, by column) and Q = sum w^2, and `table_mean_squares` forms
+Summing the tables over the rows of an assignment gives the sums by
+treatment, W (Wt for LS), by column, Wc (LS), and Q = sum w^2, and
+`table_mean_squares` forms
 
     RCB:  S0^2 = (Q - |W|^2/N) / df0          S1^2 = |W|^2 / (N df1)
     LS:   S0^2 = (Q - |Wc|^2/T - |Wt|^2/T) / df0
@@ -39,9 +40,10 @@ Wc (LS, by column) and Q = sum w^2, and `table_mean_squares` forms
 
 with the same zero rule, max|y| being the largest of the rows' maxima.  The
 subtraction in S0^2 loses up to about eps * Q absolutely, which is far above
-the zero floor, so a zero residual may come out as a tiny positive or
-negative S0^2: a negative one is zeroed, and a tiny positive one gives an F
-of order 1/eps, so in both cases F exceeds any usable cutoff as +inf does.
+the zero floor, so a zero residual with S1^2 > 0 (Q is then all treatment
+sum of squares) may come out as a tiny positive or negative S0^2: a negative
+one is zeroed, and a tiny positive one gives an F of order 1/eps, so in both
+cases F exceeds any usable cutoff as +inf does.
 The test suite checks both kernels against an independent math.fsum oracle.
 """
 
@@ -245,7 +247,7 @@ def stage_rows(
             dtype = np.min_scalar_type(min(math.factorial(t), count) - 1)
             index = np.empty((rows, count), dtype=dtype)
             seen = [{} for _ in range(rows)]
-        # each row's labels as one opaque key: np.unique(axis=0) is ~8x slower
+        # each row's labels as one opaque key: np.unique(axis=0) is ~7x slower
         keys = np.ascontiguousarray(labels, dtype=label_dtype)
         keys = keys.view(f"V{t * label_dtype.itemsize}")
         for row, lookup in enumerate(seen):
@@ -266,7 +268,7 @@ def stage_rows(
     return perms, index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowTables:
     """Per-row tables of G outcome arrays (see the module docstring).
 
@@ -286,6 +288,7 @@ def row_tables(
 ) -> RowTables:
     """Tables of a (G, rows, T, T) stack of outcome arrays for the distinct
     row permutations perms of stage_rows."""
+    design = DesignKind(design)
     t = x.shape[-1]
     cols = np.arange(t)
     sums, maxima = [], []
@@ -302,7 +305,7 @@ def row_tables(
         parts.append((w * w).sum(axis=2, keepdims=True))
         sums.append(np.ascontiguousarray(np.concatenate(parts, axis=2).transpose(2, 0, 1)))
         maxima.append(np.abs(y).max(axis=2))
-    return RowTables(DesignKind(design), t, tuple(sums), tuple(maxima))
+    return RowTables(design, t, tuple(sums), tuple(maxima))
 
 
 def _sum_of_squares(parts: np.ndarray) -> np.ndarray:
