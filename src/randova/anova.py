@@ -28,8 +28,9 @@ assignments against many outcome arrays.  A row is an RCB block or an LS row;
 under every assignment its labels are a permutation, and a row contributes
 additively.  `stage_rows` keeps, per row, the distinct permutations that
 occur and each assignment's index into them.  `row_tables` then gives, per
-row and distinct permutation, the row's responses centred on the row mean,
-w, by treatment (LS: also by column), their sum of squares and max|y|.
+row, outcome array and distinct permutation, the row's responses centred on
+the row mean, w, by treatment (LS: also by column), their sum of squares and
+max|y|; `replicate_index` extends the index over G stacked outcome arrays.
 Summing the tables over the rows of an assignment gives the sums by
 treatment, W (Wt for LS), by column, Wc (LS), and Q = sum w^2, and
 `table_mean_squares` forms
@@ -44,6 +45,9 @@ the zero floor, so a zero residual with S1^2 > 0 (Q is then all treatment
 sum of squares) may come out as a tiny positive or negative S0^2: a negative
 one is zeroed, and a tiny positive one gives an F of order 1/eps, so in both
 cases F exceeds any usable cutoff as +inf does.
+`batch_anova_rcb` / `batch_anova_ls` also take row tables and a staged
+index in place of an outcome array and label grids, so that every batch of
+ANOVA evaluations, from either kernel, goes through those two names.
 The test suite checks both kernels against an independent math.fsum oracle.
 """
 
@@ -209,20 +213,32 @@ def _mean_squares_ls(y: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np
     return _zero_residue(s0, s1, y)
 
 
-def batch_anova_rcb(x: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_anova_rcb(
+    x: np.ndarray | RowTables, perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) arrays for a batch of RCB assignments.
 
     x is the (N, T, T) outcome array; perms is (S, N, T) with perms[s, i, j]
-    the treatment of plot j in block i under assignment s.
+    the treatment of plot j in block i under assignment s.  Or x is the
+    RowTables of an RCB design and perms the (S, N) staged index of S
+    evaluations (`table_mean_squares`).
     """
+    if isinstance(x, RowTables):
+        return table_mean_squares(x, perms, DesignKind.RCB)
     return _mean_squares_rcb(_observed_rcb(x, perms))
 
 
-def batch_anova_ls(x: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_anova_ls(
+    x: np.ndarray | RowTables, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) arrays for a batch of LS assignments.
 
-    x is the (T, T, T) outcome array; squares is (S, T, T) of treatment labels.
+    x is the (T, T, T) outcome array; squares is (S, T, T) of treatment
+    labels.  Or x is the RowTables of an LS design and squares the (S, T)
+    staged index of S evaluations (`table_mean_squares`).
     """
+    if isinstance(x, RowTables):
+        return table_mean_squares(x, squares, DesignKind.LS)
     return _mean_squares_ls(_observed_ls(x, squares), squares)
 
 
@@ -234,8 +250,9 @@ def stage_rows(
 
     chunks are (S, rows, T) label stacks, count assignments in all.  Returns,
     per row, the (P_r, T) distinct label rows in order of first appearance,
-    and the (rows, count) index array in the smallest unsigned dtype that
-    holds min(T!, count) - 1.  Only one chunk's labels are held at a time.
+    and the (count, rows) index array, column-major so that each row's
+    indices are contiguous, in the smallest unsigned dtype that holds
+    min(T!, count) - 1.  Only one chunk's labels are held at a time.
     """
     index = None
     seen: list[dict[bytes, int]] = []
@@ -265,16 +282,32 @@ def stage_rows(
         np.frombuffer(b"".join(lookup), dtype=label_dtype).reshape(len(lookup), t)
         for lookup in seen
     )
-    return perms, index
+    return perms, index.T
+
+
+def replicate_index(
+    index: np.ndarray, perms: tuple[np.ndarray, ...], copies: int
+) -> np.ndarray:
+    """The staged index of `stage_rows` repeated for a stack of `copies`
+    outcome arrays: evaluation g * S + s is assignment s under array g.
+
+    Row r's table column for array g and permutation p is g * P_r + p
+    (`row_tables`).  The (copies * S, rows) result is column-major intp.
+    """
+    sizes = np.array([len(p) for p in perms], dtype=np.intp)
+    offsets = np.arange(copies, dtype=np.intp)[None, :, None] * sizes[:, None, None]
+    stacked = index.T.astype(np.intp)[:, None, :] + offsets  # (rows, copies, S)
+    return stacked.reshape(len(perms), copies * len(index)).T
 
 
 @dataclass(frozen=True, eq=False)
 class RowTables:
     """Per-row tables of G outcome arrays (see the module docstring).
 
-    sums[r] is (K, G, P_r): for each distinct permutation of row r, the
-    centred responses by treatment (LS: by column, then by treatment) and
-    then their sum of squares.  maxima[r] is (G, P_r), the largest |y|.
+    sums[r] is (K, G * P_r): column g * P_r + p holds, for outcome array g
+    and distinct permutation p of row r, the centred responses by treatment
+    (LS: by column, then by treatment) and then their sum of squares.
+    maxima[r] is (G * P_r,), the largest |y| in the same columns.
     """
 
     design: DesignKind
@@ -303,8 +336,9 @@ def row_tables(
         if design is DesignKind.LS:
             parts.append(np.take_along_axis(w, inverse[None], axis=2))
         parts.append((w * w).sum(axis=2, keepdims=True))
-        sums.append(np.ascontiguousarray(np.concatenate(parts, axis=2).transpose(2, 0, 1)))
-        maxima.append(np.abs(y).max(axis=2))
+        stacked = np.concatenate(parts, axis=2)  # (G, P, K)
+        sums.append(np.ascontiguousarray(stacked.reshape(-1, stacked.shape[2]).T))
+        maxima.append(np.abs(y).max(axis=2).ravel())
     return RowTables(design, t, tuple(sums), tuple(maxima))
 
 
@@ -317,14 +351,25 @@ def _sum_of_squares(parts: np.ndarray) -> np.ndarray:
 
 
 def table_mean_squares(
-    tables: RowTables, index: np.ndarray
+    tables: RowTables, index: np.ndarray, design: DesignKind | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(S0^2, S1^2), each (G, S), of the S assignments whose per-row
-    permutation indices are the columns of the (rows, S) index."""
-    acc = np.take(tables.sums[0], index[0], axis=2)
+    """(S0^2, S1^2), each (S,), of the S evaluations whose per-row table
+    columns are the rows of the (S, rows) index (`stage_rows`,
+    `replicate_index`).  A design, when given, must be the tables' own."""
+    if design is not None and DesignKind(design) is not tables.design:
+        raise InvalidArgument(
+            f"row tables of a {tables.design.value} design scored as {DesignKind(design).value}"
+        )
+    if index.ndim != 2 or index.shape[1] != len(tables.sums):
+        raise ShapeMismatch(f"index has shape {index.shape}, expected (S, {len(tables.sums)})")
+    for row, table in enumerate(tables.sums):
+        if index[:, row].min(initial=0) < 0 or index[:, row].max(initial=0) >= table.shape[1]:
+            raise InvalidArgument(f"index of row {row} outside its {table.shape[1]} table columns")
+    # the indices are checked above; mode="clip" skips take's slower checking path
+    acc = np.take(tables.sums[0], index[:, 0], axis=1, mode="clip")
     part = np.empty_like(acc)
-    for table, idx in zip(tables.sums[1:], index[1:]):
-        np.take(table, idx, axis=2, out=part)
+    for row, table in enumerate(tables.sums[1:], start=1):
+        np.take(table, index[:, row], axis=1, out=part, mode="clip")
         acc += part
     rows, t = len(tables.sums), tables.num_treatments
     df1, df0 = design_dfs(tables.design, rows, t)
@@ -338,15 +383,15 @@ def table_mean_squares(
         s1 = wt / (t * df1)
 
     def top_of(low):
-        g, s = np.nonzero(low)
-        top = tables.maxima[0][g, index[0][s]]
-        for maxima, idx in zip(tables.maxima[1:], index[1:]):
-            np.maximum(top, maxima[g, idx[s]], out=top)
+        (s,) = np.nonzero(low)
+        top = tables.maxima[0][index[s, 0]]
+        for row, maxima in enumerate(tables.maxima[1:], start=1):
+            np.maximum(top, maxima[index[s, row]], out=top)
         return top
 
-    top = np.max([m.max(axis=1, initial=0.0) for m in tables.maxima], axis=0)
+    top = max(m.max(initial=0.0) for m in tables.maxima)
     scale = rows * t * np.finfo(float).eps
-    return _zero_below_floor(s0, s1, scale, top[:, None], top_of)
+    return _zero_below_floor(s0, s1, scale, top, top_of)
 
 
 def observe(

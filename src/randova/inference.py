@@ -38,13 +38,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .anova import (
+    RowTables,
     batch_anova_ls,
     batch_anova_rcb,
     design_dfs,
     f_from_sums,
+    replicate_index,
     row_tables,
     stage_rows,
-    table_mean_squares,
 )
 from .enumeration import (
     Assignment,
@@ -68,7 +69,7 @@ from .potential_outcomes import (
 )
 
 _CHUNK = 4096
-_MC_ROWS = 4 * _CHUNK  # assignment x replication rows per table-kernel call
+_MC_ROWS = 4 * _CHUNK  # assignment x replication evaluations per table-kernel call
 _ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
@@ -219,7 +220,7 @@ class MonteCarloReport:
 
 
 def _batch_sums(
-    design: DesignKind, x: np.ndarray, labels: np.ndarray
+    design: DesignKind, x: np.ndarray | RowTables, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     if design is DesignKind.RCB:
         return batch_anova_rcb(x, labels)
@@ -404,7 +405,8 @@ def monte_carlo_with_errors(
     then scored in groups whose size keeps assignments x replications near
     a fixed budget: one table per row and distinct permutation for each
     noise draw of the group (`row_tables`), summed over the rows of every
-    assignment (`table_mean_squares`).
+    assignment under every draw (`batch_anova_rcb` / `batch_anova_ls` on the
+    tables and the staged index, `replicate_index`).
     """
     validate(table)
     if not sigma_eps > 0.0:
@@ -422,7 +424,7 @@ def monte_carlo_with_errors(
 
     children = np.random.SeedSequence(seed).spawn(replications)
     group = max(1, _MC_ROWS // count)
-    span = min(count, _MC_ROWS)  # assignments per kernel call
+    pairs = index if group == 1 else replicate_index(index, perms, group)
     rejections: list[float] = []
     for lo in range(0, replications, group):
         noise = np.stack(
@@ -432,11 +434,12 @@ def monte_carlo_with_errors(
             ]
         )
         tables = row_tables(table.design, table.outcomes + noise, perms)
-        above = np.zeros(len(noise), dtype=np.int64)
-        for first in range(0, count, span):
-            s0, s1 = table_mean_squares(tables, index[:, first : first + span])
-            above += np.count_nonzero(f_from_sums(s0, s1) > cutoff, axis=1)
-        rejections.extend((above / count).tolist())
+        evaluations = len(noise) * count
+        above = np.empty(evaluations, dtype=bool)
+        for first in range(0, evaluations, _MC_ROWS):
+            batch = slice(first, min(first + _MC_ROWS, evaluations))
+            above[batch] = f_from_sums(*_batch_sums(table.design, tables, pairs[batch])) > cutoff
+        rejections.extend((np.count_nonzero(above.reshape(-1, count), axis=1) / count).tolist())
 
     mean = math.fsum(rejections) / replications
     if replications >= 2:

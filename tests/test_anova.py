@@ -7,6 +7,7 @@ import randova as rv
 from randova.anova import (
     _zero_residue,
     f_from_sums,
+    replicate_index,
     row_tables,
     stage_rows,
     table_mean_squares,
@@ -269,9 +270,8 @@ def _table_kernel(table, labels, chunk=7):
         (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
     )
     for row, distinct in enumerate(perms):
-        assert np.array_equal(distinct[index[row]], labels[:, row])
-    s0, s1 = table_mean_squares(row_tables(table.design, table.outcomes[None], perms), index)
-    return s0[0], s1[0]
+        assert np.array_equal(distinct[index[:, row]], labels[:, row])
+    return table_mean_squares(row_tables(table.design, table.outcomes[None], perms), index)
 
 
 class TestTableKernel:
@@ -309,6 +309,39 @@ class TestTableKernel:
             want0, want1, _ = fsum_anova(table, assignment)
             assert s0[idx] == pytest.approx(want0, rel=1e-9)
             assert s1[idx] == pytest.approx(want1, rel=1e-9)
+
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_a_stack_of_outcome_arrays_scores_as_each_alone(self, design):
+        rng = np.random.default_rng(31)
+        table = random_table(rng, design)
+        labels = np.stack([a.labels() for a in all_assignments(table)])
+        perms, index = stage_rows([labels], len(labels))
+        stack = table.outcomes + rng.normal(0.0, 0.1, size=(3,) + table.outcomes.shape)
+        pairs = replicate_index(index, perms, len(stack))
+        assert pairs.shape == (len(stack) * len(labels), len(perms))
+        kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
+        s0, s1 = kernel(row_tables(design, stack, perms), pairs)
+        for g, x in enumerate(stack):
+            alone0, alone1 = kernel(row_tables(design, x[None], perms), index)
+            assert np.array_equal(s0[g * len(labels) : (g + 1) * len(labels)], alone0)
+            assert np.array_equal(s1[g * len(labels) : (g + 1) * len(labels)], alone1)
+
+    def test_batch_kernels_check_row_tables_and_index(self):
+        table = random_rcb_table(np.random.default_rng(2), 3, 3)
+        labels = np.stack([a.labels() for a in all_assignments(table)])
+        perms, index = stage_rows([labels], len(labels))
+        tables = row_tables(table.design, table.outcomes[None], perms)
+        with pytest.raises(rv.InvalidArgument):
+            rv.batch_anova_ls(tables, index)
+        with pytest.raises(rv.ShapeMismatch):
+            rv.batch_anova_rcb(tables, index[:, :2])
+        wrong = index.astype(np.intp)
+        wrong[0, 1] = len(perms[1])
+        with pytest.raises(rv.InvalidArgument):
+            rv.batch_anova_rcb(tables, wrong)
+        wrong[0, 1] = -1
+        with pytest.raises(rv.InvalidArgument):
+            rv.batch_anova_rcb(tables, wrong)
 
     @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
     def test_zero_rule_matches_the_batch_kernel(self, design):
