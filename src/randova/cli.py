@@ -55,35 +55,30 @@ def _table_inputs(
             burn_in = space.burn_in
             if burn_in is None:
                 burn_in = DEFAULT_JM_BURN_IN_FACTOR * table.num_treatments**3
-            doc["space"].update(burn_in=burn_in, measure=space.ls_measure.value)
+            measure = space.ls_measure or LsMeasure.ALL_SQUARES
+            doc["space"].update(burn_in=burn_in, measure=measure.value)
     return doc
 
 
-def _space_from_args(
-    args: argparse.Namespace, table: PotentialOutcomeTable
-) -> RandomizationSpace:
+def _space_from_args(args: argparse.Namespace) -> RandomizationSpace:
     """The space the flags ask for; InvalidArgument for a Latin-square
-    sampler flag that would be ignored (no --sample, or an RCB table)."""
-    ls_flags = [
-        flag
-        for flag, value in (("--burn-in", args.burn_in), ("--ls-measure", args.ls_measure))
-        if value is not None
-    ]
-    given = " and ".join(ls_flags)
+    sampler flag without --sample (the library rejects them on RCB tables)."""
     if args.sample is None:
+        ls_flags = [
+            flag
+            for flag, value in (("--burn-in", args.burn_in), ("--ls-measure", args.ls_measure))
+            if value is not None
+        ]
         if ls_flags:
+            given = " and ".join(ls_flags)
             raise InvalidArgument(f"{given}: Latin-square sampler settings need --sample")
         return RandomizationSpace.exact()
-    if ls_flags and table.design is DesignKind.RCB:
-        raise InvalidArgument(
-            f"{given}: Latin-square sampler settings do not apply to an RCB table"
-        )
     seed = args.seed if args.seed is not None else 0
     return RandomizationSpace.sample(
         args.sample,
         seed=seed,
         burn_in=args.burn_in,
-        ls_measure=args.ls_measure or LsMeasure.ALL_SQUARES,
+        ls_measure=args.ls_measure,
     )
 
 
@@ -138,7 +133,7 @@ def _cmd_expected_ms(args: argparse.Namespace) -> int:
 
 def _cmd_type1(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args, table)
+    space = _space_from_args(args)
     report = type1_error(table, alpha=args.alpha, space=space)
     payload = {
         "rejection_probability": report.rejection_probability,
@@ -158,7 +153,7 @@ def _cmd_type1(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args, table)
+    space = _space_from_args(args)
     curve = survival_curve(table, space=space, grid_points=args.grid)
     payload = {
         "df_treatment": curve.df_treatment,
@@ -187,7 +182,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args, table)
+    space = _space_from_args(args)
     seed = args.seed if args.seed is not None else 0
     report = monte_carlo_with_errors(
         table,

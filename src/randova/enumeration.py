@@ -85,19 +85,22 @@ class RandomizationSpace:
     """Strategy for traversing the randomization space of a design.
 
     EXACT visits each assignment exactly once.  SAMPLE draws sample_size
-    assignments, deterministically given seed; burn_in (LS only) is the
+    assignments, deterministically given seed.  burn_in and ls_measure are
+    Latin-square sampler settings, None when not given: burn_in is the
     number of moves each draw's Jacobson-Matthews chain runs before it is
     first checked for a proper square (later checks follow every 4*T
-    moves), and defaults to 2*T^3.  Construction rejects settings that
-    cannot be traversed (a sampled space without size or seed, a size below
-    1, burn_in < 1, an unknown measure) with InvalidArgument.
+    moves), 2*T^3 by default, and ls_measure is "all" by default.
+    Construction rejects settings that cannot be traversed (a sampled space
+    without size or seed, a size below 1, burn_in < 1, an unknown measure)
+    with InvalidArgument, and so does assignment_stream when an RCB table
+    is given Latin-square sampler settings.
     """
 
     kind: SpaceKind = SpaceKind.EXACT
     sample_size: int | None = None
     seed: int | None = None
     burn_in: int | None = None
-    ls_measure: LsMeasure = LsMeasure.ALL_SQUARES
+    ls_measure: LsMeasure | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -110,7 +113,8 @@ class RandomizationSpace:
             raise InvalidArgument(f"sample size must be >= 1, got {self.sample_size}")
         _check_burn_in(self.burn_in)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
+        if self.ls_measure is not None:
+            object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
 
     @classmethod
     def exact(cls) -> "RandomizationSpace":
@@ -122,7 +126,7 @@ class RandomizationSpace:
         size: int,
         seed: int,
         burn_in: int | None = None,
-        ls_measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
+        ls_measure: LsMeasure | str | None = None,
     ) -> "RandomizationSpace":
         return cls(
             kind=SpaceKind.SAMPLE,
@@ -492,7 +496,11 @@ def _jacobson_matthews_moves(
 def assignment_stream(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[Assignment], int | None, bool]:
-    """Resolve a space against a table: (stream, count when known, is_exact)."""
+    """Resolve a space against a table: (stream, count when known, is_exact).
+
+    Raises InvalidArgument when a sampled space for an RCB table carries
+    Latin-square sampler settings, which that sampler would ignore.
+    """
     t = table.num_treatments
     if space.kind is SpaceKind.EXACT:
         if table.design is DesignKind.RCB:
@@ -500,9 +508,20 @@ def assignment_stream(
             return enumerate_rcb(n, t), rcb_space_size(n, t), True
         return enumerate_latin_squares(t), latin_square_count(t), True
     if table.design is DesignKind.RCB:
+        settings = {"burn_in": space.burn_in, "ls_measure": space.ls_measure}
+        given = [name for name, value in settings.items() if value is not None]
+        if given:
+            raise InvalidArgument(
+                f"{' and '.join(given)}: Latin-square sampler settings do not apply"
+                " to an RCB table"
+            )
         stream = sample_rcb(table.num_blocks, t, space.sample_size, space.seed)
     else:
         stream = sample_latin_squares(
-            t, space.sample_size, space.seed, space.burn_in, space.ls_measure
+            t,
+            space.sample_size,
+            space.seed,
+            space.burn_in,
+            space.ls_measure or LsMeasure.ALL_SQUARES,
         )
     return stream, space.sample_size, False

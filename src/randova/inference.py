@@ -13,12 +13,18 @@ and start a new atom wherever the gap to the previous value exceeds 1e-12
 times the larger of the two.  It merges floating-point twins, whatever digit
 they straddle, and keeps truly distinct values apart; since gaps chain, an
 atom of m distinct values spans at most (m - 1) * 1e-12 relative.  Exact
-zeros come from the ANOVA kernels' zero rule, so 0.0 is an atom of its own.
-Assignment streams are consumed in fixed-size chunks through the vectorized
-ANOVA kernels; per-chunk compensated partial sums make the reported means
-exact and bit-reproducible.  The Monte Carlo study instead stages the stream
-once into per-row permutation indices and scores groups of noise draws with
-the table kernel of `randova.anova`.
+zeros come from the ANOVA kernel's zero rule, so 0.0 is an atom of its own.
+
+Every path scores assignments with the one ANOVA kernel of each design
+(`randova.anova`): per-row tables of the responses, shifted by the table's
+mean potential outcome of each treatment, which leaves S0^2 unchanged and
+keeps it from cancelling when treatment effects dwarf the residual.  Exact
+and sampled streams are consumed one chunk of label grids at a time: each
+chunk is staged into its rows' distinct permutations, tabled and scored, so
+memory stays bounded, and per-chunk compensated partial sums make the
+reported means exact and bit-reproducible.  The Monte Carlo study stages
+the whole stream once and scores groups of noise draws against it, with the
+noiseless table's shift for every draw.
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -219,12 +225,10 @@ class MonteCarloReport:
     rejection_probabilities: tuple[float, ...] | None
 
 
-def _batch_sums(
-    design: DesignKind, x: np.ndarray | RowTables, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if design is DesignKind.RCB:
-        return batch_anova_rcb(x, labels)
-    return batch_anova_ls(x, labels)
+def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if tables.design is DesignKind.RCB:
+        return batch_anova_rcb(tables, index)
+    return batch_anova_ls(tables, index)
 
 
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
@@ -261,13 +265,15 @@ def _distribution_over(
 ) -> RandomizationSummary:
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)
+    shift = outcomes.mean(axis=(0, 1))
 
     s0_parts: list[np.ndarray] = []
     s1_parts: list[np.ndarray] = []
     s0_partials: list[float] = []
     s1_partials: list[float] = []
     for labels in _label_chunks(assignments):
-        s0, s1 = _batch_sums(design, outcomes, labels)
+        perms, index = stage_rows([labels], len(labels))
+        s0, s1 = _batch_sums(row_tables(design, outcomes[None], perms, shift), index)
         s0_partials.append(math.fsum(s0.tolist()))
         s1_partials.append(math.fsum(s1.tolist()))
         s0_parts.append(s0)
@@ -404,9 +410,10 @@ def monte_carlo_with_errors(
     (`stage_rows`); no stack of every label grid is kept.  Replications are
     then scored in groups whose size keeps assignments x replications near
     a fixed budget: one table per row and distinct permutation for each
-    noise draw of the group (`row_tables`), summed over the rows of every
-    assignment under every draw (`batch_anova_rcb` / `batch_anova_ls` on the
-    tables and the staged index, `replicate_index`).
+    noise draw of the group (`row_tables`, shifted by the noiseless table's
+    treatment means), summed over the rows of every assignment under every
+    draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the staged
+    index, `replicate_index`).
     """
     validate(table)
     if not sigma_eps > 0.0:
@@ -422,6 +429,7 @@ def monte_carlo_with_errors(
     stream, count, _ = assignment_stream(table, space)
     perms, index = stage_rows(_label_chunks(stream), count)
 
+    shift = table.outcomes.mean(axis=(0, 1))
     children = np.random.SeedSequence(seed).spawn(replications)
     group = max(1, _MC_ROWS // count)
     pairs = index if group == 1 else replicate_index(index, perms, group)
@@ -433,12 +441,12 @@ def monte_carlo_with_errors(
                 for child in children[lo : lo + group]
             ]
         )
-        tables = row_tables(table.design, table.outcomes + noise, perms)
+        tables = row_tables(table.design, table.outcomes + noise, perms, shift)
         evaluations = len(noise) * count
         above = np.empty(evaluations, dtype=bool)
         for first in range(0, evaluations, _MC_ROWS):
             batch = slice(first, min(first + _MC_ROWS, evaluations))
-            above[batch] = f_from_sums(*_batch_sums(table.design, tables, pairs[batch])) > cutoff
+            above[batch] = f_from_sums(*_batch_sums(tables, pairs[batch])) > cutoff
         rejections.extend((np.count_nonzero(above.reshape(-1, count), axis=1) / count).tolist())
 
     mean = math.fsum(rejections) / replications

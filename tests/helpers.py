@@ -7,6 +7,13 @@ outcome table cell by cell and forms S0^2, S1^2 and F with math.fsum
 reductions in fixed index order, sharing no code with the package's numpy
 kernels.  The brute-force checks of those kernels (batch rows, enumeration
 means against the closed forms, rejection counts) go through it.
+`label_grid_anova` is the label-grid batch kernel that the package used
+before it scored every assignment from shifted row tables: it gathers each
+assignment's responses and forms the residuals directly, so it shares no
+arithmetic with the row tables, and it serves as their reference where the
+two must agree bit for bit in the decision F > cutoff or in inf and NaN.
+`batch_kernel` runs the package's kernel on a stack of label grids the way
+the exact path does.
 `latin_square_grids` is the Latin-square oracle: plain backtracking over the
 cells, which the package's table-built enumerator must match square for
 square and in order.
@@ -20,6 +27,7 @@ import math
 import numpy as np
 
 import randova as rv
+from randova.anova import row_tables, stage_rows
 
 
 def random_rcb_table(rng, num_blocks=None, num_treatments=None, sd=0.0):
@@ -178,6 +186,59 @@ def fsum_anova(table, assignment):
     if s0 == 0.0:
         return s0, s1, math.inf if s1 > 0.0 else math.nan
     return s0, s1, s1 / s0
+
+
+def label_grid_anova(design, x, labels):
+    """(S0^2, S1^2) arrays of an (N, T, T) outcome array under an (S, N, T)
+    stack of label grids, by the label-grid kernel, each value at or below
+    (units * eps * max|y|)^2 of its assignment set to 0."""
+    s, n, t = labels.shape
+    if rv.DesignKind(design) is rv.DesignKind.RCB:
+        inverse = np.argsort(labels, axis=2)  # plot carrying each treatment
+        y = x[np.arange(n)[None, :, None], inverse, np.arange(t)[None, None, :]]
+        df1, df0 = t - 1, (n - 1) * (t - 1)
+        ybar_t = y.mean(axis=1)
+        ybar_i = y.mean(axis=2)
+        ybar = y.mean(axis=(1, 2))
+        resid = y - ybar_t[:, None, :] - ybar_i[:, :, None] + ybar[:, None, None]
+        s0 = (resid * resid).sum(axis=(1, 2)) / df0
+        s1 = n / df1 * ((ybar_t - ybar[:, None]) ** 2).sum(axis=1)
+    else:
+        ii, jj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
+        y = x[ii[None, :, :], jj[None, :, :], labels]
+        df1, df0 = t - 1, (t - 1) * (t - 2)
+        onehot = labels[..., None] == np.arange(t)[None, None, None, :]
+        treat_means = np.einsum("sij,sijk->sk", y, onehot.astype(float)) / t
+        ybar_i = y.mean(axis=2)
+        ybar_j = y.mean(axis=1)
+        ybar = y.mean(axis=(1, 2))
+        cell_tm = np.take_along_axis(treat_means, labels.reshape(s, t * t), axis=1)
+        resid = (
+            y
+            - ybar_i[:, :, None]
+            - ybar_j[:, None, :]
+            - cell_tm.reshape(s, t, t)
+            + 2.0 * ybar[:, None, None]
+        )
+        s0 = (resid * resid).sum(axis=(1, 2)) / df0
+        s1 = t / df1 * ((treat_means - ybar[:, None]) ** 2).sum(axis=1)
+    floor = (n * t * np.finfo(float).eps * np.abs(y).max(axis=(1, 2))) ** 2
+    return np.where(s0 > floor, s0, 0.0), np.where(s1 > floor, s1, 0.0)
+
+
+def batch_kernel(table, labels, chunk=None):
+    """(S0^2, S1^2) of an (S, rows, T) stack of label grids by the package's
+    batch kernel, as the exact path runs it: rows staged (from chunks of the
+    given size, so that staging merges across chunks), tabled with the
+    table's treatment shift."""
+    chunk = chunk or len(labels)
+    perms, index = stage_rows(
+        (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
+    )
+    x = table.outcomes
+    tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
+    kernel = rv.batch_anova_rcb if table.design is rv.DesignKind.RCB else rv.batch_anova_ls
+    return kernel(tables, index)
 
 
 def enumeration_mean_squares(table):

@@ -14,6 +14,7 @@ import numpy as np
 import randova as rv
 from helpers import (
     all_assignments,
+    batch_kernel,
     enumeration_contrast_moments,
     ls_interaction_free_table,
     random_ls_table,
@@ -213,7 +214,7 @@ def test_criterion_08_sharp_null_invariants():
                 rng, rv.DesignKind.RCB, num_blocks=int(rng.integers(2, 4))
             )
             labels = np.stack([a.labels() for a in all_assignments(table)])
-            s0, s1 = rv.batch_anova_rcb(table.outcomes, labels)
+            s0, s1 = batch_kernel(table, labels)
             n, t = table.num_blocks, table.num_treatments
             df1, df0 = t - 1, (n - 1) * (t - 1)
         else:
@@ -221,7 +222,7 @@ def test_criterion_08_sharp_null_invariants():
                 rng, rv.DesignKind.LS, order=int(rng.integers(3, 5))
             )
             labels = np.stack([a.labels() for a in all_assignments(table)])
-            s0, s1 = rv.batch_anova_ls(table.outcomes, labels)
+            s0, s1 = batch_kernel(table, labels)
             t = table.num_treatments
             df1, df0 = t - 1, (t - 1) * (t - 2)
         pooled = df1 * s1 + df0 * s0

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 import randova as rv
-from randova.anova import (
-    _zero_residue,
-    f_from_sums,
-    replicate_index,
-    row_tables,
-    stage_rows,
-    table_mean_squares,
-)
+from randova.anova import f_from_sums, replicate_index, row_tables, stage_rows
 from randova.enumeration import assignment_stream
 from helpers import (
     all_assignments,
+    batch_kernel,
     fsum_anova,
+    label_grid_anova,
     random_ls_table,
     random_rcb_table,
     random_table,
@@ -35,7 +30,6 @@ class TestObserve:
         assert experiment.observed == pytest.approx(
             np.array([[10.0, 2.0], [20.0, 50.0]])
         )
-        assert experiment.error_draws is None
 
     def test_swapped_block_assignment(self, tables):
         perms = np.array([[1, 0], [0, 1]])
@@ -87,25 +81,6 @@ class TestObserve:
         with pytest.raises(rv.ShapeMismatch):
             rv.observe(tables["table1"], bad)
 
-    def test_error_array_shape_checked(self, tables):
-        with pytest.raises(rv.ShapeMismatch):
-            rv.observe(
-                tables["table1"],
-                identity_rcb_assignment(2, 2),
-                errors=np.zeros((2, 2)),
-            )
-
-    def test_errors_apply_to_assigned_outcomes_only(self, tables):
-        errors = np.zeros((2, 2, 2))
-        errors[0, 0, 0] = 100.0  # assigned under the identity permutation
-        errors[0, 0, 1] = 777.0  # counterfactual; never observed
-        experiment = rv.observe(
-            tables["table1"], identity_rcb_assignment(2, 2), errors=errors
-        )
-        assert experiment.observed[0, 0] == pytest.approx(110.0)
-        assert experiment.observed[0, 1] == pytest.approx(2.0)
-        assert experiment.error_draws is not None
-
 
 class TestAnova:
     def test_table2_enumeration_mean_matches_reference(self, tables):
@@ -148,11 +123,20 @@ class TestAnova:
         assert summary.f_stat == math.inf
 
     def test_zero_floor_is_per_assignment(self):
-        # 1e-20 is residue beside a response of 1e6, not beside responses of 1
-        y = np.stack([np.ones((2, 2)), np.full((2, 2), 1e6)])
-        s0, s1 = _zero_residue(np.array([1e-20, 1e-20]), np.array([1.0, 1e-20]), y)
-        assert s0.tolist() == [1e-20, 0.0]
-        assert s1.tolist() == [1.0, 0.0]
+        # one batch scores one RCB 2x2 assignment under responses near 1 and
+        # near 1e6, each one ulp of 1e6 off constant in one cell: S0^2 =
+        # S1^2 = ulp^2/4, about 3e-21, is signal beside responses of 1 and
+        # rounding residue beside responses of 1e6
+        step = np.spacing(1e6)
+        small, large = np.ones((2, 2, 2)), np.full((2, 2, 2), 1e6)
+        small[0, 0, :] += step
+        large[0, 0, :] += step
+        perms, index = stage_rows([np.array([[[0, 1], [0, 1]]])], 1)
+        tables = row_tables("rcb", np.stack([small, large]), perms, np.ones(2))
+        s0, s1 = rv.batch_anova_rcb(tables, replicate_index(index, perms, 2))
+        assert s0[0] == pytest.approx(step**2 / 4, rel=1e-9)
+        assert s1[0] == pytest.approx(step**2 / 4, rel=1e-9)
+        assert (s0[1], s1[1]) == (0.0, 0.0)
 
     def test_table4_f_takes_two_values(self, tables):
         values = set()
@@ -238,11 +222,7 @@ class TestBatchKernels:
         design = rv.DesignKind.RCB if seed % 2 == 0 else rv.DesignKind.LS
         table = random_table(rng, design)
         assignments = all_assignments(table)
-        labels = np.stack([a.labels() for a in assignments])
-        if design is rv.DesignKind.RCB:
-            s0_batch, s1_batch = rv.batch_anova_rcb(table.outcomes, labels)
-        else:
-            s0_batch, s1_batch = rv.batch_anova_ls(table.outcomes, labels)
+        s0_batch, s1_batch = batch_kernel(table, np.stack([a.labels() for a in assignments]))
         for idx, assignment in enumerate(assignments):
             s0, s1, _ = fsum_anova(table, assignment)
             assert s0_batch[idx] == pytest.approx(s0, rel=1e-12, abs=1e-12)
@@ -254,28 +234,37 @@ class TestBatchKernels:
         design = rv.DesignKind.RCB if seed % 2 == 0 else rv.DesignKind.LS
         table = random_table(rng, design)
         assignments = all_assignments(table)
-        labels = np.stack([a.labels() for a in assignments])
-        kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
-        s0_batch, s1_batch = kernel(table.outcomes, labels)
+        s0_batch, s1_batch = batch_kernel(table, np.stack([a.labels() for a in assignments]))
         for idx, assignment in enumerate(assignments):
             summary = rv.anova(rv.observe(table, assignment))
             assert summary.s0_sq == s0_batch[idx]
             assert summary.s1_sq == s1_batch[idx]
 
 
+    def test_single_assignment_gives_the_bits_of_the_exact_path(self, tables):
+        for name in ("table1", "table2", "table3"):
+            table = tables[name]
+            singles = {
+                (summary.s0_sq, summary.s1_sq)
+                for summary in (rv.anova(rv.observe(table, a)) for a in all_assignments(table))
+            }
+            atoms = rv.exact_distribution(table)
+            assert set(zip(atoms.s0_sq.tolist(), atoms.s1_sq.tolist())) <= singles
+
+
 def _table_kernel(table, labels, chunk=7):
-    """(S0^2, S1^2) of each label grid by the table kernel, staged from
+    """(S0^2, S1^2) of each label grid by the batch kernel, staged from
     chunks of the given size so that staging merges across chunks."""
     perms, index = stage_rows(
         (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
     )
     for row, distinct in enumerate(perms):
         assert np.array_equal(distinct[index[:, row]], labels[:, row])
-    return table_mean_squares(row_tables(table.design, table.outcomes[None], perms), index)
+    return batch_kernel(table, labels, chunk)
 
 
 class TestTableKernel:
-    """The Monte Carlo table kernel against the math.fsum oracle, per assignment."""
+    """The row-table kernel against the math.fsum oracle, per assignment."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fsum_oracle_over_the_space(self, seed):
@@ -310,6 +299,18 @@ class TestTableKernel:
             assert s0[idx] == pytest.approx(want0, rel=1e-9)
             assert s1[idx] == pytest.approx(want1, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [3, 16, 17])
+    def test_staging_round_trips_packed_and_byte_keys(self, t):
+        # rows of up to 16 labels are keyed as packed integers, longer ones
+        # as bytes; both must give back every row, merged across chunks
+        rng = np.random.default_rng(t)
+        labels = np.argsort(rng.random((50, 3, t)), axis=2)
+        labels[25:] = labels[:25]
+        perms, index = stage_rows([labels[:20], labels[20:]], len(labels))
+        for row, distinct in enumerate(perms):
+            assert len(distinct) == len(np.unique(labels[:, row], axis=0))
+            assert np.array_equal(distinct[index[:, row]], labels[:, row])
+
     @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
     def test_a_stack_of_outcome_arrays_scores_as_each_alone(self, design):
         rng = np.random.default_rng(31)
@@ -317,12 +318,13 @@ class TestTableKernel:
         labels = np.stack([a.labels() for a in all_assignments(table)])
         perms, index = stage_rows([labels], len(labels))
         stack = table.outcomes + rng.normal(0.0, 0.1, size=(3,) + table.outcomes.shape)
+        shift = table.outcomes.mean(axis=(0, 1))
         pairs = replicate_index(index, perms, len(stack))
         assert pairs.shape == (len(stack) * len(labels), len(perms))
         kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
-        s0, s1 = kernel(row_tables(design, stack, perms), pairs)
+        s0, s1 = kernel(row_tables(design, stack, perms, shift), pairs)
         for g, x in enumerate(stack):
-            alone0, alone1 = kernel(row_tables(design, x[None], perms), index)
+            alone0, alone1 = kernel(row_tables(design, x[None], perms, shift), index)
             assert np.array_equal(s0[g * len(labels) : (g + 1) * len(labels)], alone0)
             assert np.array_equal(s1[g * len(labels) : (g + 1) * len(labels)], alone1)
 
@@ -330,7 +332,7 @@ class TestTableKernel:
         table = random_rcb_table(np.random.default_rng(2), 3, 3)
         labels = np.stack([a.labels() for a in all_assignments(table)])
         perms, index = stage_rows([labels], len(labels))
-        tables = row_tables(table.design, table.outcomes[None], perms)
+        tables = row_tables(table.design, table.outcomes[None], perms, np.zeros(3))
         with pytest.raises(rv.InvalidArgument):
             rv.batch_anova_ls(tables, index)
         with pytest.raises(rv.ShapeMismatch):
@@ -351,7 +353,6 @@ class TestTableKernel:
         for x in (np.full((3, 3, 3), 1e6 + 0.1), np.zeros((3, 3, 3)) + taus):
             table = rv.PotentialOutcomeTable(design, x)
             labels = np.stack([a.labels() for a in all_assignments(table)])
-            kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
-            want = f_from_sums(*kernel(x, labels))
+            want = f_from_sums(*label_grid_anova(design, x, labels))
             got = f_from_sums(*_table_kernel(table, labels))
             assert np.array_equal(got, want, equal_nan=True)

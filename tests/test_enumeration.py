@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import randova as rv
+from randova.enumeration import assignment_stream
 from helpers import count_latin_squares_bruteforce, latin_square_grids
 
 
@@ -304,6 +305,28 @@ class TestRandomizationSpace:
         space = rv.RandomizationSpace.sample(10, seed=4, burn_in=17)
         assert space.sample_size == 10
         assert space.burn_in == 17
+
+    @pytest.mark.parametrize(
+        "settings", [{"burn_in": 5}, {"ls_measure": "subgroup"}, {"ls_measure": "all"}]
+    )
+    def test_ls_sampler_settings_on_an_rcb_table_are_rejected(self, tables, settings):
+        space = rv.RandomizationSpace.sample(50, seed=1, **settings)
+        with pytest.raises(rv.InvalidArgument, match=next(iter(settings))):
+            rv.type1_error(tables["table1"], space=space)
+        with pytest.raises(rv.InvalidArgument, match="RCB"):
+            rv.monte_carlo_with_errors(tables["table1"], replications=2, space=space)
+        # an LS table takes them
+        assert rv.exact_distribution(tables["table3"], space).assignment_count == 50
+
+    def test_unset_ls_measure_samples_all_squares(self):
+        unset = rv.RandomizationSpace.sample(30, seed=5)
+        assert unset.ls_measure is None
+        table = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.arange(64.0).reshape(4, 4, 4))
+        stream, _, _ = assignment_stream(table, unset)
+        given, _, _ = assignment_stream(
+            table, rv.RandomizationSpace.sample(30, seed=5, ls_measure="all")
+        )
+        assert [a.as_tuple() for a in stream] == [a.as_tuple() for a in given]
 
     def test_rcb_space_size_formula(self):
         assert rv.rcb_space_size(2, 2) == 4

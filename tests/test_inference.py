@@ -13,7 +13,9 @@ from randova.enumeration import assignment_stream
 from helpers import (
     additive_table,
     all_assignments,
+    batch_kernel,
     fsum_anova,
+    label_grid_anova,
     observed_by_loops,
     random_ls_table,
     random_rcb_table,
@@ -76,11 +78,26 @@ class TestExactDistribution:
         assert math.isnan(point.f_stat)
         assert point.probability == 1.0
 
-    @pytest.mark.parametrize("design, n, t", [("rcb", 3, 3), ("ls", 3, 3), ("ls", 4, 4)])
-    def test_additive_table_without_unit_variation_is_one_infinite_atom(self, design, n, t):
-        # treatment effects only, not dyadic: S0^2 is zero for every assignment
-        taus = np.array([0.1, 0.7, 1e6 + 0.3, 2.9])[:t]
-        table = rv.PotentialOutcomeTable(design, np.zeros((n, t, t)) + taus)
+    @pytest.mark.parametrize(
+        "design, n, t, blocks",
+        [
+            ("rcb", 3, 3, None),
+            ("ls", 3, 3, None),
+            ("ls", 4, 4, None),
+            ("rcb", 3, 3, [1.0, 4.0, -2.0]),
+            ("ls", 3, 3, [1.0, 4.0, -2.0]),
+        ],
+    )
+    def test_additive_table_without_unit_variation_is_one_infinite_atom(
+        self, design, n, t, blocks
+    ):
+        # block (LS: row) and treatment effects only, not dyadic: S0^2 is
+        # zero for every assignment
+        if blocks is None:
+            x = np.zeros((n, t, t)) + np.array([0.1, 0.7, 1e6 + 0.3, 2.9])[:t]
+        else:
+            x = np.zeros((n, t, t)) + np.array(blocks)[:, None, None] + [0.3, 0.1, 0.7]
+        table = rv.PotentialOutcomeTable(design, x)
         summary = rv.exact_distribution(table)
         assert summary.f_stat.tolist() == [math.inf]
         assert summary.s0_sq.tolist() == [0.0]
@@ -244,12 +261,8 @@ def _bounded_sharp_null_table(rng, design):
 
 
 def _all_f_values(table):
-    assignments = all_assignments(table)
-    labels = np.stack([a.labels() for a in assignments])
-    if table.design is rv.DesignKind.RCB:
-        s0, s1 = rv.batch_anova_rcb(table.outcomes, labels)
-    else:
-        s0, s1 = rv.batch_anova_ls(table.outcomes, labels)
+    labels = np.stack([a.labels() for a in all_assignments(table)])
+    s0, s1 = batch_kernel(table, labels)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = s1 / s0
     return np.where(np.isnan(f), -np.inf, f)
@@ -359,17 +372,16 @@ class TestMonteCarlo:
 
 
 def _reference_rejections(table, sigma_eps, replications, seed, space):
-    """Per-replication P(F > cutoff) by the batch kernels over every label
-    grid of the space, replaying the Monte Carlo noise streams."""
+    """Per-replication P(F > cutoff) by the label-grid kernel over every
+    label grid of the space, replaying the Monte Carlo noise streams."""
     stream, _, _ = assignment_stream(table, space)
     labels = np.stack([a.labels() for a in stream])
     df1, df0 = design_dfs(table.design, table.num_blocks, table.num_treatments)
     cutoff = rv.f_quantile(rv.FReference(df1, df0), 0.95)
-    kernel = rv.batch_anova_rcb if table.design is rv.DesignKind.RCB else rv.batch_anova_ls
     rejections = []
     for child in np.random.SeedSequence(seed).spawn(replications):
         noise = np.random.default_rng(child).normal(0.0, sigma_eps, size=table.outcomes.shape)
-        s0, s1 = kernel(table.outcomes + noise, labels)
+        s0, s1 = label_grid_anova(table.design, table.outcomes + noise, labels)
         rejections.append(float(np.mean(f_from_sums(s0, s1) > cutoff)))
     return rejections
 
@@ -396,8 +408,9 @@ MC_TABLES = _mc_tables()
 
 
 class TestMonteCarloAgainstBatchKernels:
-    """Every replication's rejection equals that of the batch kernels on the
-    same noise, on tables where the zero rule decides inf and NaN."""
+    """Every replication's rejection equals that of the label-grid kernel
+    (`helpers.label_grid_anova`) on the same noise, on tables where the zero
+    rule decides inf and NaN."""
 
     @pytest.mark.parametrize("sigma_eps", [1e-20, 1e-12, 1e-6, 0.01, 1.0])
     @pytest.mark.parametrize("name", sorted(MC_TABLES))
@@ -538,6 +551,28 @@ def test_atoms_are_the_distinct_exact_values(design, seed):
         # the zero rule: a float zero is an exact zero and the converse
         assert (s0 == 0.0) == (matches[0][0] == 0)
         assert (s1 == 0.0) == (matches[0][1] == 0)
+
+
+@pytest.mark.parametrize("design, shape", [("ls", (4, 4, 4)), ("rcb", (4, 3, 3))])
+def test_large_treatment_effects_keep_every_mean_square_exact(design, shape):
+    """Treatment effects of about 100 beside 1e-7 unit noise: every atom of
+    S0^2 and S1^2 is within 1e-12 relative of the exact rational values of
+    its assignments, and the counts add up."""
+    rng = np.random.default_rng(4200)
+    taus = rng.normal(0.0, 100.0, size=shape[2])
+    x = taus + 1e-7 * rng.normal(size=shape)
+    table = rv.PotentialOutcomeTable(design, x)
+    exact = Counter(_exact_mean_squares(table, a) for a in all_assignments(table))
+    summary = rv.exact_distribution(table)
+    assert summary.assignment_count == sum(exact.values())
+    for s0, s1, count in zip(summary.s0_sq, summary.s1_sq, summary.counts):
+        matches = [
+            pair
+            for pair in exact
+            if math.isclose(s0, pair[0], rel_tol=1e-12, abs_tol=0.0)
+            and math.isclose(s1, pair[1], rel_tol=1e-12, abs_tol=0.0)
+        ]
+        assert sum(exact[pair] for pair in matches) == count
 
 
 class TestProbabilityQuery:
