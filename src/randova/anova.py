@@ -267,8 +267,7 @@ def row_tables(
         if design is DesignKind.LS:
             parts.append(np.take_along_axis(w, inverse[None], axis=2))
         parts.append((w * w).sum(axis=2, keepdims=True))
-        stacked = np.concatenate(parts, axis=2)  # (G, P, K)
-        sums.append(np.ascontiguousarray(stacked.reshape(-1, stacked.shape[2]).T))
+        sums.append(np.concatenate([part.reshape(-1, part.shape[2]).T for part in parts]))
         maxima.append(np.abs(y).max(axis=2).ravel())
     return RowTables(design, t, shift - shift.mean(), tuple(sums), tuple(maxima))
 
