@@ -17,14 +17,7 @@ All operations are pure functions over immutable values and are safe to call
 concurrently.
 """
 
-from .anova import (
-    AnovaSummary,
-    ObservedExperiment,
-    anova,
-    batch_anova_ls,
-    batch_anova_rcb,
-    observe,
-)
+from .anova import AnovaSummary, ObservedExperiment, anova, observe
 from .documents import (
     dumps_report,
     load_table,
@@ -36,7 +29,6 @@ from .enumeration import (
     Assignment,
     LsMeasure,
     RandomizationSpace,
-    SpaceKind,
     enumerate_latin_squares,
     enumerate_rcb,
     latin_square_count,
@@ -137,7 +129,6 @@ __all__ = [
     "RandovaError",
     "SameTreatment",
     "ShapeMismatch",
-    "SpaceKind",
     "SpaceTooLarge",
     "SupportPoint",
     "SurvivalCurve",
@@ -145,8 +136,6 @@ __all__ = [
     "Type1Report",
     "WrongDesign",
     "anova",
-    "batch_anova_ls",
-    "batch_anova_rcb",
     "check_additivity",
     "decompose",
     "dumps_report",

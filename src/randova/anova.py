@@ -340,12 +340,9 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
             f"{table.design.value}"
         )
     n, _, t = table.outcomes.shape
-    grid = assignment.labels()
-    if grid is None or grid.shape != (n, t):
-        raise ShapeMismatch(
-            f"{table.design.value} assignment shape "
-            f"{None if grid is None else grid.shape} != ({n}, {t})"
-        )
+    grid = assignment.grid
+    if grid.shape != (n, t):
+        raise ShapeMismatch(f"{table.design.value} assignment shape {grid.shape} != ({n}, {t})")
     if not assignment.is_valid():
         kind = "a permutation per block" if table.design is DesignKind.RCB else "a Latin square"
         raise InvalidArgument(f"assignment labels are not {kind}: {grid.tolist()}")
@@ -360,7 +357,7 @@ def anova(experiment: ObservedExperiment) -> AnovaSummary:
     """ANOVA summary of one observed experiment, by the batch kernel on a
     batch of one."""
     table = experiment.table
-    perms, index = stage_rows([experiment.assignment.labels()[None]], 1)
+    perms, index = stage_rows([experiment.assignment.grid[None]], 1)
     x = table.outcomes
     tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls

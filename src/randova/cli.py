@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints a single JSON report document on standard output;
-`curve` can additionally write the curve as CSV.  Exit status: 0 on success,
+`curve` can additionally write the curve as CSV.  A report's payload is the
+operation's result dataclass as `dataclasses.asdict` gives it, so its keys
+follow the field order.  Exit status: 0 on success,
 1 when `reproduce` finds a failing check, 2 on malformed input or bad flags.
 """
 
@@ -9,18 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .documents import dumps_report, load_table, report_document, table_to_document
 from .enumeration import (
-    DEFAULT_JM_BURN_IN_FACTOR,
     LsMeasure,
     RandomizationSpace,
-    SpaceKind,
     latin_square_count,
+    ls_sampler_settings,
     rcb_space_size,
 )
-from .errors import InvalidArgument, RandovaError, SpaceTooLarge
+from .errors import RandovaError, SpaceTooLarge
 from .expected_ms import expected_ms, ls_difference_decomposition
 from .inference import (
     DEFAULT_GRID_POINTS,
@@ -49,36 +51,24 @@ def _table_inputs(
     doc = table_to_document(table)
     doc.pop("outcomes")
     doc["table"] = path
-    if space.kind is SpaceKind.SAMPLE:
+    if space.sample_size is not None:
         doc["space"] = {"draws": space.sample_size, "seed": space.seed}
         if table.design is DesignKind.LS:
-            burn_in = space.burn_in
-            if burn_in is None:
-                burn_in = DEFAULT_JM_BURN_IN_FACTOR * table.num_treatments**3
-            measure = space.ls_measure or LsMeasure.ALL_SQUARES
+            burn_in, measure = ls_sampler_settings(
+                table.num_treatments, space.burn_in, space.ls_measure
+            )
             doc["space"].update(burn_in=burn_in, measure=measure.value)
     return doc
 
 
 def _space_from_args(args: argparse.Namespace) -> RandomizationSpace:
-    """The space the flags ask for; InvalidArgument for a Latin-square
-    sampler flag without --sample (the library rejects them on RCB tables)."""
-    if args.sample is None:
-        ls_flags = [
-            flag
-            for flag, value in (("--burn-in", args.burn_in), ("--ls-measure", args.ls_measure))
-            if value is not None
-        ]
-        if ls_flags:
-            given = " and ".join(ls_flags)
-            raise InvalidArgument(f"{given}: Latin-square sampler settings need --sample")
-        return RandomizationSpace.exact()
-    seed = args.seed if args.seed is not None else 0
-    return RandomizationSpace.sample(
-        args.sample,
-        seed=seed,
-        burn_in=args.burn_in,
-        ls_measure=args.ls_measure,
+    """The space the flags ask for; --seed (default 0) seeds it only with
+    --sample.  The library rejects sampler flags without --sample."""
+    seed = None
+    if args.sample is not None:
+        seed = args.seed if args.seed is not None else 0
+    return RandomizationSpace(
+        sample_size=args.sample, seed=seed, burn_in=args.burn_in, ls_measure=args.ls_measure
     )
 
 
@@ -107,25 +97,9 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_expected_ms(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    ems = expected_ms(table)
-    payload = {
-        "design": table.design.value,
-        "e_s0": ems.e_s0,
-        "e_s1": ems.e_s1,
-        "e_s0_neyman": ems.e_s0_neyman,
-        "interaction_term": ems.interaction_term,
-        "treatment_effect_term": ems.treatment_effect_term,
-        "difference": ems.difference,
-        "ls_lower_bound": ems.ls_lower_bound,
-    }
+    payload = asdict(expected_ms(table))
     if table.design is DesignKind.LS:
-        dec = ls_difference_decomposition(table)
-        payload["ls_difference_decomposition"] = {
-            "interaction_sum": dec.interaction_sum,
-            "neg_eta_variance_sum": dec.neg_eta_variance_sum,
-            "correlation_term": dec.correlation_term,
-            "constant_case_difference": dec.constant_case_difference,
-        }
+        payload["ls_difference_decomposition"] = asdict(ls_difference_decomposition(table))
     doc = report_document("expected_ms", _table_inputs(args.table, table), payload)
     print(dumps_report(doc))
     return 0
@@ -134,16 +108,7 @@ def _cmd_expected_ms(args: argparse.Namespace) -> int:
 def _cmd_type1(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     space = _space_from_args(args)
-    report = type1_error(table, alpha=args.alpha, space=space)
-    payload = {
-        "rejection_probability": report.rejection_probability,
-        "cutoff": report.cutoff,
-        "alpha": report.alpha,
-        "null_status": {
-            "neyman_null_holds": report.null_status.neyman_null_holds,
-            "fisher_sharp_null_holds": report.null_status.fisher_sharp_null_holds,
-        },
-    }
+    payload = asdict(type1_error(table, alpha=args.alpha, space=space))
     doc = report_document(
         "type1_error", _table_inputs(args.table, table, space), payload, seed=args.seed
     )
@@ -155,13 +120,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     space = _space_from_args(args)
     curve = survival_curve(table, space=space, grid_points=args.grid)
-    payload = {
-        "df_treatment": curve.df_treatment,
-        "df_residual": curve.df_residual,
-        "cutoffs": curve.cutoffs,
-        "p_randomization": curve.p_randomization,
-        "p_reference": curve.p_reference,
-    }
+    payload = asdict(curve)
     if args.csv is not None:
         path = Path(args.csv)
         rows = ["k,p_randomization,p_reference"]
@@ -183,28 +142,16 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     space = _space_from_args(args)
-    seed = args.seed if args.seed is not None else 0
     report = monte_carlo_with_errors(
         table,
         sigma_eps=args.sigma_eps,
         replications=args.reps,
         alpha=args.alpha,
-        seed=seed,
+        seed=args.seed if args.seed is not None else 0,
         space=space,
         keep_replications=args.keep_reps,
     )
-    payload = {
-        "replications": report.replications,
-        "error_sd": report.error_sd,
-        "alpha": report.alpha,
-        "cutoff": report.cutoff,
-        "mean_rejection": report.mean_rejection,
-        "standard_error": report.standard_error,
-        "rejection_probabilities": report.rejection_probabilities,
-    }
-    doc = report_document(
-        "monte_carlo", _table_inputs(args.table, table, space), payload, seed=seed
-    )
+    doc = report_document("monte_carlo", _table_inputs(args.table, table, space), asdict(report))
     print(dumps_report(doc))
     return 0
 

@@ -51,7 +51,7 @@ MAX_EXACT_LS_ORDER = 5
 
 _CHUNK = 4096  # assignments built per step of the enumerators and samplers
 
-DEFAULT_JM_BURN_IN_FACTOR = 2  # burn-in moves of each chain = factor * T^3
+_JM_BURN_IN_FACTOR = 2  # burn-in moves of each chain = factor * T^3
 _JM_CHECK_SPACING_FACTOR = 4  # moves between a chain's later checks = factor * T
 _JM_MOVES_PER_DRAW = 64  # moves whose random integers one Generator call draws
 
@@ -70,11 +70,6 @@ def enumeration_cap() -> int:
     raise InvalidArgument(f"{ENUM_CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
 
 
-class SpaceKind(str, Enum):
-    EXACT = "exact"
-    SAMPLE = "sample"
-
-
 class LsMeasure(str, Enum):
     ALL_SQUARES = "all"
     TRANSFORMATION_SUBGROUP = "subgroup"
@@ -84,35 +79,40 @@ class LsMeasure(str, Enum):
 class RandomizationSpace:
     """Strategy for traversing the randomization space of a design.
 
-    EXACT visits each assignment exactly once.  SAMPLE draws sample_size
-    assignments, deterministically given seed.  burn_in and ls_measure are
-    Latin-square sampler settings, None when not given: burn_in is the
-    number of moves each draw's Jacobson-Matthews chain runs before it is
-    first checked for a proper square (later checks follow every 4*T
-    moves), 2*T^3 by default, and ls_measure is "all" by default.
-    Construction rejects settings that cannot be traversed (a sampled space
-    without size or seed, a size below 1, burn_in < 1, an unknown measure)
-    with InvalidArgument, and so does assignment_stream when an RCB table
-    is given Latin-square sampler settings.
+    Without a sample_size the space is exact: every assignment is visited
+    once.  With one it is sampled: sample_size draws, deterministic given
+    seed.  burn_in and ls_measure are Latin-square sampler settings, None
+    when not given: burn_in is the number of moves each draw's
+    Jacobson-Matthews chain runs before it is first checked for a proper
+    square (later checks follow every 4*T moves), 2*T^3 by default, and
+    ls_measure is "all" by default (`ls_sampler_settings`).  Construction
+    rejects settings that cannot be traversed with InvalidArgument: seed,
+    burn_in or ls_measure without a sample_size (an exact traversal would
+    ignore them), a sample without seed, a size below 1, burn_in < 1, an
+    unknown measure.  assignment_stream also rejects Latin-square sampler
+    settings for an RCB table.
     """
 
-    kind: SpaceKind = SpaceKind.EXACT
     sample_size: int | None = None
     seed: int | None = None
     burn_in: int | None = None
     ls_measure: LsMeasure | None = None
 
     def __post_init__(self) -> None:
-        try:
-            kind = SpaceKind(self.kind)
-        except ValueError:
-            raise InvalidArgument(f"unknown space kind {self.kind!r}") from None
-        if kind is SpaceKind.SAMPLE and (self.sample_size is None or self.seed is None):
-            raise InvalidArgument("sampled spaces need sample_size and seed")
-        if self.sample_size is not None and self.sample_size < 1:
+        if self.sample_size is None:
+            settings = {"seed": self.seed, "burn_in": self.burn_in, "ls_measure": self.ls_measure}
+            given = [name for name, value in settings.items() if value is not None]
+            if given:
+                raise InvalidArgument(
+                    f"{' and '.join(given)}: sampler settings need a sample size;"
+                    " an exact space visits every assignment"
+                )
+            return
+        if self.sample_size < 1:
             raise InvalidArgument(f"sample size must be >= 1, got {self.sample_size}")
+        if self.seed is None:
+            raise InvalidArgument("a sampled space needs a seed")
         _check_burn_in(self.burn_in)
-        object.__setattr__(self, "kind", kind)
         if self.ls_measure is not None:
             object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
 
@@ -128,36 +128,26 @@ class RandomizationSpace:
         burn_in: int | None = None,
         ls_measure: LsMeasure | str | None = None,
     ) -> "RandomizationSpace":
-        return cls(
-            kind=SpaceKind.SAMPLE,
-            sample_size=size,
-            seed=seed,
-            burn_in=burn_in,
-            ls_measure=ls_measure,
-        )
+        return cls(sample_size=size, seed=seed, burn_in=burn_in, ls_measure=ls_measure)
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """One realized randomization.
+    """One realized randomization: grid holds the (zero-based) treatment labels.
 
-    RCB: rcb_perms[i][j] is the (zero-based) treatment given to plot j of
-    block i; each row is a permutation of 0..T-1.  LS: ls_square[i][j] is the
-    treatment in cell (i, j); each symbol occurs once per row and column.
-    Construction does not check this; is_valid() does, and observe() calls it.
+    RCB: grid[i][j] is the treatment given to plot j of block i; each row is
+    a permutation of 0..T-1.  LS: grid[i][j] is the treatment in cell (i, j);
+    each symbol occurs once per row and column.  Construction does not check
+    this; is_valid() does, and observe() calls it.
     """
 
     design: DesignKind
-    rcb_perms: np.ndarray | None = None
-    ls_square: np.ndarray | None = None
+    grid: np.ndarray
 
     def __post_init__(self) -> None:
-        for field in ("rcb_perms", "ls_square"):
-            arr = getattr(self, field)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.int64)
-                arr.setflags(write=False)
-                object.__setattr__(self, field, arr)
+        grid = np.asarray(self.grid, dtype=np.int64)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def _of_rows(
@@ -170,32 +160,21 @@ class Assignment:
         Assignment holds its row view and skips __init__, which would only
         re-set those flags at about 2 us per assignment.
         """
-        fields = {"design": design, "rcb_perms": None, "ls_square": None}
-        grid_field = "rcb_perms" if design is DesignKind.RCB else "ls_square"
         for chunk in chunks:
             chunk.setflags(write=False)
             for grid in chunk:
                 assignment = object.__new__(cls)
-                assignment.__dict__.update(fields)
-                assignment.__dict__[grid_field] = grid
+                assignment.__dict__.update(design=design, grid=grid)
                 yield assignment
 
-    @property
-    def num_treatments(self) -> int:
-        return self.labels().shape[1]
-
     def labels(self) -> np.ndarray:
-        """The treatment-label grid, whichever design."""
-        return self.rcb_perms if self.design is DesignKind.RCB else self.ls_square
-
-    def as_tuple(self) -> tuple:
-        """Hashable form, for aggregation and distinctness checks."""
-        return tuple(map(tuple, self.labels().tolist()))
+        """The treatment-label grid."""
+        return self.grid
 
     def is_valid(self) -> bool:
         """Bijection check per block (RCB) or Latin property (LS)."""
-        grid = self.labels()
-        want = np.arange(self.num_treatments)
+        grid = self.grid
+        want = np.arange(grid.shape[1])
         rows_ok = bool((np.sort(grid, axis=1) == want).all())
         if self.design is DesignKind.RCB:
             return rows_ok
@@ -219,6 +198,18 @@ def _ls_measure(measure: LsMeasure | str) -> LsMeasure:
         raise InvalidArgument(
             f"unknown Latin-square measure {measure!r}; choose from {choices}"
         ) from None
+
+
+def ls_sampler_settings(
+    order: int, burn_in: int | None = None, measure: LsMeasure | str | None = None
+) -> tuple[int, LsMeasure]:
+    """The Latin-square sampler's (burn_in, measure) for the order, with the
+    defaults filled in: 2*T^3 moves and "all" squares.  InvalidArgument for
+    burn_in < 1 or an unknown measure."""
+    _check_burn_in(burn_in)
+    if burn_in is None:
+        burn_in = _JM_BURN_IN_FACTOR * order**3
+    return burn_in, _ls_measure(LsMeasure.ALL_SQUARES if measure is None else measure)
 
 
 def _check_sizes(**sizes: int) -> None:
@@ -357,7 +348,7 @@ def sample_latin_squares(
     count: int,
     seed: int,
     burn_in: int | None = None,
-    measure: LsMeasure | str = LsMeasure.ALL_SQUARES,
+    measure: LsMeasure | str | None = None,
 ) -> Iterator[Assignment]:
     """Uniform Latin squares; deterministic given seed.
 
@@ -368,18 +359,17 @@ def sample_latin_squares(
     draw comes from its own Jacobson-Matthews chain started at the cyclic
     square (see _jacobson_matthews_squares): the chain runs burn_in moves
     (default 2*T^3), is then checked for a proper square every m = 4*T
-    moves, and emits the first proper square a check finds.  Arguments are
-    checked at the call, not at the first next().
+    moves, and emits the first proper square a check finds.  The measure
+    defaults to "all" (`ls_sampler_settings`).  Arguments are checked at the
+    call, not at the first next().
     """
     _check_sizes(order=order)
-    _check_burn_in(burn_in)
-    measure = _ls_measure(measure)
+    burn_in, measure = ls_sampler_settings(order, burn_in, measure)
     rng = np.random.default_rng(seed)
     if measure is LsMeasure.TRANSFORMATION_SUBGROUP or order <= 3:
         chunks = _orbit_squares(order, count, rng)
     else:
-        moves = DEFAULT_JM_BURN_IN_FACTOR * order**3 if burn_in is None else burn_in
-        chunks = _jacobson_matthews_squares(order, count, rng, moves)
+        chunks = _jacobson_matthews_squares(order, count, rng, burn_in)
     return Assignment._of_rows(DesignKind.LS, chunks)
 
 
@@ -502,7 +492,7 @@ def assignment_stream(
     Latin-square sampler settings, which that sampler would ignore.
     """
     t = table.num_treatments
-    if space.kind is SpaceKind.EXACT:
+    if space.sample_size is None:
         if table.design is DesignKind.RCB:
             n = table.num_blocks
             return enumerate_rcb(n, t), rcb_space_size(n, t), True
@@ -518,10 +508,6 @@ def assignment_stream(
         stream = sample_rcb(table.num_blocks, t, space.sample_size, space.seed)
     else:
         stream = sample_latin_squares(
-            t,
-            space.sample_size,
-            space.seed,
-            space.burn_in,
-            space.ls_measure or LsMeasure.ALL_SQUARES,
+            t, space.sample_size, space.seed, space.burn_in, space.ls_measure
         )
     return stream, space.sample_size, False

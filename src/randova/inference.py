@@ -53,11 +53,7 @@ from .anova import (
     row_tables,
     stage_rows,
 )
-from .enumeration import (
-    Assignment,
-    RandomizationSpace,
-    assignment_stream,
-)
+from .enumeration import _CHUNK, Assignment, RandomizationSpace, assignment_stream
 from .errors import (
     InvalidAlpha,
     InvalidArgument,
@@ -74,7 +70,6 @@ from .potential_outcomes import (
     validate,
 )
 
-_CHUNK = 4096
 _MC_ROWS = 4 * _CHUNK  # assignment x replication evaluations per table-kernel call
 _ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
@@ -198,13 +193,16 @@ class Type1Report:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """P(F > k) under the randomization distribution and the F reference."""
+    """P(F > k) under the randomization distribution and the F reference.
 
+    The field order is the key order of the `randova curve` report.
+    """
+
+    df_treatment: int
+    df_residual: int
     cutoffs: np.ndarray
     p_randomization: np.ndarray
     p_reference: np.ndarray
-    df_treatment: int
-    df_residual: int
 
     def __post_init__(self) -> None:
         for field in ("cutoffs", "p_randomization", "p_reference"):
@@ -215,14 +213,16 @@ class SurvivalCurve:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """The field order is the key order of the `randova mc` report."""
+
     replications: int
     error_sd: float
-    seed: int
     alpha: float
     cutoff: float
     mean_rejection: float
     standard_error: float | None
     rejection_probabilities: tuple[float, ...] | None
+    seed: int
 
 
 def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +235,7 @@ def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
     """The assignments' label grids, stacked _CHUNK at a time."""
     stream = iter(assignments)
     while chunk := list(itertools.islice(stream, _CHUNK)):
-        yield np.array([a.labels() for a in chunk])
+        yield np.array([a.grid for a in chunk])
 
 
 def _atom_ranks(values: np.ndarray) -> np.ndarray:
@@ -458,10 +458,10 @@ def monte_carlo_with_errors(
     return MonteCarloReport(
         replications=replications,
         error_sd=sigma_eps,
-        seed=seed,
         alpha=alpha,
         cutoff=cutoff,
         mean_rejection=mean,
         standard_error=std_err,
         rejection_probabilities=tuple(rejections) if keep_replications else None,
+        seed=seed,
     )

@@ -34,7 +34,7 @@ the last bit and bit-reproducible across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -109,10 +109,6 @@ class PotentialOutcomeTable:
     def num_blocks(self) -> int:
         """Block count N for RCB; equals T for LS (rows double as blocks)."""
         return self.outcomes.shape[0] if self.outcomes.ndim == 3 else 0
-
-    def with_outcomes(self, outcomes: np.ndarray) -> "PotentialOutcomeTable":
-        """Same design and metadata, different outcome array (e.g. noise added)."""
-        return replace(self, outcomes=outcomes)
 
 
 def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:

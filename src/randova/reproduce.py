@@ -10,7 +10,7 @@ rationals and checked at 1e-9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -190,15 +190,6 @@ def format_report(checks: list[CheckResult]) -> str:
 
 def checks_to_payload(checks: list[CheckResult]) -> dict:
     return {
-        "checks": [
-            {
-                "name": check.name,
-                "passed": check.passed,
-                "observed": check.observed,
-                "expected": check.expected,
-                "tolerance": check.tolerance,
-            }
-            for check in checks
-        ],
+        "checks": [asdict(check) for check in checks],
         "all_passed": all(check.passed for check in checks),
     }

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 import randova as rv
-from randova.anova import row_tables, stage_rows
+from randova.anova import batch_anova_ls, batch_anova_rcb, row_tables, stage_rows
 
 
 def random_rcb_table(rng, num_blocks=None, num_treatments=None, sd=0.0):
@@ -121,6 +121,11 @@ def ls_interaction_free_table(rng, order=None):
     return rv.PotentialOutcomeTable(rv.DesignKind.LS, x)
 
 
+def grid_key(assignment):
+    """Hashable form of an assignment's label grid."""
+    return tuple(map(tuple, assignment.grid.tolist()))
+
+
 def all_assignments(table):
     if table.design is rv.DesignKind.RCB:
         return list(rv.enumerate_rcb(table.num_blocks, table.num_treatments))
@@ -133,7 +138,7 @@ def treatment_means(experiment):
     if experiment.design is rv.DesignKind.RCB:
         return np.array([math.fsum(y[:, k].tolist()) / y.shape[0]
                          for k in range(y.shape[1])])
-    square = experiment.assignment.ls_square
+    square = experiment.assignment.grid
     t = y.shape[0]
     return np.array([math.fsum(y[square == k].tolist()) / t for k in range(t)])
 
@@ -237,7 +242,7 @@ def batch_kernel(table, labels, chunk=None):
     )
     x = table.outcomes
     tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
-    kernel = rv.batch_anova_rcb if table.design is rv.DesignKind.RCB else rv.batch_anova_ls
+    kernel = batch_anova_rcb if table.design is rv.DesignKind.RCB else batch_anova_ls
     return kernel(tables, index)
 
 

@@ -1,10 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import randova as rv
-from randova.anova import f_from_sums, replicate_index, row_tables, stage_rows
+from randova.anova import (
+    batch_anova_ls,
+    batch_anova_rcb,
+    f_from_sums,
+    replicate_index,
+    row_tables,
+    stage_rows,
+)
 from randova.enumeration import assignment_stream
 from helpers import (
     all_assignments,
@@ -21,7 +29,7 @@ from helpers import (
 
 def identity_rcb_assignment(num_blocks, num_treatments):
     perms = np.tile(np.arange(num_treatments), (num_blocks, 1))
-    return rv.Assignment(rv.DesignKind.RCB, rcb_perms=perms)
+    return rv.Assignment(rv.DesignKind.RCB, perms)
 
 
 class TestObserve:
@@ -34,7 +42,7 @@ class TestObserve:
     def test_swapped_block_assignment(self, tables):
         perms = np.array([[1, 0], [0, 1]])
         experiment = rv.observe(
-            tables["table1"], rv.Assignment(rv.DesignKind.RCB, rcb_perms=perms)
+            tables["table1"], rv.Assignment(rv.DesignKind.RCB, perms)
         )
         # block 1: plot 1 gets treatment 2, plot 2 gets treatment 1
         assert experiment.observed == pytest.approx(
@@ -50,8 +58,8 @@ class TestObserve:
     def test_table4_totals_depend_on_marked_cells(self, tables):
         table = tables["table4"]
         squares = list(rv.enumerate_latin_squares(4))
-        same = next(s for s in squares if s.ls_square[0, 0] == s.ls_square[1, 1])
-        diff = next(s for s in squares if s.ls_square[0, 0] != s.ls_square[1, 1])
+        same = next(s for s in squares if s.grid[0, 0] == s.grid[1, 1])
+        diff = next(s for s in squares if s.grid[0, 0] != s.grid[1, 1])
         totals_same = sorted(treatment_means(rv.observe(table, same)).tolist())
         totals_diff = sorted(treatment_means(rv.observe(table, diff)).tolist())
         assert totals_same != totals_diff
@@ -63,7 +71,7 @@ class TestObserve:
 
     def test_non_bijective_rcb_grid_raises(self, tables):
         # treatment 0 twice in block 1, treatment 1 never
-        bad = rv.Assignment(rv.DesignKind.RCB, rcb_perms=np.array([[0, 0], [0, 1]]))
+        bad = rv.Assignment(rv.DesignKind.RCB, np.array([[0, 0], [0, 1]]))
         assert not bad.is_valid()
         with pytest.raises(rv.InvalidArgument):
             rv.observe(tables["table1"], bad)
@@ -71,13 +79,13 @@ class TestObserve:
     def test_non_latin_ls_grid_raises(self, tables):
         # every row a permutation, but column 0 repeats treatment 0
         rows = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
-        bad = rv.Assignment(rv.DesignKind.LS, ls_square=rows)
+        bad = rv.Assignment(rv.DesignKind.LS, rows)
         assert not bad.is_valid()
         with pytest.raises(rv.InvalidArgument):
             rv.observe(tables["table2"], bad)
 
     def test_wrong_permutation_shape_raises(self, tables):
-        bad = rv.Assignment(rv.DesignKind.RCB, rcb_perms=np.array([[0, 1]]))
+        bad = rv.Assignment(rv.DesignKind.RCB, np.array([[0, 1]]))
         with pytest.raises(rv.ShapeMismatch):
             rv.observe(tables["table1"], bad)
 
@@ -133,7 +141,7 @@ class TestAnova:
         large[0, 0, :] += step
         perms, index = stage_rows([np.array([[[0, 1], [0, 1]]])], 1)
         tables = row_tables("rcb", np.stack([small, large]), perms, np.ones(2))
-        s0, s1 = rv.batch_anova_rcb(tables, replicate_index(index, perms, 2))
+        s0, s1 = batch_anova_rcb(tables, replicate_index(index, perms, 2))
         assert s0[0] == pytest.approx(step**2 / 4, rel=1e-9)
         assert s1[0] == pytest.approx(step**2 / 4, rel=1e-9)
         assert (s0[1], s1[1]) == (0.0, 0.0)
@@ -154,13 +162,11 @@ class TestAnova:
 
     def test_degenerate_designs_raise(self):
         one_block = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((1, 3, 3)))
-        assignment = rv.Assignment(
-            rv.DesignKind.RCB, rcb_perms=np.arange(3).reshape(1, 3)
-        )
+        assignment = rv.Assignment(rv.DesignKind.RCB, np.arange(3).reshape(1, 3))
         with pytest.raises(rv.DegenerateDesign):
             rv.anova(rv.observe(one_block, assignment))
         tiny_ls = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.zeros((2, 2, 2)))
-        square = rv.Assignment(rv.DesignKind.LS, ls_square=np.array([[0, 1], [1, 0]]))
+        square = rv.Assignment(rv.DesignKind.LS, np.array([[0, 1], [1, 0]]))
         with pytest.raises(rv.DegenerateDesign):
             rv.anova(rv.observe(tiny_ls, square))
 
@@ -172,14 +178,14 @@ class TestAnova:
             assignment = all_assignments(table)[3]
             base = rv.anova(rv.observe(table, assignment))
             shifted = rv.anova(
-                rv.observe(table.with_outcomes(table.outcomes + 13.7), assignment)
+                rv.observe(replace(table, outcomes=table.outcomes + 13.7), assignment)
             )
             assert shifted.s0_sq == pytest.approx(base.s0_sq, rel=1e-9, abs=1e-12)
             assert shifted.s1_sq == pytest.approx(base.s1_sq, rel=1e-9, abs=1e-12)
             assert shifted.f_stat == pytest.approx(base.f_stat, rel=1e-9)
             lam = 3.5
             scaled = rv.anova(
-                rv.observe(table.with_outcomes(table.outcomes * lam), assignment)
+                rv.observe(replace(table, outcomes=table.outcomes * lam), assignment)
             )
             assert scaled.s0_sq == pytest.approx(lam**2 * base.s0_sq, rel=1e-9)
             assert scaled.s1_sq == pytest.approx(lam**2 * base.s1_sq, rel=1e-9)
@@ -321,7 +327,7 @@ class TestTableKernel:
         shift = table.outcomes.mean(axis=(0, 1))
         pairs = replicate_index(index, perms, len(stack))
         assert pairs.shape == (len(stack) * len(labels), len(perms))
-        kernel = rv.batch_anova_rcb if design is rv.DesignKind.RCB else rv.batch_anova_ls
+        kernel = batch_anova_rcb if design is rv.DesignKind.RCB else batch_anova_ls
         s0, s1 = kernel(row_tables(design, stack, perms, shift), pairs)
         for g, x in enumerate(stack):
             alone0, alone1 = kernel(row_tables(design, x[None], perms, shift), index)
@@ -334,16 +340,16 @@ class TestTableKernel:
         perms, index = stage_rows([labels], len(labels))
         tables = row_tables(table.design, table.outcomes[None], perms, np.zeros(3))
         with pytest.raises(rv.InvalidArgument):
-            rv.batch_anova_ls(tables, index)
+            batch_anova_ls(tables, index)
         with pytest.raises(rv.ShapeMismatch):
-            rv.batch_anova_rcb(tables, index[:, :2])
+            batch_anova_rcb(tables, index[:, :2])
         wrong = index.astype(np.intp)
         wrong[0, 1] = len(perms[1])
         with pytest.raises(rv.InvalidArgument):
-            rv.batch_anova_rcb(tables, wrong)
+            batch_anova_rcb(tables, wrong)
         wrong[0, 1] = -1
         with pytest.raises(rv.InvalidArgument):
-            rv.batch_anova_rcb(tables, wrong)
+            batch_anova_rcb(tables, wrong)
 
     @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
     def test_zero_rule_matches_the_batch_kernel(self, design):

@@ -325,8 +325,11 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("flags", [("--burn-in", "5"), ("--ls-measure", "all")])
     def test_ls_sampler_flag_without_sample_exits_2(self, capsys, table_paths, command, flags):
         code, out, err = run_cli(capsys, command, table_paths["table2"], *flags)
+        # the library rejects the setting, under its parameter name
+        setting = flags[0].lstrip("-").replace("-", "_")
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and flags[0] in err and "--sample" in err
+        assert err.startswith("error:") and setting in err and "sample" in err
+        assert "Traceback" not in err
 
     def test_ls_sampler_flag_without_sample_has_no_traceback(self, table_paths):
         code, out, err = run_module("mc", table_paths["table4"], "--burn-in", "5")
@@ -366,3 +369,59 @@ class TestSampledSpaceInputs:
     def test_exact_report_records_no_space(self, capsys, table_paths):
         _, out, _ = run_cli(capsys, "type1", table_paths["table1"])
         assert "space" not in json.loads(out)["inputs"]
+
+
+ENVELOPE = ["operation", "engine_version", "inputs"]
+EXPECTED_MS_KEYS = [
+    "design", "e_s0", "e_s1", "e_s0_neyman", "interaction_term",
+    "treatment_effect_term", "difference", "ls_lower_bound",
+]
+REPORT_KEYS = {
+    "expected-ms rcb": (("expected-ms", "table1"), EXPECTED_MS_KEYS),
+    "expected-ms ls": (
+        ("expected-ms", "table2"), EXPECTED_MS_KEYS + ["ls_difference_decomposition"]
+    ),
+    "type1": (
+        ("type1", "table1", "--seed", "4"),
+        ["rejection_probability", "cutoff", "alpha", "null_status", "seed"],
+    ),
+    "curve": (
+        ("curve", "table3", "--grid", "5"),
+        ["df_treatment", "df_residual", "cutoffs", "p_randomization", "p_reference"],
+    ),
+    "mc": (
+        ("mc", "table4", "--reps", "2"),
+        [
+            "replications", "error_sd", "alpha", "cutoff", "mean_rejection",
+            "standard_error", "rejection_probabilities", "seed",
+        ],
+    ),
+    "reproduce --json": (("reproduce", "--json"), ["checks", "all_passed"]),
+}
+
+
+class TestReportKeyOrder:
+    """Payloads are the result dataclasses' fields in order, so reordering a
+    field reorders a report; these pin every report's keys."""
+
+    @pytest.mark.parametrize("case", REPORT_KEYS)
+    def test_top_level_keys(self, capsys, table_paths, case):
+        (command, *argv), keys = REPORT_KEYS[case]
+        argv = [table_paths.get(arg, arg) for arg in argv]
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        assert list(json.loads(out)) == ENVELOPE + keys
+
+    def test_nested_keys(self, capsys, table_paths):
+        _, out, _ = run_cli(capsys, "expected-ms", table_paths["table2"])
+        assert list(json.loads(out)["ls_difference_decomposition"]) == [
+            "interaction_sum", "neg_eta_variance_sum", "correlation_term",
+            "constant_case_difference",
+        ]
+        _, out, _ = run_cli(capsys, "type1", table_paths["table1"])
+        assert list(json.loads(out)["null_status"]) == [
+            "neyman_null_holds", "fisher_sharp_null_holds",
+        ]
+        _, out, _ = run_cli(capsys, "reproduce", "--json")
+        for check in json.loads(out)["checks"]:
+            assert list(check) == ["name", "passed", "observed", "expected", "tolerance"]

@@ -9,7 +9,7 @@ import pytest
 
 import randova as rv
 from randova.enumeration import assignment_stream
-from helpers import count_latin_squares_bruteforce, latin_square_grids
+from helpers import count_latin_squares_bruteforce, grid_key, latin_square_grids
 
 
 def intercalate_counts(squares):
@@ -27,7 +27,7 @@ class TestEnumerateRcb:
     def test_two_blocks_two_treatments(self):
         assignments = list(rv.enumerate_rcb(2, 2))
         assert len(assignments) == 4
-        keys = [a.as_tuple() for a in assignments]
+        keys = [grid_key(a) for a in assignments]
         assert keys == [
             ((0, 1), (0, 1)),
             ((0, 1), (1, 0)),
@@ -38,10 +38,10 @@ class TestEnumerateRcb:
     def test_single_block_starts_at_identity(self):
         assignments = list(rv.enumerate_rcb(1, 3))
         assert len(assignments) == 6
-        assert assignments[0].as_tuple() == ((0, 1, 2),)
+        assert grid_key(assignments[0]) == ((0, 1, 2),)
 
     def test_four_blocks_three_treatments_all_distinct(self):
-        keys = {a.as_tuple() for a in rv.enumerate_rcb(4, 3)}
+        keys = {grid_key(a) for a in rv.enumerate_rcb(4, 3)}
         assert len(keys) == 6**4 == rv.rcb_space_size(4, 3)
 
     def test_every_assignment_is_a_per_block_bijection(self):
@@ -57,18 +57,18 @@ class TestEnumerateRcb:
         want = list(
             itertools.product(itertools.permutations(range(treatments)), repeat=blocks)
         )
-        got = [a.as_tuple() for a in rv.enumerate_rcb(blocks, treatments)]
+        got = [grid_key(a) for a in rv.enumerate_rcb(blocks, treatments)]
         assert got == want
 
     def test_grids_are_read_only_int64(self):
         for a in rv.enumerate_rcb(2, 3):
-            assert a.rcb_perms.dtype == np.int64
-            assert not a.rcb_perms.flags.writeable
+            assert a.grid.dtype == np.int64
+            assert not a.grid.flags.writeable
 
     def test_enumerated_assignments_are_what_the_constructor_builds(self):
         stream = itertools.chain(rv.enumerate_rcb(2, 3), rv.enumerate_latin_squares(3))
         for a in stream:
-            built = rv.Assignment(a.design, rcb_perms=a.rcb_perms, ls_square=a.ls_square)
+            built = rv.Assignment(a.design, a.grid)
             assert vars(a).keys() == vars(built).keys()
             assert all(vars(built)[name] is value for name, value in vars(a).items())
 
@@ -84,7 +84,7 @@ class TestEnumerateLatinSquares:
     def test_counts(self, order, count):
         squares = list(rv.enumerate_latin_squares(order))
         assert len(squares) == count
-        assert len({a.as_tuple() for a in squares}) == count
+        assert len({grid_key(a) for a in squares}) == count
         assert all(a.is_valid() for a in squares)
 
     def test_every_order_five_square_is_valid(self):
@@ -101,7 +101,7 @@ class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_matches_the_backtracking_oracle_in_order(self, order):
         want = np.array(list(latin_square_grids(order)))
-        got = np.array([a.ls_square.ravel() for a in rv.enumerate_latin_squares(order)])
+        got = np.array([a.grid.ravel() for a in rv.enumerate_latin_squares(order)])
         assert got.shape == want.shape == (rv.latin_square_count(order), order * order)
         assert (got == want).all()
 
@@ -117,7 +117,7 @@ class TestEnumerateLatinSquares:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_row_major_lexicographic_order(self):
-        flats = [sum(a.as_tuple(), ()) for a in rv.enumerate_latin_squares(3)]
+        flats = [sum(grid_key(a), ()) for a in rv.enumerate_latin_squares(3)]
         assert flats == sorted(flats)
 
     def test_order_above_five_requires_sampling(self):
@@ -136,9 +136,9 @@ class TestEnumerateLatinSquares:
 
 class TestSampling:
     def test_rcb_deterministic_given_seed(self):
-        a = [x.as_tuple() for x in rv.sample_rcb(3, 3, 50, seed=11)]
-        b = [x.as_tuple() for x in rv.sample_rcb(3, 3, 50, seed=11)]
-        c = [x.as_tuple() for x in rv.sample_rcb(3, 3, 50, seed=12)]
+        a = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=11)]
+        b = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=11)]
+        c = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=12)]
         assert a == b
         assert a != c
 
@@ -150,43 +150,41 @@ class TestSampling:
         # 4 equally likely assignments; 0.25 +- 0.02 with 4000 draws
         counts: dict = {}
         for a in rv.sample_rcb(2, 2, 4000, seed=2024):
-            counts[a.as_tuple()] = counts.get(a.as_tuple(), 0) + 1
-        exact = {a.as_tuple() for a in rv.enumerate_rcb(2, 2)}
+            counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
+        exact = {grid_key(a) for a in rv.enumerate_rcb(2, 2)}
         assert set(counts) == exact
         for key in exact:
             assert counts[key] / 4000 == pytest.approx(0.25, abs=0.02)
 
     def test_ls_sampler_valid_and_deterministic(self):
-        a = [x.as_tuple() for x in rv.sample_latin_squares(4, 25, seed=9)]
-        b = [x.as_tuple() for x in rv.sample_latin_squares(4, 25, seed=9)]
+        a = [grid_key(x) for x in rv.sample_latin_squares(4, 25, seed=9)]
+        b = [grid_key(x) for x in rv.sample_latin_squares(4, 25, seed=9)]
         assert a == b
         for flat in a:
-            assert rv.Assignment(
-                rv.DesignKind.LS, ls_square=np.array(flat)
-            ).is_valid()
+            assert rv.Assignment(rv.DesignKind.LS, np.array(flat)).is_valid()
 
     def test_ls_frequencies_match_exact_enumeration(self):
         # 12 squares of order 3; 1/12 +- 0.01 with 12000 draws
         counts: dict = {}
         for a in rv.sample_latin_squares(3, 12000, seed=7):
-            counts[a.as_tuple()] = counts.get(a.as_tuple(), 0) + 1
-        exact = {a.as_tuple() for a in rv.enumerate_latin_squares(3)}
+            counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
+        exact = {grid_key(a) for a in rv.enumerate_latin_squares(3)}
         assert set(counts) == exact
         for key in exact:
             assert counts[key] / 12000 == pytest.approx(1 / 12, abs=0.01)
 
     def test_ls_order2_draws_both_squares(self):
-        draws = [a.as_tuple() for a in rv.sample_latin_squares(2, 2000, seed=2)]
-        for square in {a.as_tuple() for a in rv.enumerate_latin_squares(2)}:
+        draws = [grid_key(a) for a in rv.sample_latin_squares(2, 2000, seed=2)]
+        for square in {grid_key(a) for a in rv.enumerate_latin_squares(2)}:
             assert draws.count(square) / 2000 == pytest.approx(0.5, abs=0.05)
 
     def test_ls_order4_chi_square_over_all_squares(self):
         # 20 expected draws per square; chi^2(575) has mean 575, sd 34 and
         # 0.9999 quantile about 710
-        index = {a.as_tuple(): k for k, a in enumerate(rv.enumerate_latin_squares(4))}
+        index = {grid_key(a): k for k, a in enumerate(rv.enumerate_latin_squares(4))}
         draws = 576 * 20
         counts = np.bincount(
-            [index[a.as_tuple()] for a in rv.sample_latin_squares(4, draws, seed=4)],
+            [index[grid_key(a)] for a in rv.sample_latin_squares(4, draws, seed=4)],
             minlength=576,
         )
         assert ((counts - 20) ** 2 / 20).sum() < 710
@@ -195,12 +193,12 @@ class TestSampling:
         # of the 161,280 squares 10.71% have no intercalate and the rest 4;
         # chi^2(1) has 0.9999 quantile 15.1
         exact = np.bincount(intercalate_counts(
-            np.array([a.ls_square for a in rv.enumerate_latin_squares(5)])
+            np.array([a.grid for a in rv.enumerate_latin_squares(5)])
         ))
         assert np.flatnonzero(exact).tolist() == [0, 4]
         draws = 8000
         got = np.bincount(intercalate_counts(
-            np.array([a.ls_square for a in rv.sample_latin_squares(5, draws, seed=5)])
+            np.array([a.grid for a in rv.sample_latin_squares(5, draws, seed=5)])
         ), minlength=5)
         assert got.sum() == got[0] + got[4] == draws
         want = exact[[0, 4]] / exact.sum() * draws
@@ -209,10 +207,10 @@ class TestSampling:
     def test_rcb_two_blocks_joint_chi_square(self):
         # 36 equally likely (block 0, block 1) permutation pairs of 3
         # treatments; chi^2(35) has 0.9999 quantile about 75
-        index = {a.as_tuple(): k for k, a in enumerate(rv.enumerate_rcb(2, 3))}
+        index = {grid_key(a): k for k, a in enumerate(rv.enumerate_rcb(2, 3))}
         draws = 36 * 200
         counts = np.bincount(
-            [index[a.as_tuple()] for a in rv.sample_rcb(2, 3, draws, seed=6)], minlength=36
+            [index[grid_key(a)] for a in rv.sample_rcb(2, 3, draws, seed=6)], minlength=36
         )
         assert ((counts - 200) ** 2 / 200).sum() < 75
 
@@ -221,7 +219,7 @@ class TestSampling:
         order, draws = 4, 3000
         hits = np.zeros((order, order, order))
         for a in rv.sample_latin_squares(order, draws, seed=13):
-            square = a.ls_square
+            square = a.grid
             for i in range(order):
                 for j in range(order):
                     hits[i, j, square[i, j]] += 1
@@ -231,7 +229,7 @@ class TestSampling:
     def test_every_rcb_draw_is_valid(self):
         draws = list(rv.sample_rcb(20, 5, 2000, seed=5))
         assert len(draws) == 2000
-        assert all(a.rcb_perms.shape == (20, 5) and a.is_valid() for a in draws)
+        assert all(a.grid.shape == (20, 5) and a.is_valid() for a in draws)
 
     @pytest.mark.parametrize("measure", ["all", "subgroup"])
     @pytest.mark.parametrize("order", [1, 5, 8])
@@ -239,7 +237,7 @@ class TestSampling:
         draws = list(rv.sample_latin_squares(order, 100, seed=order, measure=measure))
         assert len(draws) == 100
         assert all(
-            a.ls_square.shape == (order, order) and a.is_valid() for a in draws
+            a.grid.shape == (order, order) and a.is_valid() for a in draws
         )
 
     @pytest.mark.parametrize("burn_in", [0, -5])
@@ -252,7 +250,7 @@ class TestSampling:
     def test_order_one_sampling(self):
         squares = list(rv.sample_latin_squares(1, 3, seed=0))
         assert len(squares) == 3
-        assert all(a.ls_square.shape == (1, 1) for a in squares)
+        assert all(a.grid.shape == (1, 1) for a in squares)
 
 
 class TestSubgroupMeasure:
@@ -272,12 +270,12 @@ class TestSubgroupMeasure:
 
     def test_order3_orbit_covers_all_squares(self):
         orbit = self._transformation_orbit(3)
-        exact = {a.as_tuple() for a in rv.enumerate_latin_squares(3)}
+        exact = {grid_key(a) for a in rv.enumerate_latin_squares(3)}
         assert orbit == exact
 
     def test_order4_orbit_is_a_proper_subset(self):
         orbit = self._transformation_orbit(4)
-        exact = {a.as_tuple() for a in rv.enumerate_latin_squares(4)}
+        exact = {grid_key(a) for a in rv.enumerate_latin_squares(4)}
         assert orbit < exact
         # the Klein-group table is in the complementary class
         klein = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -285,19 +283,20 @@ class TestSubgroupMeasure:
         assert klein not in orbit
 
         samples = [
-            a.as_tuple()
+            grid_key(a)
             for a in rv.sample_latin_squares(4, 300, seed=3, measure="subgroup")
         ]
         assert set(samples) <= orbit
         # the full-measure sampler escapes the orbit
-        full = [a.as_tuple() for a in rv.sample_latin_squares(4, 300, seed=3)]
+        full = [grid_key(a) for a in rv.sample_latin_squares(4, 300, seed=3)]
         assert any(square not in orbit for square in full)
 
 
 class TestRandomizationSpace:
     def test_exact_factory(self):
         space = rv.RandomizationSpace.exact()
-        assert space.kind is rv.SpaceKind.EXACT
+        assert space == rv.RandomizationSpace()
+        assert space.sample_size is None
 
     def test_sample_factory_validates(self):
         with pytest.raises(ValueError):
@@ -326,7 +325,7 @@ class TestRandomizationSpace:
         given, _, _ = assignment_stream(
             table, rv.RandomizationSpace.sample(30, seed=5, ls_measure="all")
         )
-        assert [a.as_tuple() for a in stream] == [a.as_tuple() for a in given]
+        assert [grid_key(a) for a in stream] == [grid_key(a) for a in given]
 
     def test_rcb_space_size_formula(self):
         assert rv.rcb_space_size(2, 2) == 4

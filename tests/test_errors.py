@@ -20,16 +20,17 @@ BAD_SETTINGS = {
     ),
     "unknown bundled table": lambda: rv.load_bundled_table("x"),
     "sampled space without seed": lambda: rv.exact_distribution(
-        rv.load_bundled_table("table2"),
-        rv.RandomizationSpace(kind=rv.SpaceKind.SAMPLE, sample_size=10),
+        rv.load_bundled_table("table2"), rv.RandomizationSpace(sample_size=10)
     ),
     "negative size of a space built directly": lambda: rv.RandomizationSpace(
-        kind=rv.SpaceKind.SAMPLE, sample_size=-5, seed=1
+        sample_size=-5, seed=1
     ),
     "burn_in of a space built directly": lambda: rv.RandomizationSpace(
-        kind=rv.SpaceKind.SAMPLE, sample_size=5, seed=1, burn_in=0
+        sample_size=5, seed=1, burn_in=0
     ),
-    "unknown space kind": lambda: rv.RandomizationSpace(kind="bogus"),
+    "seed of an exact space": lambda: rv.RandomizationSpace(seed=1),
+    "burn_in of an exact space": lambda: rv.RandomizationSpace(burn_in=5),
+    "ls_measure of an exact space": lambda: rv.RandomizationSpace(ls_measure="all"),
     "unknown measure of a sampled space": lambda: rv.RandomizationSpace.sample(
         10, seed=1, ls_measure="bogus"
     ),
@@ -46,6 +47,13 @@ def test_bad_setting_raises_invalid_argument(case):
     # callers may catch it as either
     assert isinstance(excinfo.value, rv.RandovaError)
     assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize("setting", ["seed", "burn_in", "ls_measure"])
+def test_sampler_setting_of_an_exact_space_is_named(setting):
+    # an exact traversal would ignore it and silently give the exact answer
+    with pytest.raises(rv.InvalidArgument, match=setting):
+        BAD_SETTINGS[f"{setting} of an exact space"]()
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
