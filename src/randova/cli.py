@@ -61,12 +61,12 @@ def _table_inputs(
     return doc
 
 
-def _space_from_args(args: argparse.Namespace) -> RandomizationSpace:
-    """The space the flags ask for; --seed (default 0) seeds it only with
-    --sample.  The library rejects sampler flags without --sample."""
-    seed = None
-    if args.sample is not None:
-        seed = args.seed if args.seed is not None else 0
+def _space_from_args(args: argparse.Namespace, seed: int | None) -> RandomizationSpace:
+    """The space the flags ask for, drawn with seed (0 when --sample comes
+    without one).  The library rejects a seed and the sampler flags without
+    --sample."""
+    if args.sample is not None and seed is None:
+        seed = 0
     return RandomizationSpace(
         sample_size=args.sample, seed=seed, burn_in=args.burn_in, ls_measure=args.ls_measure
     )
@@ -107,10 +107,10 @@ def _cmd_expected_ms(args: argparse.Namespace) -> int:
 
 def _cmd_type1(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    space = _space_from_args(args, args.seed)
     payload = asdict(type1_error(table, alpha=args.alpha, space=space))
     doc = report_document(
-        "type1_error", _table_inputs(args.table, table, space), payload, seed=args.seed
+        "type1_error", _table_inputs(args.table, table, space), payload, seed=space.seed
     )
     print(dumps_report(doc))
     return 0
@@ -118,7 +118,7 @@ def _cmd_type1(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    space = _space_from_args(args, args.seed)
     curve = survival_curve(table, space=space, grid_points=args.grid)
     payload = asdict(curve)
     if args.csv is not None:
@@ -133,7 +133,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         payload["csv"] = str(path)
     doc = report_document(
-        "survival_curve", _table_inputs(args.table, table, space), payload, seed=args.seed
+        "survival_curve", _table_inputs(args.table, table, space), payload, seed=space.seed
     )
     print(dumps_report(doc))
     return 0
@@ -141,7 +141,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     table = load_table(args.table)
-    space = _space_from_args(args)
+    # --seed is the noise seed; it seeds the space too only with --sample
+    space = _space_from_args(args, args.seed if args.sample is not None else None)
     report = monte_carlo_with_errors(
         table,
         sigma_eps=args.sigma_eps,
@@ -219,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_type1.add_argument("table")
     p_type1.add_argument("--alpha", type=float, default=0.05)
-    p_type1.add_argument("--seed", type=int, default=None)
+    p_type1.add_argument(
+        "--seed", type=int, default=None, help="seed of the --sample draws (default 0)"
+    )
     _add_space_flags(p_type1)
     p_type1.set_defaults(func=_cmd_type1)
 
@@ -234,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"number of grid points (default {DEFAULT_GRID_POINTS})",
     )
     p_curve.add_argument("--csv", default=None, help="also write the curve as CSV")
-    p_curve.add_argument("--seed", type=int, default=None)
+    p_curve.add_argument(
+        "--seed", type=int, default=None, help="seed of the --sample draws (default 0)"
+    )
     _add_space_flags(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 
@@ -245,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sigma-eps", type=float, default=DEFAULT_MC_ERROR_SD)
     p_mc.add_argument("--reps", type=int, default=DEFAULT_MC_REPLICATIONS)
     p_mc.add_argument("--alpha", type=float, default=0.05)
-    p_mc.add_argument("--seed", type=int, default=None)
+    p_mc.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of the noise draws, and of the --sample draws (default 0)",
+    )
     p_mc.add_argument(
         "--keep-reps",
         action="store_true",

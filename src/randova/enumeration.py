@@ -19,10 +19,14 @@ default measure is uniform over ALL Latin squares of the order, realized by
 one Jacobson-Matthews chain (+-1 moves on the incidence cube) per draw, the
 chains of a chunk run in lockstep: each chain runs burn_in moves, then is
 checked every m moves (m a fixed constant per order) and emits its square
-at the first check that finds it proper.  A "subgroup" measure is also
-available which only randomizes rows/columns/symbols of a fixed cyclic
-reference square (a strictly smaller orbit unless T <= 3; up to order 3
-both measures draw from it).
+at the first check that finds it proper.  A chain keeps its cube as three
+(T, T) tables of the position of each line's 1 (the symbol of each cell,
+the row of each column and symbol, the column of each row and symbol) and,
+while improper, the two 1s on each line through its -1 cell, so a move
+reads six table entries and rewrites twelve instead of scanning three
+lines.  A "subgroup" measure is also available which only randomizes
+rows/columns/symbols of a fixed cyclic reference square (a strictly smaller
+orbit unless T <= 3; up to order 3 both measures draw from it).
 """
 
 from __future__ import annotations
@@ -387,10 +391,11 @@ def _jacobson_matthews_squares(
 ) -> Iterator[np.ndarray]:
     """Chunks of squares, one Jacobson-Matthews chain per square.
 
-    The chains of a chunk run in lockstep on a (K, T, T, T) int8 incidence
-    cube, all from the cyclic square.  After burn_in moves, and then every
-    m = _JM_CHECK_SPACING_FACTOR * T moves, every running chain is checked;
-    a proper one stops and emits its square, the others run on.
+    The chains of a chunk run in lockstep, all from the cyclic square, each
+    on a (3, T, T) stack of line tables (see _jacobson_matthews_moves).
+    After burn_in moves, and then every m = _JM_CHECK_SPACING_FACTOR * T
+    moves, every running chain is checked; a proper one stops and emits its
+    symbol table as its square, the others run on.
 
     The chain is uniform over proper squares at stationarity, so its square
     at a time fixed in advance is.  The first proper state after an improper
@@ -401,86 +406,117 @@ def _jacobson_matthews_squares(
     against the exact intercalate distributions, m = 1, 2 and 4 are off by
     2.5 to 120 standard errors, while m = 8 shows no bias; at orders 6 to 8
     (6,000 to 40,000 draws) the mean intercalate count stops moving from
-    m = 16 on, against m = 256 and a four-fold burn-in.  m = 4T is 1.5 to 2.5 times the
-    smallest spacing without a visible bias at orders 4 to 8; above order 8
-    it is untested.  Each check that finds a chain improper (67% of states at
-    order 4, 87% at order 8) costs that chain m more moves.
+    m = 16 on, against m = 256 and a four-fold burn-in.  m = 4T is 1.5 to
+    2.5 times the smallest spacing without a visible bias at orders 4 to 8.
+    At orders 9 and 10 (40,000 draws per setting) m = 4T gives a mean
+    intercalate count of 18.040 and 22.531, and m = 256 with a four-fold
+    burn-in 18.043 and 22.529, standard errors 0.024 and 0.026; above order
+    10 it is untested.  Each check that finds a chain improper (67% of
+    states at order 4, 87% at order 8) costs that chain m more moves.
     """
     t = order
     spacing = _JM_CHECK_SPACING_FACTOR * t
     line = np.arange(t)
-    start = np.zeros((t, t, t), dtype=np.int8)
-    start[line[:, None], line, (line[:, None] + line) % t] = 1
+    shifted = (line - line[:, None]) % t  # [a, s] = (s - a) % T
+    start = np.stack([(line[:, None] + line) % t, shifted, shifted])
+    start = start.astype(np.min_scalar_type(-t))
     for lo in range(0, count, _CHUNK):
         chains = min(_CHUNK, count - lo)
-        cube = np.tile(start, (chains, 1, 1, 1))
-        hole = np.full((3, chains), -1)
+        tables = np.tile(start, (chains, 1, 1, 1))
+        hole = np.full((3, 3, chains), -1)
         running = np.arange(chains)
         squares = np.empty((chains, t, t), dtype=np.int64)
         moves = burn_in
         while running.size:
-            hole = _jacobson_matthews_moves(cube, hole, moves, rng)
-            proper = hole[0] < 0
-            squares[running[proper]] = cube[proper].argmax(axis=3)
-            running, cube, hole = running[~proper], cube[~proper], hole[:, ~proper]
+            hole = _jacobson_matthews_moves(tables, hole, moves, rng)
+            proper = hole[0, 0] < 0
+            squares[running[proper]] = tables[proper, 0]
+            running, tables, hole = running[~proper], tables[~proper], hole[..., ~proper]
             moves = spacing
         yield squares
 
 
-def _one_on_line(line: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """Per row of a (K, T) slice of cubes, the index of its 1 or, where it
-    holds two (a line through the -1 cell), of the first or last by coin."""
-    ones = line == 1
-    first = ones.argmax(axis=1)
-    last = line.shape[1] - 1 - ones[:, ::-1].argmax(axis=1)
-    return np.where(coin, last, first)
-
-
 def _jacobson_matthews_moves(
-    cube: np.ndarray, hole: np.ndarray, moves: int, rng: np.random.Generator
+    tables: np.ndarray, hole: np.ndarray, moves: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Run the given number of +-1 moves on every cube of a (K, T, T, T)
-    int8 stack, in place, and return the updated hole.
+    """Run the given number of +-1 moves on every chain of a (K, 3, T, T)
+    stack of line tables, in place, and return the updated hole.
 
-    hole is (3, K): the (r, c, s) of the -1 cell of each improper cube, and
-    r = -1 where the cube is proper.  A proper cube takes a uniform zero cell
-    (r, c, s): a uniform cell (r, c) and a uniform symbol s other than the
-    one it holds.  An improper cube takes its -1 cell.  The lines through
-    (r, c, s) each hold one 1, at (r1, c, s), (r, c1, s) and (r, c, s1), or
-    two if the cell is the -1 cell, of which a coin picks one.  The move
-    adds 1 on the even corners of the subcube spanned with (r1, c1, s1) and
-    subtracts 1 on the odd ones; the far corner may drop to -1, making the
-    cube improper.  Each move draws one integer per cube, split into r, c,
-    the symbol shift and three coins.
+    A chain's state is a T x T x T incidence cube whose lines (fix two of
+    row r, column c and symbol s) each sum to 1.  A proper cube is a square;
+    an improper one has a single -1 cell, and each of the three lines
+    through it holds two 1s, every other line one.  The tables hold the
+    position of each line's 1: table 0 the symbol of each cell (r, c),
+    table 1 the row of each (c, s), table 2 the column of each (r, s).
+    hole is (3, 3, K): hole[0] the (s, r, c) of an improper chain's -1
+    cell, hole[1] and hole[2] the lower and the higher position of the two
+    1s on each line through it, in table order (symbols of (r, c), rows of
+    (c, s), columns of (r, s)), of which the tables hold one; all -1 where
+    the chain is proper.
+
+    A proper chain takes a uniform zero cell (r, c, s): a uniform cell
+    (r, c) and a uniform symbol s other than the one it holds.  An improper
+    chain takes its -1 cell.  The lines through (r, c, s) each hold one 1,
+    at (r1, c, s), (r, c1, s) and (r, c, s1), or two if the cell is the -1
+    cell, of which a coin picks the first or the last.  The move adds 1 on
+    the even corners of the subcube spanned with (r1, c1, s1) and subtracts
+    1 on the odd ones.  Each of the subcube's twelve edges is a line whose 1
+    moves from one corner to the other, so the move rewrites twelve table
+    entries, four per table; a line through an improper chain's -1 cell
+    keeps the 1 its coin did not pick.  The far corner (r1, c1, s1) drops
+    to -1, making the chain improper, unless the symbol table holds s1 at
+    (r1, c1); in an improper chain it lies on none of the -1 cell's lines,
+    so that entry is single.  Each move draws one integer per chain, split
+    into r, c, the symbol shift and three coins.  Entries read from the
+    tables keep their narrow dtype; they are cast to intp before they are
+    scaled into an index, where a narrow product could overflow.
     """
-    k, t = cube.shape[:2]
-    flat = cube.reshape(-1)
-    base = np.arange(k) * t**3
-    symbol_line, column_line, row_line = np.arange(t), np.arange(t) * t, np.arange(t) * t * t
-    r_hole, c_hole, s_hole = hole
-    for lo in range(0, moves, _JM_MOVES_PER_DRAW):
-        block = min(_JM_MOVES_PER_DRAW, moves - lo)
-        draws = rng.integers(0, t * t * (t - 1) * 8, size=(block, k))
+    k, _, t = tables.shape[:3]
+    flat = tables.reshape(-1)
+    area = t * t
+    # flat index of each table's (0, 0) entry in each chain, (3, K)
+    offsets = np.arange(k) * 3 * area + np.arange(0, 3 * area, area)[:, None]
+    wrap = np.arange(2 * t) % t  # (s1 + shift) % T by lookup
+    coin_bits = np.array([[1], [2], [4]], dtype=np.uint8)
+    cell, lo, hi = hole
+    improper = cell[0] >= 0
+    # lines[0]: where the table rows holding the lines through (r, c, s)
+    # start in flat: symbol row r, row-table row c, column-table row r;
+    # lines[1]: the same for (r1, c1, s1).  across: positions along them.
+    lines = np.empty((2, 3, k), dtype=np.intp)
+    across = np.empty((2, 3, k), dtype=np.intp)
+    # at[a, b] = lines[a] + across[b]: the twelve entries a move rewrites,
+    # and ones: the positions of the 1s it writes there
+    at = np.empty((2, 2, 3, k), dtype=np.intp)
+    ones = np.empty((2, 2, 3, k), dtype=tables.dtype)
+    for done in range(0, moves, _JM_MOVES_PER_DRAW):
+        block = min(_JM_MOVES_PER_DRAW, moves - done)
+        draws = rng.integers(0, area * (t - 1) * 8, size=(block, k))
         draws, rows = np.divmod(draws, t)
         draws, cols = np.divmod(draws, t)
         coins, shifts = np.divmod(draws, t - 1)
-        for row, col, shift, coin in zip(rows, cols, shifts, coins):
-            improper = r_hole >= 0
-            r = np.where(improper, r_hole, row)
-            c = np.where(improper, c_hole, col)
-            at_r, at_c = base + r * t * t, c * t
-            s1 = _one_on_line(flat[(at_r + at_c)[:, None] + symbol_line], coin & 1)
-            s = np.where(improper, s_hole, (s1 + shift + 1) % t)
-            r1 = _one_on_line(flat[(base + at_c + s)[:, None] + row_line], coin & 2)
-            c1 = _one_on_line(flat[(at_r + s)[:, None] + column_line], coin & 4)
-            at_r1, at_c1 = base + r1 * t * t, c1 * t
-            even = [at_r + at_c + s, at_r + at_c1 + s1, at_r1 + at_c + s1, at_r1 + at_c1 + s]
-            odd = [at_r1 + at_c + s, at_r + at_c1 + s, at_r + at_c + s1, at_r1 + at_c1 + s1]
-            flat[np.stack(even)] += 1
-            flat[np.stack(odd)] -= 1
-            improper = flat[at_r1 + at_c1 + s1] < 0
-            r_hole, c_hole, s_hole = np.where(improper, r1, -1), c1, s1
-    return np.stack([r_hole, c_hole, s_hole])
+        shifts += 1
+        bits = (coins.astype(np.uint8)[:, None] & coin_bits) > 0
+        for row, col, shift, bit in zip(rows, cols, shifts, bits):
+            rc = np.where(improper, cell[1:], np.array([row, col]))
+            np.add(offsets, t * rc[[0, 1, 0]], out=lines[0])
+            picked = np.where(bit, hi, lo)
+            s1 = np.where(improper, picked[0], flat[lines[0, 0] + rc[1]])
+            s = np.where(improper, cell[0], wrap[s1 + shift])
+            r1, c1 = np.where(improper, picked[1:], flat[lines[0, 1:] + s])
+            cell = np.array([s1, r1, c1], dtype=np.intp)
+            np.add(offsets, t * cell[[1, 2, 1]], out=lines[1])
+            across[0, 0], across[0, 1:], across[1, 0], across[1, 1:] = rc[1], s, c1, s1
+            np.add(lines[:, None], across, out=at)
+            far = flat[at[1, 1]]
+            ones[1, 1] = s, *rc
+            ones[0, 1] = ones[1, 0] = cell
+            ones[0, 0] = np.where(improper, np.where(bit, lo, hi), ones[1, 1])
+            flat[at] = ones
+            improper = far[0] != s1
+            lo, hi = np.minimum(ones[1, 1], far), np.maximum(ones[1, 1], far)
+    cell[:, ~improper] = -1
+    return np.stack([cell, lo, hi])
 
 
 def assignment_stream(

@@ -17,6 +17,10 @@ the exact path does.
 `latin_square_grids` is the Latin-square oracle: plain backtracking over the
 cells, which the package's table-built enumerator must match square for
 square and in order.
+`cube_latin_squares` is the Jacobson-Matthews sampler as the package ran it
+on a full incidence cube, before it kept only the position of each line's
+1; it finds every 1 by scanning its line, so it shares no bookkeeping with
+the line tables, and the package's sampler must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -352,3 +356,74 @@ def count_latin_squares_bruteforce(order):
         )
 
     return math.factorial(order) * extend([identity])
+
+
+def cube_latin_squares(order, count, seed, burn_in=None):
+    """(count, T, T) int64 squares of the Latin-square sampler as it ran on a
+    (K, T, T, T) int8 incidence cube, the reference for the line-table
+    sampler, which must give the same squares bit for bit: the same chains
+    of _CHUNK draws in lockstep, the same blocks of random integers, coins
+    and checks.  Each move gathers the three lines through its cell and
+    finds the 1 on each with argmax, the first or, by coin, the last where
+    a line holds two."""
+    enum = rv.enumeration
+    t = order
+    burn_in, _ = enum.ls_sampler_settings(order, burn_in)
+    spacing = enum._JM_CHECK_SPACING_FACTOR * t
+    rng = np.random.default_rng(seed)
+    line = np.arange(t)
+    start = np.zeros((t, t, t), dtype=np.int8)
+    start[line[:, None], line, (line[:, None] + line) % t] = 1
+
+    def one_on_line(lines, coin):
+        ones = lines == 1
+        first = ones.argmax(axis=1)
+        last = lines.shape[1] - 1 - ones[:, ::-1].argmax(axis=1)
+        return np.where(coin, last, first)
+
+    def moves(cube, hole, n):
+        k = len(cube)
+        flat = cube.reshape(-1)
+        base = np.arange(k) * t**3
+        symbol_line, column_line, row_line = line, line * t, line * t * t
+        r_hole, c_hole, s_hole = hole
+        for lo in range(0, n, enum._JM_MOVES_PER_DRAW):
+            block = min(enum._JM_MOVES_PER_DRAW, n - lo)
+            draws = rng.integers(0, t * t * (t - 1) * 8, size=(block, k))
+            draws, rows = np.divmod(draws, t)
+            draws, cols = np.divmod(draws, t)
+            coins, shifts = np.divmod(draws, t - 1)
+            for row, col, shift, coin in zip(rows, cols, shifts, coins):
+                improper = r_hole >= 0
+                r = np.where(improper, r_hole, row)
+                c = np.where(improper, c_hole, col)
+                at_r, at_c = base + r * t * t, c * t
+                s1 = one_on_line(flat[(at_r + at_c)[:, None] + symbol_line], coin & 1)
+                s = np.where(improper, s_hole, (s1 + shift + 1) % t)
+                r1 = one_on_line(flat[(base + at_c + s)[:, None] + row_line], coin & 2)
+                c1 = one_on_line(flat[(at_r + s)[:, None] + column_line], coin & 4)
+                at_r1, at_c1 = base + r1 * t * t, c1 * t
+                even = [at_r + at_c + s, at_r + at_c1 + s1, at_r1 + at_c + s1, at_r1 + at_c1 + s]
+                odd = [at_r1 + at_c + s, at_r + at_c1 + s, at_r + at_c + s1, at_r1 + at_c1 + s1]
+                flat[np.stack(even)] += 1
+                flat[np.stack(odd)] -= 1
+                improper = flat[at_r1 + at_c1 + s1] < 0
+                r_hole, c_hole, s_hole = np.where(improper, r1, -1), c1, s1
+        return np.stack([r_hole, c_hole, s_hole])
+
+    chunks = []
+    for lo in range(0, count, enum._CHUNK):
+        chains = min(enum._CHUNK, count - lo)
+        cube = np.tile(start, (chains, 1, 1, 1))
+        hole = np.full((3, chains), -1)
+        running = np.arange(chains)
+        squares = np.empty((chains, t, t), dtype=np.int64)
+        n = burn_in
+        while running.size:
+            hole = moves(cube, hole, n)
+            proper = hole[0] < 0
+            squares[running[proper]] = cube[proper].argmax(axis=3)
+            running, cube, hole = running[~proper], cube[~proper], hole[:, ~proper]
+            n = spacing
+        chunks.append(squares)
+    return np.concatenate(chunks) if chunks else np.empty((0, t, t), dtype=np.int64)

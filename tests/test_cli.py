@@ -331,6 +331,19 @@ class TestArgumentErrors:
         assert err.startswith("error:") and setting in err and "sample" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["type1", "curve"])
+    def test_seed_without_sample_exits_2(self, capsys, table_paths, command):
+        # an exact report has no seed: no draw would use it
+        code, out, err = run_cli(capsys, command, table_paths["table1"], "--seed", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "seed" in err and "sample" in err
+
+    def test_mc_seed_without_sample_seeds_the_noise(self, capsys, table_paths):
+        code, out, _ = run_cli(capsys, "mc", table_paths["table4"], "--reps", "2", "--seed", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == 4 and "space" not in doc["inputs"]
+
     def test_ls_sampler_flag_without_sample_has_no_traceback(self, table_paths):
         code, out, err = run_module("mc", table_paths["table4"], "--burn-in", "5")
         assert (code, out) == (2, "")
@@ -364,11 +377,15 @@ class TestSampledSpaceInputs:
 
     def test_sampled_report_without_seed_records_seed_0(self, capsys, table_paths):
         _, out, _ = run_cli(capsys, "type1", table_paths["table1"], "--sample", "30")
-        assert json.loads(out)["inputs"]["space"] == {"draws": 30, "seed": 0}
+        doc = json.loads(out)
+        assert doc["inputs"]["space"] == {"draws": 30, "seed": 0}
+        assert doc["seed"] == 0  # the report's seed is the space's
 
     def test_exact_report_records_no_space(self, capsys, table_paths):
-        _, out, _ = run_cli(capsys, "type1", table_paths["table1"])
-        assert "space" not in json.loads(out)["inputs"]
+        for command in ("type1", "curve"):
+            _, out, _ = run_cli(capsys, command, table_paths["table1"])
+            doc = json.loads(out)
+            assert "space" not in doc["inputs"] and "seed" not in doc
 
 
 ENVELOPE = ["operation", "engine_version", "inputs"]
@@ -382,7 +399,7 @@ REPORT_KEYS = {
         ("expected-ms", "table2"), EXPECTED_MS_KEYS + ["ls_difference_decomposition"]
     ),
     "type1": (
-        ("type1", "table1", "--seed", "4"),
+        ("type1", "table1", "--sample", "10", "--seed", "4"),
         ["rejection_probability", "cutoff", "alpha", "null_status", "seed"],
     ),
     "curve": (

@@ -9,7 +9,12 @@ import pytest
 
 import randova as rv
 from randova.enumeration import assignment_stream
-from helpers import count_latin_squares_bruteforce, grid_key, latin_square_grids
+from helpers import (
+    count_latin_squares_bruteforce,
+    cube_latin_squares,
+    grid_key,
+    latin_square_grids,
+)
 
 
 def intercalate_counts(squares):
@@ -251,6 +256,80 @@ class TestSampling:
         squares = list(rv.sample_latin_squares(1, 3, seed=0))
         assert len(squares) == 3
         assert all(a.grid.shape == (1, 1) for a in squares)
+
+
+class TestLineTableSampler:
+    """The Jacobson-Matthews sampler keeps only the position of each line's
+    1, in three tables; it must draw the incidence-cube sampler's squares
+    (helpers.cube_latin_squares) bit for bit."""
+
+    @staticmethod
+    def squares(order, count, seed, burn_in=None):
+        draws = rv.sample_latin_squares(order, count, seed, burn_in=burn_in)
+        return np.array([a.grid for a in draws]).reshape(count, order, order)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 8, 9])
+    def test_matches_the_cube_sampler(self, order, seed):
+        want = cube_latin_squares(order, 40, seed)
+        assert np.array_equal(self.squares(order, 40, seed), want)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 8, 9])
+    def test_matches_the_cube_sampler_after_one_move(self, order, seed):
+        want = cube_latin_squares(order, 40, seed, burn_in=1)
+        assert np.array_equal(self.squares(order, 40, seed, burn_in=1), want)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_matches_the_cube_sampler_over_several_chunks(self, monkeypatch, order):
+        # chunks of 7, 7, 7, 7 and 2 chains, each shrinking as chains stop
+        monkeypatch.setattr(rv.enumeration, "_CHUNK", 7)
+        want = cube_latin_squares(order, 30, seed=5)
+        assert np.array_equal(self.squares(order, 30, seed=5), want)
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """Check the tables of every chain after each run of moves, and
+        count the squares emitted.  A proper chain's three tables agree
+        (row[c, sym[r, c]] == r, col[r, sym[r, c]] == c); an improper
+        chain's tables each hold one of its hole's two 1s on that line."""
+        run_moves = rv.enumeration._jacobson_matthews_moves
+        counts = []
+
+        def checked_moves(tables, hole, moves, rng):
+            hole = run_moves(tables, hole, moves, rng)
+            proper = hole[0, 0] < 0
+            t = tables.shape[2]
+            sym, row, col = np.moveaxis(tables[proper], 1, 0)
+            k, r, c = np.arange(len(sym))[:, None, None], np.arange(t)[:, None], np.arange(t)
+            assert (row[k, c, sym] == r).all()
+            assert (col[k, r, sym] == c).all()
+            (s, r, c), lo, hi = hole[..., ~proper]
+            sym, row, col = np.moveaxis(tables[~proper], 1, 0)
+            k = np.arange(len(s))
+            held = np.array([sym[k, r, c], row[k, c, s], col[k, r, s]])
+            assert (lo < hi).all()
+            assert ((held == lo) | (held == hi)).all()
+            counts.append(proper.sum())
+            return hole
+
+        monkeypatch.setattr(rv.enumeration, "_jacobson_matthews_moves", checked_moves)
+        return counts
+
+    def test_the_three_tables_agree_in_every_emitted_square(self, emitted):
+        squares = self.squares(8, 300, seed=7)
+        assert sum(emitted) == 300
+        assert np.array_equal(squares, cube_latin_squares(8, 300, seed=7))
+
+    @pytest.mark.parametrize("burn_in", [None, 50])
+    def test_matches_the_cube_sampler_where_a_table_row_index_exceeds_int8(
+        self, emitted, burn_in
+    ):
+        # order 12: the tables are int8, and an index T * row reaches 132
+        got = self.squares(12, 10, seed=6, burn_in=burn_in)
+        assert sum(emitted) == 10
+        assert np.array_equal(got, cube_latin_squares(12, 10, seed=6, burn_in=burn_in))
+        assert all(rv.Assignment(rv.DesignKind.LS, square).is_valid() for square in got)
 
 
 class TestSubgroupMeasure:
