@@ -4,14 +4,17 @@ RCB randomizations are independent per-block permutations of the treatment
 labels; the space has (T!)^N elements and is streamed in lexicographic order
 of the concatenated permutations, gathered chunk by chunk from the table of
 the T! permutations by mixed-radix index.  LS randomizations are Latin
-squares of order T, streamed in row-major lexicographic order from a table
-of every square of the order, built row by row from the T! permutations on
-first use.  Exact enumeration is capped (default 10^7 assignments, override
-with the RANDOVA_ENUM_CAP environment variable); beyond the cap callers must
-sample.  The enumerators and samplers build only valid assignments, so they
-do not check them one by one; `observe` checks the grids that callers build.
-Enumerated and sampled assignments are read-only row views of those tables
-and chunks.  Every enumerator and sampler checks its arguments when called.
+squares of order T, streamed in row-major lexicographic order.  Every square
+of the order is kept as the index of each of its rows in that table (0.8 MB
+of uint8 at order 5, against 31 MB of int64 grids), built row by row on
+first use; the last row of a square is forced by the others.  Each chunk of
+grids is gathered from those indices when the stream reaches it.  Exact
+enumeration is capped (default 10^7 assignments, override with the
+RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
+The enumerators and samplers build only valid assignments, so they do not
+check them one by one; `observe` checks the grids that callers build.
+Enumerated and sampled assignments are read-only row views of their chunk.
+Every enumerator and sampler checks its arguments when called.
 
 Uniform sampling builds a chunk of draws at a time.  RCB draws independent
 uniform permutations per block, as the argsort of uniform keys.  For LS the
@@ -92,9 +95,9 @@ class RandomizationSpace:
     ls_measure is "all" by default (`ls_sampler_settings`).  Construction
     rejects settings that cannot be traversed with InvalidArgument: seed,
     burn_in or ls_measure without a sample_size (an exact traversal would
-    ignore them), a sample without seed, a size below 1, burn_in < 1, an
-    unknown measure.  assignment_stream also rejects Latin-square sampler
-    settings for an RCB table.
+    ignore them), a sample without seed, a seed that is not an int >= 0, a
+    size below 1, burn_in < 1, an unknown measure.  assignment_stream also
+    rejects Latin-square sampler settings for an RCB table.
     """
 
     sample_size: int | None = None
@@ -116,6 +119,7 @@ class RandomizationSpace:
             raise InvalidArgument(f"sample size must be >= 1, got {self.sample_size}")
         if self.seed is None:
             raise InvalidArgument("a sampled space needs a seed")
+        _check_seed(self.seed)
         _check_burn_in(self.burn_in)
         if self.ls_measure is not None:
             object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
@@ -187,6 +191,12 @@ class Assignment:
             and grid.shape[0] == len(want)
             and bool((np.sort(grid, axis=0) == want[:, None]).all())
         )
+
+
+def _check_seed(seed: int) -> None:
+    """InvalidArgument unless the seed is an int >= 0 (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_burn_in(burn_in: int | None) -> None:
@@ -297,28 +307,49 @@ def _permutation_table(num_treatments: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _latin_square_table(order: int) -> np.ndarray:
-    """Every Latin square of the order, (M, T, T) int64, read-only, in
-    row-major lexicographic order: squares are grown one row at a time by
-    every permutation that clashes with no earlier row in any column."""
+def _latin_square_rows(order: int) -> np.ndarray:
+    """Every Latin square of the order as (M, T) indices into
+    _permutation_table(order), read-only, in the smallest unsigned dtype
+    (uint8 up to order 5), in row-major lexicographic order of the squares.
+
+    The first T - 1 rows are grown one row at a time by every permutation
+    that clashes with no earlier row in any column.  The last row is forced:
+    each column misses one symbol, T(T - 1)/2 minus the column's sum, so
+    every (T - 1)-row Latin rectangle completes in exactly one way.  Its
+    index is a bisection of the permutations' packed keys (first symbol most
+    significant), which the lexicographic table already sorts.
+    """
     perms = _permutation_table(order)
+    dtype = np.min_scalar_type(len(perms) - 1)
+    rows = np.arange(len(perms), dtype=dtype)[:, None]
+    if order == 1:
+        rows.setflags(write=False)
+        return rows
     disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
-    rows = np.arange(len(perms))[:, None]
-    for _ in range(order - 1):
+    for _ in range(order - 2):
         allowed = disjoint[rows[:, 0]]
         for k in range(1, rows.shape[1]):
             allowed &= disjoint[rows[:, k]]
         square, nxt = np.nonzero(allowed)
-        rows = np.column_stack([rows[square], nxt])
-    table = perms[rows].astype(np.int64)
-    table.setflags(write=False)
-    return table
+        del allowed  # the (rectangles, T!) mask, before the next one is gathered
+        rows = np.column_stack([rows[square], nxt.astype(dtype)])
+    missing = np.full((len(rows), order), order * (order - 1) // 2, dtype=perms.dtype)
+    for k in range(order - 1):
+        missing -= perms[rows[:, k]]
+    weights = order ** np.arange(order - 1, -1, -1)
+    last = np.searchsorted(perms @ weights, missing @ weights)
+    rows = np.column_stack([rows, last.astype(dtype)])
+    rows.setflags(write=False)
+    return rows
 
 
 def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assignment]:
     """Stream every Latin square of the order, row-major lexicographic.
 
-    The order and the cap are checked at the call, not at the first next().
+    The squares are kept as row indices into the permutation table (0.8 MB
+    of uint8 at order 5, built on first use); each chunk of _CHUNK int64
+    grids is gathered from them when the stream reaches it.  The order and
+    the cap are checked at the call, not at the first next().
     """
     known = latin_square_count(order)
     if known is None:
@@ -327,7 +358,13 @@ def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assi
             f"{MAX_EXACT_LS_ORDER}; order {order} must be sampled"
         )
     _check_cap(known, cap, "Latin-square space")
-    return Assignment._of_rows(DesignKind.LS, [_latin_square_table(order)])
+    return Assignment._of_rows(DesignKind.LS, _latin_square_chunks(order))
+
+
+def _latin_square_chunks(order: int) -> Iterator[np.ndarray]:
+    perms, rows = _permutation_table(order), _latin_square_rows(order)
+    for lo in range(0, len(rows), _CHUNK):
+        yield perms[rows[lo : lo + _CHUNK]].astype(np.int64)
 
 
 def sample_rcb(
@@ -339,6 +376,7 @@ def sample_rcb(
     checked at the call, not at the first next().
     """
     _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     chunks = (
         rng.random((min(_CHUNK, count - lo), num_blocks, num_treatments)).argsort(axis=2)
@@ -368,6 +406,7 @@ def sample_latin_squares(
     call, not at the first next().
     """
     _check_sizes(order=order)
+    _check_seed(seed)
     burn_in, measure = ls_sampler_settings(order, burn_in, measure)
     rng = np.random.default_rng(seed)
     if measure is LsMeasure.TRANSFORMATION_SUBGROUP or order <= 3:

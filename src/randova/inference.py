@@ -53,7 +53,7 @@ from .anova import (
     row_tables,
     stage_rows,
 )
-from .enumeration import _CHUNK, Assignment, RandomizationSpace, assignment_stream
+from .enumeration import _CHUNK, Assignment, RandomizationSpace, _check_seed, assignment_stream
 from .errors import (
     InvalidAlpha,
     InvalidArgument,
@@ -281,27 +281,37 @@ def _distribution_over(
 
     if not s0_parts:
         raise RandovaError("the assignment stream was empty")
-    s0 = np.concatenate(s0_parts)
-    s1 = np.concatenate(s1_parts)
+    # full-length arrays are dropped as soon as the next step has what it needs
+    s0, s1 = np.concatenate(s0_parts), np.concatenate(s1_parts)
+    del s0_parts, s1_parts
     count = len(s0)
 
     # one atom per distinct pair of ranks; the first assignment seen stands for it
     rank0, rank1 = _atom_ranks(s0), _atom_ranks(s1)
-    _, first, counts = np.unique(
-        rank0 * (rank1.max() + 1) + rank1, return_index=True, return_counts=True
-    )
+    rank0 *= rank1.max() + 1
+    rank0 += rank1
+    del rank1
+    first, counts = np.unique(rank0, return_index=True, return_counts=True)[1:]
+    del rank0
     atom_s0, atom_s1 = s0[first], s1[first]
+    del s0, s1
     f = f_from_sums(atom_s0, atom_s1)
     degenerate = np.isnan(f)
     # by F (NaN last), then S0^2, then first appearance in the stream
     order = np.lexsort((first, atom_s0, np.where(degenerate, 0.0, f), degenerate))
+    del first, degenerate
+    f = f[order]
+    atom_s0 = atom_s0[order]
+    atom_s1 = atom_s1[order]
+    counts = counts[order]
+    del order
 
     return RandomizationSummary(
         design=design,
-        f_stat=f[order],
-        s0_sq=atom_s0[order],
-        s1_sq=atom_s1[order],
-        counts=counts[order],
+        f_stat=f,
+        s0_sq=atom_s0,
+        s1_sq=atom_s1,
+        counts=counts,
         mean_s0=math.fsum(s0_partials) / count,
         mean_s1=math.fsum(s1_partials) / count,
         is_exact=is_exact,
@@ -422,6 +432,7 @@ def monte_carlo_with_errors(
         raise InvalidArgument(f"replications must be >= 1, got {replications}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    _check_seed(seed)
 
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)

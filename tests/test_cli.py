@@ -344,6 +344,20 @@ class TestArgumentErrors:
         doc = json.loads(out)
         assert doc["seed"] == 4 and "space" not in doc["inputs"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("type1", "table2", "--sample", "5", "--seed", "-1"),
+            ("mc", "table4", "--reps", "2", "--seed", "-3"),
+        ],
+    )
+    def test_negative_seed_exits_2_without_traceback(self, table_paths, argv):
+        command, table, *flags = argv
+        code, out, err = run_module(command, table_paths[table], *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be an integer >= 0, got -")
+        assert "Traceback" not in err
+
     def test_ls_sampler_flag_without_sample_has_no_traceback(self, table_paths):
         code, out, err = run_module("mc", table_paths["table4"], "--burn-in", "5")
         assert (code, out) == (2, "")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import randova as rv
-from randova.enumeration import assignment_stream
+from randova.enumeration import _latin_square_rows, _permutation_table, assignment_stream
 from helpers import (
     count_latin_squares_bruteforce,
     cube_latin_squares,
@@ -113,13 +113,26 @@ class TestEnumerateLatinSquares:
     def test_import_does_not_build_the_table(self):
         code = (
             "import randova\n"
-            "from randova.enumeration import _latin_square_table\n"
-            "assert _latin_square_table.cache_info().currsize == 0\n"
+            "from randova.enumeration import _latin_square_rows\n"
+            "assert _latin_square_rows.cache_info().currsize == 0\n"
             "next(randova.enumerate_latin_squares(3))\n"
-            "assert _latin_square_table.cache_info().currsize == 1\n"
+            "assert _latin_square_rows.cache_info().currsize == 1\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_order_five_is_kept_as_uint8_permutation_indices(self):
+        rows = _latin_square_rows(5)
+        assert rows.shape == (161280, 5) and rows.dtype == np.uint8
+        assert not rows.flags.writeable
+        assert rows.nbytes == 806_400
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_rows_index_the_enumerated_squares(self, order):
+        rows = _latin_square_rows(order)
+        assert len(rows) == rv.latin_square_count(order)
+        got = np.array([a.grid for a in rv.enumerate_latin_squares(order)])
+        assert (got == _permutation_table(order)[rows]).all()
 
     def test_row_major_lexicographic_order(self):
         flats = [sum(grid_key(a), ()) for a in rv.enumerate_latin_squares(3)]

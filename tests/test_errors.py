@@ -3,6 +3,23 @@ import pytest
 
 import randova as rv
 
+BAD_SEEDS = {
+    "negative seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed=-1),
+    "float seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed=1.5),
+    "bool seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed=True),
+    "str seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed="3"),
+    "negative mc seed": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), replications=2, seed=-3
+    ),
+    "bool mc seed": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), replications=2, seed=False
+    ),
+    "negative seed of the RCB sampler": lambda: rv.sample_rcb(2, 3, 5, seed=-1),
+    "negative seed of the Latin-square sampler": lambda: rv.sample_latin_squares(
+        4, 3, seed=-1
+    ),
+}
+
 BAD_SETTINGS = {
     "zero mc replications": lambda: rv.monte_carlo_with_errors(
         rv.load_bundled_table("table4"), replications=0
@@ -31,6 +48,7 @@ BAD_SETTINGS = {
     "seed of an exact space": lambda: rv.RandomizationSpace(seed=1),
     "burn_in of an exact space": lambda: rv.RandomizationSpace(burn_in=5),
     "ls_measure of an exact space": lambda: rv.RandomizationSpace(ls_measure="all"),
+    **BAD_SEEDS,
     "unknown measure of a sampled space": lambda: rv.RandomizationSpace.sample(
         10, seed=1, ls_measure="bogus"
     ),
@@ -54,6 +72,12 @@ def test_sampler_setting_of_an_exact_space_is_named(setting):
     # an exact traversal would ignore it and silently give the exact answer
     with pytest.raises(rv.InvalidArgument, match=setting):
         BAD_SETTINGS[f"{setting} of an exact space"]()
+
+
+@pytest.mark.parametrize("case", BAD_SEEDS)
+def test_bad_seed_is_named(case):
+    with pytest.raises(rv.InvalidArgument, match="seed must be an integer >= 0"):
+        BAD_SEEDS[case]()
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
