@@ -267,7 +267,11 @@ def row_tables(
         if design is DesignKind.LS:
             parts.append(np.take_along_axis(w, inverse[None], axis=2))
         parts.append((w * w).sum(axis=2, keepdims=True))
-        sums.append(np.concatenate([part.reshape(-1, part.shape[2]).T for part in parts]))
+        # row-major, so that the kernel's column gathers read each quantity's
+        # entries from one contiguous row (concatenating the transposed
+        # parts alone gives a column-major table)
+        table = np.concatenate([part.reshape(-1, part.shape[2]).T for part in parts])
+        sums.append(np.ascontiguousarray(table))
         maxima.append(np.abs(y).max(axis=2).ravel())
     return RowTables(design, t, shift - shift.mean(), tuple(sums), tuple(maxima))
 

@@ -130,7 +130,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             curve.p_reference.tolist(),
         ):
             rows.append(f"{k!r},{pr!r},{pf!r}")
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise RandovaError(f"cannot write the curve: {exc}") from None
         payload["csv"] = str(path)
     doc = report_document(
         "survival_curve", _table_inputs(args.table, table, space), payload, seed=space.seed

@@ -64,7 +64,8 @@ _JM_MOVES_PER_DRAW = 64  # moves whose random integers one Generator call draws
 
 
 def enumeration_cap() -> int:
-    """Active exact-enumeration cap (env override wins)."""
+    """Active exact-enumeration cap: RANDOVA_ENUM_CAP when set, else
+    DEFAULT_ENUM_CAP."""
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUM_CAP
@@ -255,8 +256,8 @@ def space_cardinality(
     return latin_square_count(num_treatments)
 
 
-def _check_cap(size: int, cap: int | None, space: str) -> None:
-    cap = enumeration_cap() if cap is None else cap
+def _check_cap(size: int, space: str) -> None:
+    cap = enumeration_cap()
     if size > cap:
         raise SpaceTooLarge(
             f"{space} has {size} assignments, above the cap {cap}; "
@@ -264,15 +265,13 @@ def _check_cap(size: int, cap: int | None, space: str) -> None:
         )
 
 
-def enumerate_rcb(
-    num_blocks: int, num_treatments: int, cap: int | None = None
-) -> Iterator[Assignment]:
+def enumerate_rcb(num_blocks: int, num_treatments: int) -> Iterator[Assignment]:
     """Stream all (T!)^N per-block permutation assignments, lexicographically.
 
     Sizes and the cap are checked at the call, not at the first next().
     """
     size = rcb_space_size(num_blocks, num_treatments)
-    _check_cap(size, cap, "RCB space")
+    _check_cap(size, "RCB space")
     return Assignment._of_rows(DesignKind.RCB, _rcb_chunks(num_blocks, num_treatments, size))
 
 
@@ -343,7 +342,7 @@ def _latin_square_rows(order: int) -> np.ndarray:
     return rows
 
 
-def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assignment]:
+def enumerate_latin_squares(order: int) -> Iterator[Assignment]:
     """Stream every Latin square of the order, row-major lexicographic.
 
     The squares are kept as row indices into the permutation table (0.8 MB
@@ -357,7 +356,7 @@ def enumerate_latin_squares(order: int, cap: int | None = None) -> Iterator[Assi
             f"exact Latin-square enumeration is supported up to order "
             f"{MAX_EXACT_LS_ORDER}; order {order} must be sampled"
         )
-    _check_cap(known, cap, "Latin-square space")
+    _check_cap(known, "Latin-square space")
     return Assignment._of_rows(DesignKind.LS, _latin_square_chunks(order))
 
 

@@ -15,7 +15,8 @@ class DimensionMismatch(RandovaError):
 
 
 class NonFiniteEntry(RandovaError):
-    """A potential outcome (or error draw) is NaN or infinite."""
+    """A potential outcome (or error draw) is NaN or infinite, or so large
+    that the sums of squares could overflow."""
 
 
 class NegativeErrorSd(RandovaError):

@@ -15,16 +15,20 @@ they straddle, and keeps truly distinct values apart; since gaps chain, an
 atom of m distinct values spans at most (m - 1) * 1e-12 relative.  Exact
 zeros come from the ANOVA kernel's zero rule, so 0.0 is an atom of its own.
 
-Every path scores assignments with the one ANOVA kernel of each design
-(`randova.anova`): per-row tables of the responses, shifted by the table's
-mean potential outcome of each treatment, which leaves S0^2 unchanged and
-keeps it from cancelling when treatment effects dwarf the residual.  Exact
-and sampled streams are consumed one chunk of label grids at a time: each
-chunk is staged into its rows' distinct permutations, tabled and scored, so
-memory stays bounded, and per-chunk compensated partial sums make the
-reported means exact and bit-reproducible.  The Monte Carlo study stages
-the whole stream once and scores groups of noise draws against it, with the
-noiseless table's shift for every draw.
+Every run stages its assignments once: the space's stream is read one
+chunk of label grids at a time and kept as each row's distinct permutations
+and every assignment's index into them (`_staged`, `stage_rows`), so no
+stack of every label grid is held.  Every run then scores that index with
+the one ANOVA kernel of each design (`randova.anova`) over per-row tables
+of the responses, shifted by the noiseless table's mean potential outcome of
+each treatment, which leaves S0^2 unchanged and keeps it from cancelling
+when treatment effects dwarf the residual.  The exact and sampled
+distributions table the permutations once, for the table's outcomes, and
+score the index a chunk at a time.  Compensated partial sums, one per chunk,
+make the reported means bit-reproducible and within about an ulp of the
+exact mean of the computed mean squares.  The Monte Carlo study tables the
+permutations once per group of noise draws and scores every assignment
+under every draw of the group.
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -58,13 +62,13 @@ from .errors import (
     InvalidAlpha,
     InvalidArgument,
     NegativeErrorSd,
-    RandovaError,
     TechnicalErrorsPresent,
 )
 from .fdist import FReference, f_quantile, f_survival
 from .potential_outcomes import (
     DesignKind,
     PotentialOutcomeTable,
+    _check_magnitude,
     fisher_sharp_null_holds,
     neyman_null_holds,
     validate,
@@ -257,34 +261,42 @@ def _require_noiseless(table: PotentialOutcomeTable) -> None:
         )
 
 
-def _distribution_over(
-    design: DesignKind,
-    outcomes: np.ndarray,
-    assignments: Iterable[Assignment],
-    is_exact: bool,
+def _staged(
+    table: PotentialOutcomeTable, space: RandomizationSpace
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, bool]:
+    """The space's assignments of the table, streamed once and staged: per
+    row the distinct permutations, each assignment's index into them
+    (`stage_rows`), and whether the space is exact."""
+    stream, count, is_exact = assignment_stream(table, space)
+    perms, index = stage_rows(_label_chunks(stream), count)
+    return perms, index, is_exact
+
+
+def exact_distribution(
+    table: PotentialOutcomeTable,
+    space: RandomizationSpace = RandomizationSpace.exact(),
 ) -> RandomizationSummary:
+    """Randomization distribution of (S0^2, S1^2, F) for a noiseless table."""
+    validate(table)
+    _require_noiseless(table)
+    perms, index, is_exact = _staged(table, space)
+    design, outcomes = table.design, table.outcomes
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)
-    shift = outcomes.mean(axis=(0, 1))
+    tables = row_tables(design, outcomes[None], perms, outcomes.mean(axis=(0, 1)))
 
-    s0_parts: list[np.ndarray] = []
-    s1_parts: list[np.ndarray] = []
+    count = len(index)
+    s0, s1 = np.empty(count), np.empty(count)
     s0_partials: list[float] = []
     s1_partials: list[float] = []
-    for labels in _label_chunks(assignments):
-        perms, index = stage_rows([labels], len(labels))
-        s0, s1 = _batch_sums(row_tables(design, outcomes[None], perms, shift), index)
-        s0_partials.append(math.fsum(s0.tolist()))
-        s1_partials.append(math.fsum(s1.tolist()))
-        s0_parts.append(s0)
-        s1_parts.append(s1)
-
-    if not s0_parts:
-        raise RandovaError("the assignment stream was empty")
-    # full-length arrays are dropped as soon as the next step has what it needs
-    s0, s1 = np.concatenate(s0_parts), np.concatenate(s1_parts)
-    del s0_parts, s1_parts
-    count = len(s0)
+    for lo in range(0, count, _CHUNK):
+        part0, part1 = _batch_sums(tables, index[lo : lo + _CHUNK])
+        s0_partials.append(math.fsum(part0.tolist()))
+        s1_partials.append(math.fsum(part1.tolist()))
+        s0[lo : lo + _CHUNK], s1[lo : lo + _CHUNK] = part0, part1
+    # the staged index and its tables go before the aggregation, and each
+    # full-length array as soon as the next step has what it needs
+    del perms, index, tables
 
     # one atom per distinct pair of ranks; the first assignment seen stands for it
     rank0, rank1 = _atom_ranks(s0), _atom_ranks(s1)
@@ -319,17 +331,6 @@ def _distribution_over(
         df_treatment=df1,
         df_residual=df0,
     )
-
-
-def exact_distribution(
-    table: PotentialOutcomeTable,
-    space: RandomizationSpace = RandomizationSpace.exact(),
-) -> RandomizationSummary:
-    """Randomization distribution of (S0^2, S1^2, F) for a noiseless table."""
-    validate(table)
-    _require_noiseless(table)
-    stream, _, is_exact = assignment_stream(table, space)
-    return _distribution_over(table.design, table.outcomes, stream, is_exact)
 
 
 def null_status(table: PotentialOutcomeTable) -> NullStatus:
@@ -373,10 +374,21 @@ def survival_curve(
     """P(F > k) on a grid, randomization-exact versus the F reference.
 
     The default grid is grid_points points on [0, U] with
-    U = max(2 * F-quantile(0.95), largest finite F in the support).
+    U = max(2 * F-quantile(0.95), largest finite F in the support).  A
+    given cutoff_grid must be 1-d, finite and >= 0 (InvalidArgument).
     """
     if cutoff_grid is None and grid_points < 2:
         raise InvalidArgument(f"grid needs at least 2 points, got {grid_points}")
+    if cutoff_grid is not None:
+        try:
+            grid = np.asarray(cutoff_grid, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"cutoff grid is not numeric: {cutoff_grid!r}") from None
+        if grid.ndim != 1:
+            raise InvalidArgument(f"cutoff grid must be 1-d, got {grid.ndim}-d")
+        bad = ~(np.isfinite(grid) & (grid >= 0.0))
+        if bad.any():
+            raise InvalidArgument(f"cutoffs must be finite and >= 0, got {grid[bad][0]}")
     summary = exact_distribution(table, space)
     ref = FReference(summary.df_treatment, summary.df_residual)
     if cutoff_grid is None:
@@ -385,8 +397,6 @@ def survival_curve(
         if finite.size:
             upper = max(upper, float(finite[-1]))
         grid = np.linspace(0.0, upper, grid_points)
-    else:
-        grid = np.asarray(cutoff_grid, dtype=float)
     p_rand = np.array([summary.probability_f_above(k) for k in grid.tolist()])
     p_ref = np.array([f_survival(ref, k) for k in grid.tolist()])
     return SurvivalCurve(
@@ -423,11 +433,13 @@ def monte_carlo_with_errors(
     noise draw of the group (`row_tables`, shifted by the noiseless table's
     treatment means), summed over the rows of every assignment under every
     draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the staged
-    index, `replicate_index`).
+    index, `replicate_index`).  sigma_eps must be finite and > 0
+    (NegativeErrorSd), and each group's noisy outcomes must keep within the
+    magnitude bound of `validate` (NonFiniteEntry).
     """
     validate(table)
-    if not sigma_eps > 0.0:
-        raise NegativeErrorSd(f"sigma_eps must be > 0, got {sigma_eps}")
+    if not 0.0 < sigma_eps < math.inf:
+        raise NegativeErrorSd(f"sigma_eps must be finite and > 0, got {sigma_eps}")
     if replications < 1:
         raise InvalidArgument(f"replications must be >= 1, got {replications}")
     if not 0.0 < alpha < 1.0:
@@ -437,8 +449,8 @@ def monte_carlo_with_errors(
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)
     cutoff = f_quantile(FReference(df1, df0), 1.0 - alpha)
-    stream, count, _ = assignment_stream(table, space)
-    perms, index = stage_rows(_label_chunks(stream), count)
+    perms, index, _ = _staged(table, space)
+    count = len(index)
 
     shift = table.outcomes.mean(axis=(0, 1))
     children = np.random.SeedSequence(seed).spawn(replications)
@@ -452,7 +464,9 @@ def monte_carlo_with_errors(
                 for child in children[lo : lo + group]
             ]
         )
-        tables = row_tables(table.design, table.outcomes + noise, perms, shift)
+        noisy = table.outcomes + noise
+        _check_magnitude(noisy, "outcomes with technical errors")
+        tables = row_tables(table.design, noisy, perms, shift)
         evaluations = len(noise) * count
         above = np.empty(evaluations, dtype=bool)
         for first in range(0, evaluations, _MC_ROWS):

@@ -111,10 +111,38 @@ class PotentialOutcomeTable:
         return self.outcomes.shape[0] if self.outcomes.ndim == 3 else 0
 
 
-def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:
-    """Check shape and finiteness invariants; return the table unchanged.
+# The largest units * max|x| a table may reach.  With M = max|x| over U
+# units in R rows (R = N for RCB, T for LS), the ANOVA kernel
+# (`randova.anova`) works with centred shifted responses below 4M, per-row
+# sums of squares below 16 T M^2, treatment sums with the shift added back
+# below 6 R M, and their squared norms below 36 T R^2 M^2 <= 36 (U M)^2;
+# S0^2 and S1^2 are below that too.  `decompose`'s sums and moments are
+# below 16 U M^2.  At U M <= 2^480 all of them stay below 2^966, so even the
+# sum of the mean squares of 2^57 assignments is finite.
+_MAGNITUDE_LIMIT = 2.0**480
 
-    Raises DimensionMismatch, NonFiniteEntry, or NegativeErrorSd.
+
+def _check_magnitude(outcomes: np.ndarray, what: str) -> None:
+    """NonFiniteEntry unless units * max|x| of the (..., i, j, t) finite
+    outcomes is at most _MAGNITUDE_LIMIT."""
+    units = outcomes.shape[-3] * outcomes.shape[-2]
+    top = float(np.abs(outcomes).max())
+    if not units * top <= _MAGNITUDE_LIMIT:
+        raise NonFiniteEntry(
+            f"{what} too large: units x max|outcome| is {units} x {top:.6g},"
+            f" above 2^480 = {_MAGNITUDE_LIMIT:.6g}, where sums of squares could overflow"
+        )
+
+
+def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:
+    """Check shape, finiteness and magnitude invariants; return the table
+    unchanged.
+
+    Raises DimensionMismatch; NonFiniteEntry when an outcome is NaN or
+    infinite, or when units * max|outcome| exceeds 2^480 (units = N * T for
+    RCB, T^2 for LS), beyond which the sums of squares of the ANOVA kernel
+    and of `decompose` could overflow; NegativeErrorSd when
+    technical_error_sd is negative, NaN, or above that bound over units.
     """
     arr = table.outcomes
     if arr.ndim != 3:
@@ -140,9 +168,12 @@ def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:
             "non-finite outcome at block/row %d, plot/column %d, treatment %d"
             % (bad[0] + 1, bad[1] + 1, bad[2] + 1)
         )
+    _check_magnitude(arr, "outcomes")
     sd = table.technical_error_sd
-    if not math.isfinite(sd) or sd < 0:
-        raise NegativeErrorSd(f"technical_error_sd must be finite and >= 0, got {sd}")
+    if not 0.0 <= sd <= _MAGNITUDE_LIMIT / (n * p):
+        raise NegativeErrorSd(
+            f"technical_error_sd must be >= 0 and at most 2^480 / {n * p} units, got {sd}"
+        )
     return table
 
 

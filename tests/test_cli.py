@@ -137,6 +137,12 @@ class TestCurve:
         assert float(first[0]) == 0.0
         assert float(first[2]) == 1.0
 
+    def test_unwritable_csv_exits_2_without_traceback(self, table_paths, tmp_path):
+        path = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_module("curve", table_paths["table4"], "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the curve") and "Traceback" not in err
+
     def test_grid_validation(self, capsys, table_paths):
         code, _, err = run_cli(capsys, "curve", table_paths["table4"], "--grid", "1")
         assert code == 2
@@ -185,6 +191,21 @@ class TestMonteCarlo:
         )
         assert code == 2
         assert "sigma" in err
+
+    def test_infinite_sigma_exits_2(self, capsys, table_paths):
+        code, out, err = run_cli(
+            capsys, "mc", table_paths["table4"], "--sigma-eps", "inf", "--reps", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "sigma_eps must be finite" in err
+
+    def test_overflowing_noise_exits_2_without_traceback(self, table_paths):
+        code, out, err = run_module(
+            "mc", table_paths["table4"], "--sigma-eps", "1e300", "--reps", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: outcomes with technical errors too large")
+        assert "Traceback" not in err
 
 
 class TestEnumerateCount:
@@ -357,6 +378,29 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: seed must be an integer >= 0, got -")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["type1", "expected-ms"])
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_overflowing_outcomes_exit_2_without_traceback(self, tmp_path, command, scale):
+        # unbounded, math.fsum of the mean squares overflows at 1e154, and at
+        # 1e200 the squares themselves do, so that every F is NaN
+        x = np.random.default_rng(2).normal(20.0, 15.0, size=(3, 3, 3)) * scale
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(rv.table_to_document(rv.PotentialOutcomeTable("rcb", x))))
+        code, out, err = run_module(command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "too large" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_error_sd_exits_2(self, capsys, tmp_path, tables):
+        # its square overflowed in expected_ms
+        doc = rv.table_to_document(tables["table2"])
+        doc["technical_error_sd"] = 1e200
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "expected-ms", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: technical_error_sd must be >= 0 and at most 2^480")
 
     def test_ls_sampler_flag_without_sample_has_no_traceback(self, table_paths):
         code, out, err = run_module("mc", table_paths["table4"], "--burn-in", "5")

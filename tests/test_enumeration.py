@@ -53,9 +53,10 @@ class TestEnumerateRcb:
         for assignment in rv.enumerate_rcb(3, 3):
             assert assignment.is_valid()
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_rcb(3, 3, cap=100)
+            rv.enumerate_rcb(3, 3)
 
     @pytest.mark.parametrize("blocks,treatments", [(2, 3), (3, 3), (1, 4)])
     def test_itertools_product_order(self, blocks, treatments):
@@ -142,9 +143,10 @@ class TestEnumerateLatinSquares:
         with pytest.raises(rv.SpaceTooLarge):
             rv.enumerate_latin_squares(6)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_latin_squares(4, cap=100)
+            rv.enumerate_latin_squares(4)
 
     def test_cardinality_helpers(self):
         assert rv.space_cardinality(rv.DesignKind.RCB, 3, 4) == 24**3

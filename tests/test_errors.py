@@ -32,6 +32,21 @@ BAD_SETTINGS = {
     "one grid point": lambda: rv.survival_curve(
         rv.load_bundled_table("table2"), grid_points=1
     ),
+    "NaN cutoff": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), cutoff_grid=[1.0, float("nan")]
+    ),
+    "infinite cutoff": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), cutoff_grid=[float("inf")]
+    ),
+    "negative cutoff": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), cutoff_grid=[-1.0, 2.0]
+    ),
+    "2-d cutoff grid": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), cutoff_grid=[[1.0, 2.0], [3.0, 4.0]]
+    ),
+    "non-numeric cutoff grid": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), cutoff_grid=["high"]
+    ),
     "negative additivity tolerance": lambda: rv.check_additivity(
         rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((2, 2, 2))), tolerance=-1.0
     ),

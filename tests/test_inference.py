@@ -110,6 +110,22 @@ class TestExactDistribution:
             assert summary.mean_s0 == pytest.approx(ems.e_s0, rel=1e-9, abs=1e-12)
             assert summary.mean_s1 == pytest.approx(ems.e_s1, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("design,shape", [("rcb", (3, 3, 3)), ("ls", (4, 4, 4))])
+    def test_stages_and_tables_the_stream_once(self, monkeypatch, design, shape):
+        # 216 RCB / 576 LS assignments, scored 50 at a time
+        monkeypatch.setattr(inference, "_CHUNK", 50)
+        calls = Counter()
+        for name in ("stage_rows", "row_tables", "batch_anova_rcb", "batch_anova_ls"):
+            def counted(*args, _name=name, _call=getattr(inference, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(inference, name, counted)
+        x = np.random.default_rng(4).normal(20.0, 15.0, size=shape)
+        summary = rv.exact_distribution(rv.PotentialOutcomeTable(design, x))
+        kernel = f"batch_anova_{design}"
+        assert calls == {"stage_rows": 1, "row_tables": 1, kernel: -(-summary.assignment_count // 50)}
+
     def test_noisy_table_rejected(self, tables):
         noisy = rv.PotentialOutcomeTable(
             rv.DesignKind.LS, tables["table2"].outcomes, technical_error_sd=0.5
@@ -342,10 +358,9 @@ class TestMonteCarlo:
         assert report.mean_rejection == pytest.approx(exact, abs=0.02)
 
     def test_invalid_arguments(self, tables):
-        with pytest.raises(rv.NegativeErrorSd):
-            rv.monte_carlo_with_errors(tables["table4"], sigma_eps=0.0)
-        with pytest.raises(rv.NegativeErrorSd):
-            rv.monte_carlo_with_errors(tables["table4"], sigma_eps=-1.0)
+        for sigma_eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(rv.NegativeErrorSd):
+                rv.monte_carlo_with_errors(tables["table4"], sigma_eps=sigma_eps)
         with pytest.raises(ValueError):
             rv.monte_carlo_with_errors(
                 tables["table4"], sigma_eps=0.01, replications=0
@@ -354,6 +369,11 @@ class TestMonteCarlo:
             rv.monte_carlo_with_errors(
                 tables["table4"], sigma_eps=0.01, alpha=1.5
             )
+
+    def test_noise_beyond_the_magnitude_bound_rejected(self, tables):
+        # finite, but the noisy outcomes' sums of squares would overflow
+        with pytest.raises(rv.NonFiniteEntry, match="technical errors too large"):
+            rv.monte_carlo_with_errors(tables["table4"], sigma_eps=1e300, replications=2)
 
     def test_standard_error_formula(self, tables):
         report = rv.monte_carlo_with_errors(
@@ -650,3 +670,41 @@ class TestProbabilityQuery:
             old = math.fsum(p.probability for p in summary.support if p.f_stat > k)
             new = summary.probability_f_above(k)
             assert abs(new - old) <= math.ulp(old)
+
+
+def _bound_tables(design, shape):
+    """A table with max|x| = 1, and it scaled so that units * max|x| is
+    2^480, the largest validate accepts, and the next float above."""
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, size=shape)
+    x[0, 0, 0] = 1.0
+    scale = 2.0**480 / (shape[0] * shape[1])
+    return [
+        rv.PotentialOutcomeTable(design, x * s)
+        for s in (1.0, scale, np.nextafter(scale, np.inf))
+    ]
+
+
+@pytest.mark.parametrize("design,shape", [("rcb", (2, 4, 4)), ("ls", (4, 4, 4))])
+def test_largest_allowed_outcomes_scale_exactly(design, shape):
+    # scaling by a power of two is exact, so at the bound every statistic is
+    # the unit table's times a power of two: nothing overflowed
+    unit, largest, _ = _bound_tables(design, shape)
+    k = 480 - int(np.log2(shape[0] * shape[1]))
+    small, big = rv.exact_distribution(unit), rv.exact_distribution(largest)
+    np.testing.assert_array_equal(big.f_stat, small.f_stat)
+    np.testing.assert_array_equal(big.s0_sq, np.ldexp(small.s0_sq, 2 * k))
+    np.testing.assert_array_equal(big.counts, small.counts)
+    assert big.mean_s0 == math.ldexp(small.mean_s0, 2 * k)
+    assert big.mean_s1 == math.ldexp(small.mean_s1, 2 * k)
+    assert rv.type1_error(largest).rejection_probability == rv.type1_error(unit).rejection_probability
+    ems = rv.expected_ms(largest)
+    assert ems.e_s0 == math.ldexp(rv.expected_ms(unit).e_s0, 2 * k)
+    assert math.isfinite(ems.e_s1)
+
+
+@pytest.mark.parametrize("design,shape", [("rcb", (2, 4, 4)), ("ls", (4, 4, 4))])
+@pytest.mark.parametrize("call", [rv.validate, rv.exact_distribution, rv.expected_ms])
+def test_outcomes_beyond_the_magnitude_bound_rejected(design, shape, call):
+    too_large = _bound_tables(design, shape)[2]
+    with pytest.raises(rv.NonFiniteEntry, match="outcomes too large"):
+        call(too_large)

@@ -58,6 +58,19 @@ class TestValidate:
                 )
             )
 
+    @pytest.mark.parametrize("sd", [math.inf, math.nan, 2.0**477 * 1.5])
+    def test_rejects_error_sd_beyond_the_magnitude_bound(self, sd):
+        # 1.5 * 2^477 is above 2^480 / 9 units; unbounded, expected_ms
+        # squares the sd and overflows from about 1.3e154 on
+        table = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.zeros((3, 3, 3)), sd)
+        with pytest.raises(rv.NegativeErrorSd, match="2\\^480"):
+            rv.validate(table)
+
+    def test_accepts_error_sd_at_the_magnitude_bound(self):
+        table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((2, 4, 4)), 2.0**477)
+        assert rv.validate(table) is table
+        assert rv.expected_ms(table).e_s0 == 2.0**954
+
     def test_outcomes_are_read_only(self, tables):
         with pytest.raises(ValueError):
             tables["table1"].outcomes[0, 0, 0] = 99.0
