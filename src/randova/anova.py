@@ -61,13 +61,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .enumeration import Assignment
+from .enumeration import Assignment, _row_keys
 from .errors import DegenerateDesign, InvalidArgument, RandovaError, ShapeMismatch
-from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
+from .potential_outcomes import DesignKind, PotentialOutcomeTable, _array, _Value, validate
 
 
-@dataclass(frozen=True)
-class ObservedExperiment:
+@dataclass(frozen=True, eq=False)
+class ObservedExperiment(_Value):
     """Responses produced by one assignment of a table.
 
     observed is y_i(t) indexed [block][treatment] for RCB, and y_ij indexed
@@ -76,12 +76,7 @@ class ObservedExperiment:
 
     table: PotentialOutcomeTable
     assignment: Assignment
-    observed: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.observed, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "observed", arr)
+    observed: np.ndarray = _array(float)
 
     @property
     def design(self) -> DesignKind:
@@ -152,11 +147,13 @@ def stage_rows(
     and each assignment's index into them.
 
     chunks are (S, rows, T) label stacks, count assignments in all.  Returns,
-    per row, the (P_r, T) distinct label rows, and the (count, rows) index
-    array, column-major so that each row's indices are contiguous, in the
-    smallest unsigned dtype that holds min(T!, count) - 1.  Only one chunk's
-    labels are held at a time: each chunk's rows are indexed into their own
-    distinct values, which are merged once the stream ends.
+    per row, the (P_r, T) distinct label rows in lexicographic order (by
+    `_row_keys`; an exact space's are `_permutation_table(T)`, so its index
+    is the enumerators' own), and the (count, rows) index array, column-major
+    so that each row's indices are contiguous, in the smallest unsigned
+    dtype that holds min(T!, count) - 1.  Only one chunk's labels are held at
+    a time: each chunk's rows are indexed into their own distinct values,
+    which are merged once the stream ends.
     """
     index = None
     bounds: list[tuple[int, int]] = []
@@ -193,19 +190,6 @@ def stage_rows(
             start += len(local)
         perms.append(np.concatenate(seen_perms)[first])
     return tuple(perms), index.T
-
-
-def _row_keys(labels: np.ndarray) -> np.ndarray:
-    """(S, rows) keys of an (S, rows, T) label stack, one per row: its labels
-    packed into a uint64 when they fit, which np.unique sorts ~7x faster
-    than the opaque bytes used otherwise (np.unique(axis=0) is slower
-    still)."""
-    t = labels.shape[2]
-    bits = max(1, (t - 1).bit_length())
-    if bits * t > 64:
-        return np.ascontiguousarray(labels).view(f"V{labels.itemsize * t}")[..., 0]
-    shifts = np.arange(t, dtype=np.uint64) * np.uint64(bits)
-    return np.bitwise_or.reduce(labels.astype(np.uint64) << shifts, axis=2)
 
 
 def replicate_index(

@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _number
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 _FLOAT_FORMAT = ".17g"
@@ -56,14 +56,11 @@ def _require(doc: dict, field: str, kind: type, optional: bool = False) -> Any:
             return None
         raise ParseError(f"{field}: required field is missing")
     value = doc[field]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{field}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{field}: expected an integer, got {value!r}")
-        return value
+    if kind in (int, float):
+        if _number(value, integral=kind is int) is not value:
+            expected = "an integer" if kind is int else "a number"
+            raise ParseError(f"{field}: expected {expected}, got {value!r}")
+        return kind(value)
     if not isinstance(value, kind):
         raise ParseError(f"{field}: expected {kind.__name__}, got {value!r}")
     return value
@@ -110,7 +107,7 @@ def table_from_document(doc: dict) -> PotentialOutcomeTable:
                 )
             values = []
             for k, value in enumerate(cell):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if _number(value) is not value:
                     raise ParseError(
                         f"outcomes, block/row {i + 1}, plot/column {j + 1}, "
                         f"treatment {k + 1}: expected a number, got {value!r}"

@@ -2,8 +2,20 @@
 
 Public functions never raise bare ValueError/TypeError for contract
 violations; they raise one of these so callers (and the CLI) can map
-failures to diagnostics and exit codes.
+failures to diagnostics and exit codes.  `_number` is the one rule for what
+a numeric setting is: one of the wrong type fails its range check.
 """
+
+import math
+import numbers
+
+
+def _number(value, integral: bool = False):
+    """value when it is a real number, an int when integral (a bool or a str
+    is neither), so `_number(value) is value` tests for one; else NaN, which
+    fails every range check."""
+    kind = int if integral else numbers.Real
+    return value if isinstance(value, kind) and not isinstance(value, bool) else math.nan
 
 
 class RandovaError(Exception):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import design_dfs
-from .errors import DimensionMismatch, SameTreatment, WrongDesign
+from .errors import DimensionMismatch, SameTreatment, WrongDesign, _number
 from .potential_outcomes import (
     Decomposition,
     DesignKind,
@@ -187,9 +187,9 @@ def mean_difference_variance(
     treatments (zero-based indices), and the estimand it is unbiased for."""
     dec = decompose(table)
     num_t = dec.num_treatments
-    if not (0 <= t < num_t and 0 <= t_prime < num_t):
+    if not all(0 <= _number(k, integral=True) < num_t for k in (t, t_prime)):
         raise DimensionMismatch(
-            f"treatment indices must be in [0, {num_t}), got {t}, {t_prime}"
+            f"treatment indices must be integers in [0, {num_t}), got {t!r}, {t_prime!r}"
         )
     if t == t_prime:
         raise SameTreatment(f"treatments must differ, both are {t}")

@@ -16,6 +16,7 @@ from .errors import (
     InvalidDegreesOfFreedom,
     InvalidProbability,
     NegativeArgument,
+    _number,
 )
 
 _MAX_ITERATIONS = 200
@@ -34,10 +35,8 @@ class FReference:
     def __post_init__(self) -> None:
         for name in ("df1", "df2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidDegreesOfFreedom(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
+            if not _number(value, integral=True) >= 1:
+                raise InvalidDegreesOfFreedom(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -100,9 +99,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def f_survival(ref: FReference, x: float) -> float:
-    """P(F_{df1,df2} > x) for x >= 0."""
-    if x < 0:
-        raise NegativeArgument(f"survival function argument must be >= 0, got {x}")
+    """P(F_{df1,df2} > x) for a number x >= 0 (NegativeArgument otherwise)."""
+    if not _number(x) >= 0:
+        raise NegativeArgument(f"survival function argument must be a number >= 0, got {x!r}")
     if x == 0:
         return 1.0
     if math.isinf(x):
@@ -117,8 +116,8 @@ def f_quantile(ref: FReference, p: float) -> float:
     Bracket by doubling, then bisect to ~1e-12 relative; round-trips through
     f_survival to well under 1e-8.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidProbability(f"quantile probability must be in (0, 1), got {p}")
+    if not 0.0 < _number(p) < 1.0:
+        raise InvalidProbability(f"quantile probability must be in (0, 1), got {p!r}")
     target = 1.0 - p  # survival value at the quantile
     lo, hi = 0.0, 1.0
     while f_survival(ref, hi) > target:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -57,18 +57,15 @@ from .anova import (
     row_tables,
     stage_rows,
 )
-from .enumeration import _CHUNK, Assignment, RandomizationSpace, _check_seed, assignment_stream
-from .errors import (
-    InvalidAlpha,
-    InvalidArgument,
-    NegativeErrorSd,
-    TechnicalErrorsPresent,
-)
+from .enumeration import _CHUNK, Assignment, RandomizationSpace, _check_int, assignment_stream
+from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, TechnicalErrorsPresent, _number
 from .fdist import FReference, f_quantile, f_survival
 from .potential_outcomes import (
     DesignKind,
     PotentialOutcomeTable,
+    _array,
     _check_magnitude,
+    _Value,
     fisher_sharp_null_holds,
     neyman_null_holds,
     validate,
@@ -92,7 +89,7 @@ class SupportPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class RandomizationSummary:
+class RandomizationSummary(_Value):
     """Distribution of (S0^2, S1^2, F) over the traversed assignments.
 
     The atoms are stored as columns sorted by F (NaN atoms last), then by
@@ -101,61 +98,22 @@ class RandomizationSummary:
     """
 
     design: DesignKind
-    f_stat: np.ndarray
-    s0_sq: np.ndarray
-    s1_sq: np.ndarray
-    counts: np.ndarray
+    f_stat: np.ndarray = _array(float)
+    s0_sq: np.ndarray = _array(float)
+    s1_sq: np.ndarray = _array(float)
+    counts: np.ndarray = _array(np.int64)
     mean_s0: float
     mean_s1: float
     is_exact: bool
     assignment_count: int
     df_treatment: int
     df_residual: int
-    cumulative: np.ndarray = field(init=False, repr=False)
-    _comparable_atoms: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        columns = {"f_stat": float, "s0_sq": float, "s1_sq": float, "counts": np.int64}
-        for name, dtype in columns.items():
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    @cached_property
+    def cumulative(self) -> np.ndarray:
         cumulative = np.concatenate([[0], np.cumsum(self.counts)])
         cumulative.setflags(write=False)
-        object.__setattr__(self, "cumulative", cumulative)
-        # atoms whose F is not NaN; they precede the NaN atoms
-        object.__setattr__(
-            self, "_comparable_atoms", int(np.count_nonzero(~np.isnan(self.f_stat)))
-        )
-
-    def __eq__(self, other: object) -> bool:
-        """Field by field; the columns compare as arrays, NaN F atoms alike."""
-        if not isinstance(other, RandomizationSummary):
-            return NotImplemented
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(mine, np.ndarray):
-                if not np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        """Agrees with __eq__: the float columns, whose NaN and signed zeros
-        compare equal in more than one bit pattern, are left out."""
-        return hash(
-            (
-                self.design,
-                self.counts.tobytes(),
-                self.mean_s0,
-                self.mean_s1,
-                self.is_exact,
-                self.assignment_count,
-                self.df_treatment,
-                self.df_residual,
-            )
-        )
+        return cumulative
 
     @cached_property
     def support(self) -> tuple[SupportPoint, ...]:
@@ -173,7 +131,8 @@ class RandomizationSummary:
 
     def probability_f_above(self, cutoff: float) -> float:
         """P(F > cutoff), strict; degenerate atoms never count."""
-        comparable = self._comparable_atoms
+        # the atoms whose F is not NaN, which sort before the NaN atoms
+        comparable = int(np.searchsorted(self.f_stat, np.inf, side="right"))
         at_or_below = min(int(np.searchsorted(self.f_stat, cutoff, side="right")), comparable)
         above = int(self.cumulative[comparable] - self.cumulative[at_or_below])
         return above / self.assignment_count
@@ -195,8 +154,8 @@ class Type1Report:
     null_status: NullStatus
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
+@dataclass(frozen=True, eq=False)
+class SurvivalCurve(_Value):
     """P(F > k) under the randomization distribution and the F reference.
 
     The field order is the key order of the `randova curve` report.
@@ -204,15 +163,9 @@ class SurvivalCurve:
 
     df_treatment: int
     df_residual: int
-    cutoffs: np.ndarray
-    p_randomization: np.ndarray
-    p_reference: np.ndarray
-
-    def __post_init__(self) -> None:
-        for field in ("cutoffs", "p_randomization", "p_reference"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+    cutoffs: np.ndarray = _array(float)
+    p_randomization: np.ndarray = _array(float)
+    p_reference: np.ndarray = _array(float)
 
 
 @dataclass(frozen=True)
@@ -351,8 +304,8 @@ def type1_error(
     refuses a table violating either null (power studies reuse it), it only
     reports the null status alongside.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < _number(alpha) < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
     summary = exact_distribution(table, space)
     cutoff = f_quantile(
         FReference(summary.df_treatment, summary.df_residual), 1.0 - alpha
@@ -377,8 +330,8 @@ def survival_curve(
     U = max(2 * F-quantile(0.95), largest finite F in the support).  A
     given cutoff_grid must be 1-d, finite and >= 0 (InvalidArgument).
     """
-    if cutoff_grid is None and grid_points < 2:
-        raise InvalidArgument(f"grid needs at least 2 points, got {grid_points}")
+    if cutoff_grid is None:
+        _check_int(grid_points, 2, "grid_points")
     if cutoff_grid is not None:
         try:
             grid = np.asarray(cutoff_grid, dtype=float)
@@ -438,13 +391,12 @@ def monte_carlo_with_errors(
     magnitude bound of `validate` (NonFiniteEntry).
     """
     validate(table)
-    if not 0.0 < sigma_eps < math.inf:
-        raise NegativeErrorSd(f"sigma_eps must be finite and > 0, got {sigma_eps}")
-    if replications < 1:
-        raise InvalidArgument(f"replications must be >= 1, got {replications}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    _check_seed(seed)
+    if not 0.0 < _number(sigma_eps) < math.inf:
+        raise NegativeErrorSd(f"sigma_eps must be finite and > 0, got {sigma_eps!r}")
+    _check_int(replications, 1, "replications")
+    if not 0.0 < _number(alpha) < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_int(seed, 0, "seed")
 
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)

@@ -28,23 +28,20 @@ the unscaled blocking-factor-by-treatment interaction sum as
 interaction_sum.  expected_ms and check_additivity read them from there.
 
 All reductions use math.fsum in a fixed index order so results are exact to
-the last bit and bit-reproducible across runs.
+the last bit and bit-reproducible across runs.  Every value type of the
+package derives from `_Value`: read-only copies of its arrays, equality and
+hashing by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    NegativeErrorSd,
-    NonFiniteEntry,
-)
+from .errors import DimensionMismatch, InvalidArgument, NegativeErrorSd, NonFiniteEntry, _number
 
 DEFAULT_ADDITIVITY_TOLERANCE = 1e-9
 
@@ -79,8 +76,73 @@ def centered_deviations(values: np.ndarray) -> np.ndarray:
     return fsum_along(arr[:, :, None] - arr[:, None, :], 2) / arr.shape[1]
 
 
-@dataclass(frozen=True)
-class PotentialOutcomeTable:
+class _Value:
+    """Base of the value types, each a @dataclass(frozen=True, eq=False).
+
+    A field declared as _converted(convert) holds convert(value), one
+    declared as _array(dtype) a read-only copy in that dtype (the caller's
+    array stays writeable); input they refuse raises InvalidArgument.
+    Fields compare one by one, arrays by value with NaN equal to NaN; the
+    hash leaves out float arrays, whose equal NaNs and signed zeros differ.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if "convert" in f.metadata:
+                try:
+                    value = f.metadata["convert"](getattr(self, f.name))
+                except (TypeError, ValueError) as exc:
+                    raise InvalidArgument(f"{type(self).__name__}.{f.name}: {exc}") from None
+                object.__setattr__(self, f.name, value)
+
+    def _compared(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_same, self._compared(), other._compared()))
+
+    def __hash__(self) -> int:
+        kept = [v for v in self._compared() if not (_is_array(v) and v.dtype.kind == "f")]
+        return hash(tuple(v.tobytes() if _is_array(v) else v for v in kept))
+
+
+def _is_array(value: object) -> bool:
+    return isinstance(value, np.ndarray)
+
+
+def _same(a: object, b: object) -> bool:
+    if _is_array(a) and _is_array(b):
+        return np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    return not _is_array(a) and not _is_array(b) and a == b
+
+
+def _converted(convert, **kwargs):
+    return field(metadata={"convert": convert}, **kwargs)
+
+
+def _array(dtype, optional: bool = False):
+    """None stays None when optional."""
+
+    def read_only_copy(value):
+        if value is None and optional:
+            return None
+        raw = np.asarray(value)  # ValueError when ragged
+        if raw.dtype.kind not in "biuf":
+            raise TypeError(f"expected an array of numbers, got dtype {raw.dtype}")
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(dtype)
+        if not np.can_cast(raw.dtype, arr.dtype) and not np.array_equal(arr, raw):
+            raise ValueError(f"values that {arr.dtype} does not hold exactly")
+        arr.setflags(write=False)
+        return arr
+
+    return _converted(read_only_copy)
+
+
+@dataclass(frozen=True, eq=False)
+class PotentialOutcomeTable(_Value):
     """Immutable potential-outcome table plus a technical-error magnitude.
 
     technical_error_sd is the standard deviation sigma_eps of i.i.d. mean-zero
@@ -89,17 +151,10 @@ class PotentialOutcomeTable:
     inference engine).
     """
 
-    design: DesignKind
-    outcomes: np.ndarray
-    technical_error_sd: float = 0.0
+    design: DesignKind = _converted(DesignKind)
+    outcomes: np.ndarray = _array(float)
+    technical_error_sd: float = _converted(float, default=0.0)
     name: str | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.outcomes, dtype=float, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", arr)
-        object.__setattr__(self, "design", DesignKind(self.design))
-        object.__setattr__(self, "technical_error_sd", float(self.technical_error_sd))
 
     @property
     def num_treatments(self) -> int:
@@ -177,8 +232,8 @@ def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:
     return table
 
 
-@dataclass(frozen=True)
-class Decomposition:
+@dataclass(frozen=True, eq=False)
+class Decomposition(_Value):
     """Exact finite-population decomposition of a validated table.
 
     grand_means[t] is Xbar(t); overall_mean averages those over t.  For RCB,
@@ -203,34 +258,17 @@ class Decomposition:
     """
 
     design: DesignKind
-    grand_means: np.ndarray
+    grand_means: np.ndarray = _array(float)
     overall_mean: float
-    block_corrections: np.ndarray | None
-    row_corrections: np.ndarray | None
-    column_corrections: np.ndarray | None
-    residuals: np.ndarray
-    eta_cross_moments: np.ndarray
-    eta_variances: np.ndarray
-    eta_correlations: np.ndarray
+    block_corrections: np.ndarray | None = _array(float, optional=True)
+    row_corrections: np.ndarray | None = _array(float, optional=True)
+    column_corrections: np.ndarray | None = _array(float, optional=True)
+    residuals: np.ndarray = _array(float)
+    eta_cross_moments: np.ndarray = _array(float)
+    eta_variances: np.ndarray = _array(float)
+    eta_correlations: np.ndarray = _array(float)
     zero_variance_treatments: tuple[int, ...]
     interaction_sum: float
-
-    def __post_init__(self) -> None:
-        for field in (
-            "grand_means",
-            "block_corrections",
-            "row_corrections",
-            "column_corrections",
-            "residuals",
-            "eta_cross_moments",
-            "eta_variances",
-            "eta_correlations",
-        ):
-            arr = getattr(self, field)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, field, arr)
 
     @property
     def num_treatments(self) -> int:
@@ -322,8 +360,8 @@ def decompose(table: PotentialOutcomeTable) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+@dataclass(frozen=True, eq=False)
+class AdditivityReport(_Value):
     """Diagnostics for treatment-effect additivity X_ij(t) = U_ij + tau(t).
 
     max_deviation is the largest |{X_ij(t)-X_ij(t')} - {X_i'j'(t)-X_i'j'(t')}|
@@ -335,17 +373,11 @@ class AdditivityReport:
     """
 
     is_additive: bool
-    treatment_shifts: np.ndarray | None
+    treatment_shifts: np.ndarray | None = _array(float, optional=True)
     max_deviation: float
     strict_unit_treatment: float
     block_treatment: float
     tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.treatment_shifts is not None:
-            arr = np.asarray(self.treatment_shifts, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "treatment_shifts", arr)
 
 
 def check_additivity(
@@ -354,8 +386,8 @@ def check_additivity(
 ) -> AdditivityReport:
     """Decide additivity at the given absolute tolerance and report diagnostics."""
     validate(table)
-    if tolerance < 0:
-        raise InvalidArgument(f"tolerance must be >= 0, got {tolerance}")
+    if not _number(tolerance) >= 0:
+        raise InvalidArgument(f"tolerance must be a number >= 0, got {tolerance!r}")
     x = table.outcomes
     t = x.shape[2]
     flat = x.reshape(-1, t)  # units x treatments

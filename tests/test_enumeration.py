@@ -76,7 +76,10 @@ class TestEnumerateRcb:
         for a in stream:
             built = rv.Assignment(a.design, a.grid)
             assert vars(a).keys() == vars(built).keys()
-            assert all(vars(built)[name] is value for name, value in vars(a).items())
+            assert built == a and hash(built) == hash(a)
+            # the constructor keeps a read-only copy of the grid it is given
+            assert built.grid is not a.grid
+            assert built.grid.dtype == np.int64 and not built.grid.flags.writeable
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "5")
@@ -162,9 +165,13 @@ class TestSampling:
         assert a == b
         assert a != c
 
-    def test_count_zero_is_empty(self):
-        assert list(rv.sample_rcb(2, 2, 0, seed=1)) == []
-        assert list(rv.sample_latin_squares(3, 0, seed=1)) == []
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_refused(self, count):
+        # at the call, with the message of a sampled RandomizationSpace
+        for sample in (lambda: rv.sample_rcb(2, 2, count, seed=1),
+                       lambda: rv.sample_latin_squares(4, count, seed=1)):
+            with pytest.raises(rv.InvalidArgument, match="sample size must be an integer >= 1"):
+                sample()
 
     def test_rcb_frequencies_match_exact_enumeration(self):
         # 4 equally likely assignments; 0.25 +- 0.02 with 4000 draws

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import randova as rv
+
+ZEROS = np.zeros((2, 2, 2))
 
 BAD_SEEDS = {
     "negative seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed=-1),
@@ -23,6 +27,33 @@ BAD_SEEDS = {
 BAD_SETTINGS = {
     "zero mc replications": lambda: rv.monte_carlo_with_errors(
         rv.load_bundled_table("table4"), replications=0
+    ),
+    "fractional mc replications": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), replications=2.5
+    ),
+    "fractional sample size": lambda: rv.RandomizationSpace.sample(2.5, seed=1),
+    "str sample size": lambda: rv.RandomizationSpace.sample("5", seed=1),
+    "str burn_in": lambda: rv.RandomizationSpace.sample(5, seed=1, burn_in="3"),
+    "fractional grid points": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), grid_points=2.5
+    ),
+    "str additivity tolerance": lambda: rv.check_additivity(
+        rv.PotentialOutcomeTable(rv.DesignKind.RCB, ZEROS), tolerance="x"
+    ),
+    "NaN additivity tolerance": lambda: rv.check_additivity(
+        rv.PotentialOutcomeTable(rv.DesignKind.RCB, ZEROS), tolerance=math.nan
+    ),
+    "fractional labels": lambda: rv.Assignment(rv.DesignKind.RCB, [[0.5, 1], [1, 0]]),
+    "ragged label grid": lambda: rv.Assignment(rv.DesignKind.RCB, [[0, 1], [1]]),
+    "str label grid": lambda: rv.Assignment(rv.DesignKind.RCB, [["0", "1"], ["1", "0"]]),
+    "unknown design of a table": lambda: rv.PotentialOutcomeTable("xx", ZEROS),
+    "ragged outcomes": lambda: rv.PotentialOutcomeTable("rcb", [[[0.0, 1.0], [1.0]]]),
+    "missing outcomes": lambda: rv.PotentialOutcomeTable("rcb", None),
+    "str technical error sd": lambda: rv.PotentialOutcomeTable(
+        "rcb", ZEROS, technical_error_sd="x"
+    ),
+    "fractional summary counts": lambda: rv.RandomizationSummary(
+        "rcb", [1.0], [1.0], [1.0], [0.5], 1.0, 1.0, True, 1, 1, 1
     ),
     "negative sample size": lambda: rv.RandomizationSpace.sample(-1, seed=0),
     "empty sample": lambda: rv.RandomizationSpace.sample(0, seed=1),
@@ -48,7 +79,7 @@ BAD_SETTINGS = {
         rv.load_bundled_table("table2"), cutoff_grid=["high"]
     ),
     "negative additivity tolerance": lambda: rv.check_additivity(
-        rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((2, 2, 2))), tolerance=-1.0
+        rv.PotentialOutcomeTable(rv.DesignKind.RCB, ZEROS), tolerance=-1.0
     ),
     "unknown bundled table": lambda: rv.load_bundled_table("x"),
     "sampled space without seed": lambda: rv.exact_distribution(
@@ -107,6 +138,10 @@ BAD_SIZES = {
     "RCB space with negative blocks": lambda: rv.rcb_space_size(-1, 3),
     "RCB space with negative treatments": lambda: rv.rcb_space_size(2, -1),
     "RCB enumeration with no treatments": lambda: rv.enumerate_rcb(2, 0),
+    "RCB enumeration with fractional blocks": lambda: rv.enumerate_rcb(2.0, 2),
+    "fractional treatment index": lambda: rv.mean_difference_variance(
+        rv.load_bundled_table("table2"), 0.5, 1
+    ),
     "RCB sampler with no blocks": lambda: rv.sample_rcb(0, 3, 5, seed=1),
     "RCB sampler with no treatments": lambda: rv.sample_rcb(3, 0, 5, seed=1),
     "Latin-square enumeration of order 0": lambda: rv.enumerate_latin_squares(0),

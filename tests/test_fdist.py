@@ -63,9 +63,10 @@ class TestSurvival:
     def test_infinity_argument(self):
         assert rv.f_survival(rv.FReference(3, 6), math.inf) == 0.0
 
-    def test_negative_argument_rejected(self):
+    @pytest.mark.parametrize("x", [-0.5, math.nan, "x", None])
+    def test_negative_argument_rejected(self, x):
         with pytest.raises(rv.NegativeArgument):
-            rv.f_survival(rv.FReference(3, 6), -0.5)
+            rv.f_survival(rv.FReference(3, 6), x)
 
 
 class TestQuantile:
@@ -103,7 +104,7 @@ class TestQuantile:
 
     def test_invalid_probability_rejected(self):
         ref = rv.FReference(3, 6)
-        for p in [0.0, 1.0, -0.2, 1.5]:
+        for p in [0.0, 1.0, -0.2, 1.5, math.nan, "x", True]:
             with pytest.raises(rv.InvalidProbability):
                 rv.f_quantile(ref, p)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import randova as rv
+import randova.enumeration as enumeration
 import randova.inference as inference
 from randova.anova import design_dfs, f_from_sums
 from randova.enumeration import assignment_stream
@@ -126,6 +128,27 @@ class TestExactDistribution:
         kernel = f"batch_anova_{design}"
         assert calls == {"stage_rows": 1, "row_tables": 1, kernel: -(-summary.assignment_count // 50)}
 
+    @pytest.mark.parametrize(
+        "name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"]
+    )
+    def test_exact_staging_is_the_enumerators_index(self, tables, name):
+        # one key order for staging and enumeration: every row's permutations
+        # are the lexicographic table, and the index is RCB's mixed-radix
+        # digits (block 0 most significant) or the Latin-square row table
+        rng = np.random.default_rng(5)
+        table = tables.get(name) or (
+            random_ls_table(rng, 5) if name == "ls5" else random_rcb_table(rng, 3, 4)
+        )
+        perms, index, is_exact = inference._staged(table, rv.RandomizationSpace.exact())
+        n, _, t = table.outcomes.shape
+        every = enumeration._permutation_table(t)
+        assert is_exact and all(np.array_equal(p, every) for p in perms)
+        if table.design is rv.DesignKind.LS:
+            want = enumeration._latin_square_rows(t)
+        else:
+            want = np.array(list(itertools.product(range(len(every)), repeat=n)))
+        np.testing.assert_array_equal(index, want)
+
     def test_noisy_table_rejected(self, tables):
         noisy = rv.PotentialOutcomeTable(
             rv.DesignKind.LS, tables["table2"].outcomes, technical_error_sd=0.5
@@ -183,7 +206,7 @@ class TestType1Error:
             assert report.rejection_probability == 0.0
 
     def test_invalid_alpha(self, tables):
-        for alpha in (0.0, 1.0, -0.1, 2.0):
+        for alpha in (0.0, 1.0, -0.1, 2.0, math.nan, "x"):
             with pytest.raises(rv.InvalidAlpha):
                 rv.type1_error(tables["table4"], alpha=alpha)
 
@@ -358,17 +381,18 @@ class TestMonteCarlo:
         assert report.mean_rejection == pytest.approx(exact, abs=0.02)
 
     def test_invalid_arguments(self, tables):
-        for sigma_eps in (0.0, -1.0, math.inf, math.nan):
+        for sigma_eps in (0.0, -1.0, math.inf, math.nan, "0.1"):
             with pytest.raises(rv.NegativeErrorSd):
                 rv.monte_carlo_with_errors(tables["table4"], sigma_eps=sigma_eps)
         with pytest.raises(ValueError):
             rv.monte_carlo_with_errors(
                 tables["table4"], sigma_eps=0.01, replications=0
             )
-        with pytest.raises(rv.InvalidAlpha):
-            rv.monte_carlo_with_errors(
-                tables["table4"], sigma_eps=0.01, alpha=1.5
-            )
+        for alpha in (1.5, "x"):
+            with pytest.raises(rv.InvalidAlpha):
+                rv.monte_carlo_with_errors(
+                    tables["table4"], sigma_eps=0.01, alpha=alpha
+                )
 
     def test_noise_beyond_the_magnitude_bound_rejected(self, tables):
         # finite, but the noisy outcomes' sums of squares would overflow
@@ -595,6 +619,42 @@ def test_large_treatment_effects_keep_every_mean_square_exact(design, shape):
         assert sum(exact[pair] for pair in matches) == count
 
 
+_GRID3 = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _ls3(k: float) -> rv.PotentialOutcomeTable:
+    return rv.PotentialOutcomeTable(rv.DesignKind.LS, 2.0 + k * np.arange(27.0).reshape(3, 3, 3))
+
+
+# each value type built from inputs that depend on k; k = 0 gives a constant
+# LS table, whose F atoms are all NaN
+VALUE_FACTORIES = {
+    "PotentialOutcomeTable": lambda k: _ls3(k),
+    "Decomposition": lambda k: rv.decompose(_ls3(k)),
+    "AdditivityReport": lambda k: rv.check_additivity(
+        rv.PotentialOutcomeTable(rv.DesignKind.LS, np.broadcast_to([0.0, 1.5, 4.0 + k], (3, 3, 3)))
+    ),
+    "Assignment": lambda k: rv.Assignment(rv.DesignKind.LS, np.roll(_GRID3, k, axis=0)),
+    "ObservedExperiment": lambda k: rv.observe(
+        _ls3(1.0), rv.Assignment(rv.DesignKind.LS, np.roll(_GRID3, k, axis=0))
+    ),
+    "SurvivalCurve": lambda k: rv.survival_curve(_ls3(1.0), cutoff_grid=[0.5, 1.0 + k]),
+    "RandomizationSummary": lambda k: rv.exact_distribution(_ls3(k)),
+}
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    grid = np.array([[0, 1], [1, 0]])
+    assert not rv.Assignment(rv.DesignKind.RCB, grid).grid.flags.writeable
+    columns = [np.array([2.0]), np.array([1.0]), np.array([2.0]), np.array([1])]
+    summary = rv.RandomizationSummary(rv.DesignKind.RCB, *columns, 1.0, 2.0, True, 1, 1, 1)
+    assert not summary.counts.flags.writeable
+    cutoffs = np.array([0.5, 1.0])
+    curve = rv.survival_curve(_ls3(1.0), cutoff_grid=cutoffs)
+    assert not curve.cutoffs.flags.writeable
+    assert all(a.flags.writeable for a in [grid, *columns, cutoffs])
+
+
 class TestProbabilityQuery:
     @staticmethod
     def _summary():
@@ -635,15 +695,21 @@ class TestProbabilityQuery:
         assert [p.s0_sq for p in support] == [2.0, 1.0, 0.0, 0.0]
         assert support[2].f_stat == math.inf and math.isnan(support[3].f_stat)
 
-    def test_equal_summaries_compare_equal(self, tables):
-        assert rv.exact_distribution(tables["table2"]) == rv.exact_distribution(tables["table2"])
-        assert rv.exact_distribution(tables["table2"]) != rv.exact_distribution(tables["table3"])
-        degenerate = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.full((3, 3, 3), 2.0))
-        assert rv.exact_distribution(degenerate) == rv.exact_distribution(degenerate)
+    @pytest.mark.parametrize("kind", VALUE_FACTORIES)
+    def test_equal_summaries_compare_equal(self, kind):
+        # two values built apart from equal inputs, and one from other inputs
+        a, b, c = (VALUE_FACTORIES[kind](k) for k in (0, 0, 1))
+        assert type(a).__name__ == kind
+        assert a == b and not a != b
+        assert a != c and not a == c
 
-    def test_equal_summaries_hash_equal(self, tables):
-        a, b = rv.exact_distribution(tables["table2"]), rv.exact_distribution(tables["table2"])
-        assert hash(a) == hash(b) and len({a, b}) == 1
+    @pytest.mark.parametrize("kind", VALUE_FACTORIES)
+    def test_equal_summaries_hash_equal(self, kind):
+        a, b, c = (VALUE_FACTORIES[kind](k) for k in (0, 0, 1))
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1 and len({a, b, c}) == 2
+
+    def test_summaries_equal_in_other_bits_hash_equal(self):
         summary = self._summary()
         # another NaN bit pattern and a negative zero: equal, so the same hash
         other_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
