@@ -101,12 +101,16 @@ class AnovaSummary:
 def f_from_sums(s0_sq, s1_sq):
     """F ratio with the degenerate conventions (inf / NaN on zero residual).
 
-    Elementwise on arrays; a float for two scalars.
+    Elementwise on two arrays of one shape; a float for two scalars.  One
+    division, then only the S0^2 = 0 entries are set.
     """
     s0 = np.asarray(s0_sq, dtype=float)
     s1 = np.asarray(s1_sq, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(s0 == 0.0, np.where(s1 > 0.0, np.inf, np.nan), s1 / s0)
+        f = np.asarray(s1 / s0)
+    zero = s0 == 0.0
+    if zero.any():
+        f[zero] = np.where(s1[zero] > 0.0, np.inf, np.nan)
     return f if f.ndim else float(f)
 
 

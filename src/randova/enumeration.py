@@ -209,8 +209,10 @@ def ls_sampler_settings(
     order: int, burn_in: int | None = None, measure: LsMeasure | str | None = None
 ) -> tuple[int, LsMeasure]:
     """The Latin-square sampler's (burn_in, measure) for the order, with the
-    defaults filled in: 2*T^3 moves and "all" squares.  InvalidArgument for
-    burn_in < 1 or an unknown measure."""
+    defaults filled in: 2*T^3 moves and "all" squares.  DimensionMismatch
+    unless the order is an int >= 1; InvalidArgument for burn_in < 1 or an
+    unknown measure."""
+    _check_sizes(order=order)
     if burn_in is None:
         burn_in = _JM_BURN_IN_FACTOR * order**3
     _check_int(burn_in, 1, "burn_in")
@@ -241,7 +243,14 @@ def latin_square_count(order: int) -> int | None:
 def space_cardinality(
     design: DesignKind, num_blocks: int, num_treatments: int
 ) -> int | None:
-    if DesignKind(design) is DesignKind.RCB:
+    """rcb_space_size or latin_square_count; InvalidArgument for an unknown
+    design."""
+    try:
+        design = DesignKind(design)
+    except ValueError:
+        choices = ", ".join(d.value for d in DesignKind)
+        raise InvalidArgument(f"unknown design {design!r}; choose from {choices}") from None
+    if design is DesignKind.RCB:
         return rcb_space_size(num_blocks, num_treatments)
     return latin_square_count(num_treatments)
 
@@ -304,8 +313,12 @@ def _row_keys(labels: np.ndarray) -> np.ndarray:
     bits = max(1, (t - 1).bit_length())
     if bits * t > 64:
         return np.ascontiguousarray(labels).view(f"V{labels.itemsize * t}")[..., 0]
-    shifts = np.arange(t - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
-    return np.bitwise_or.reduce(labels.astype(np.uint64) << shifts, axis=-1)
+    # packed a label at a time, so only (...,) arrays are made
+    keys = np.zeros(labels.shape[:-1], dtype=np.uint64)
+    for k in range(t):
+        keys <<= np.uint64(bits)
+        keys |= labels[..., k].astype(np.uint64)
+    return keys
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,11 +328,13 @@ def _latin_square_rows(order: int) -> np.ndarray:
     (uint8 up to order 5), in row-major lexicographic order of the squares.
 
     The first T - 1 rows are grown one row at a time by every permutation
-    that clashes with no earlier row in any column.  The last row is forced:
-    each column misses one symbol, T(T - 1)/2 minus the column's sum, so
-    every (T - 1)-row Latin rectangle completes in exactly one way.  Its
-    index is a bisection of the permutations' keys (`_row_keys`), which the
-    lexicographic table already sorts.
+    that clashes with no earlier row in any column, _CHUNK rectangles at a
+    time, so the (rectangles, T!) mask of allowed rows is never held for a
+    whole level.  The last row is forced: each column misses one symbol,
+    T(T - 1)/2 minus the column's sum, so every (T - 1)-row Latin rectangle
+    completes in exactly one way.  Its index is a bisection of the
+    permutations' keys (`_row_keys`), which the lexicographic table already
+    sorts, also _CHUNK rectangles at a time.
     """
     perms = _permutation_table(order)
     dtype = np.min_scalar_type(len(perms) - 1)
@@ -329,17 +344,22 @@ def _latin_square_rows(order: int) -> np.ndarray:
         return rows
     disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
     for _ in range(order - 2):
-        allowed = disjoint[rows[:, 0]]
-        for k in range(1, rows.shape[1]):
-            allowed &= disjoint[rows[:, k]]
-        square, nxt = np.nonzero(allowed)
-        del allowed  # the (rectangles, T!) mask, before the next one is gathered
-        rows = np.column_stack([rows[square], nxt.astype(dtype)])
-    missing = np.full((len(rows), order), order * (order - 1) // 2, dtype=perms.dtype)
-    for k in range(order - 1):
-        missing -= perms[rows[:, k]]
-    last = np.searchsorted(_row_keys(perms), _row_keys(missing))
-    rows = np.column_stack([rows, last.astype(dtype)])
+        grown = []
+        for lo in range(0, len(rows), _CHUNK):
+            block = rows[lo : lo + _CHUNK]
+            allowed = disjoint[block[:, 0]]
+            for k in range(1, block.shape[1]):
+                allowed &= disjoint[block[:, k]]
+            rectangle, nxt = np.nonzero(allowed)
+            grown.append(np.column_stack([block[rectangle], nxt.astype(dtype)]))
+        rows = np.concatenate(grown)
+        del grown
+    keys = _row_keys(perms)
+    last = np.empty(len(rows), dtype=dtype)
+    for lo in range(0, len(rows), _CHUNK):
+        missing = order * (order - 1) // 2 - perms[rows[lo : lo + _CHUNK]].sum(axis=1)
+        last[lo : lo + _CHUNK] = np.searchsorted(keys, _row_keys(missing))
+    rows = np.column_stack([rows, last])
     rows.setflags(write=False)
     return rows
 

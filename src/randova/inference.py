@@ -35,6 +35,17 @@ their cumulative sums), not as one object per atom: atoms are grouped with
 numpy over the atom ranks of the two columns, and P(F > k) is answered by one
 bisection of the F column.  `support` builds SupportPoint objects from
 the columns on demand.
+
+The aggregation holds few full-length arrays, and each only until the next
+step has what it needs.  Each column's atom ranks come from one argsort,
+with the atom splits marked on sorted neighbours a slice at a time (int32
+ranks, no distinct-value or inverse arrays).  The pairs of ranks are packed
+into one int64 key, and a stable argsort of the keys groups them: each
+run of equal keys is an atom, and its first entry is the first assignment
+seen.  The columns are made read-only, so the summary keeps them without a
+second copy.  On an integer RCB 4x4 (331,776 assignments, 329,262 atoms)
+the call peaks at about 48 traced bytes per assignment: the four kept
+columns, the atoms' first assignments and their sort order.
 """
 
 from __future__ import annotations
@@ -130,7 +141,10 @@ class RandomizationSummary(_Value):
         )
 
     def probability_f_above(self, cutoff: float) -> float:
-        """P(F > cutoff), strict; degenerate atoms never count."""
+        """P(F > cutoff), strict; degenerate atoms never count, and a NaN
+        cutoff gives 0.  InvalidArgument unless cutoff is a real number."""
+        if _number(cutoff) is not cutoff:
+            raise InvalidArgument(f"cutoff must be a real number, got {cutoff!r}")
         # the atoms whose F is not NaN, which sort before the NaN atoms
         comparable = int(np.searchsorted(self.f_stat, np.inf, side="right"))
         at_or_below = min(int(np.searchsorted(self.f_stat, cutoff, side="right")), comparable)
@@ -189,21 +203,55 @@ def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
-    """The assignments' label grids, stacked _CHUNK at a time."""
+    """The assignments' label grids, stacked _CHUNK at a time.  Only the
+    grids are collected, so each Assignment is freed once it is read and
+    no garbage collection is set off by a chunk of live objects."""
     stream = iter(assignments)
-    while chunk := list(itertools.islice(stream, _CHUNK)):
-        yield np.array([a.grid for a in chunk])
+    while grids := [a.grid for a in itertools.islice(stream, _CHUNK)]:
+        yield np.array(grids)
+
+
+def _sorted_neighbours(
+    values: np.ndarray, order: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """values in the sorted order that order gives, _CHUNK at a time: the
+    slice's start, the slice of order, the values before each of its
+    entries (the first value stands before itself) and the values at them."""
+    for start in range(0, len(order), _CHUNK):
+        part = order[start : start + _CHUNK]
+        hi = values[part]
+        lo = np.concatenate([values[order[max(start - 1, 0)], None], hi[:-1]])
+        yield start, part, lo, hi
 
 
 def _atom_ranks(values: np.ndarray) -> np.ndarray:
-    """Atom rank of each value: the sorted distinct values start a new atom
-    wherever the gap to the previous one exceeds _ATOM_RTOL times the larger
-    magnitude of the two (a non-finite value always does).  Gaps chain, so an
-    atom of m distinct values spans at most (m - 1) * _ATOM_RTOL relative."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    lo, hi = distinct[:-1], distinct[1:]
-    split = (hi - lo > _ATOM_RTOL * np.maximum(np.abs(lo), np.abs(hi))) | ~np.isfinite(hi)
-    return np.concatenate([[0], np.cumsum(split)])[inverse]
+    """Atom rank of each value, int32: the sorted distinct values start a
+    new atom wherever the gap to the previous one exceeds _ATOM_RTOL times
+    the larger magnitude of the two (a non-finite value always does; NaN is
+    one value).  Gaps chain, so an atom of m distinct values spans at most
+    (m - 1) * _ATOM_RTOL relative.  One argsort; the splits are marked on
+    sorted neighbours a slice at a time."""
+    ranks = np.empty(len(values), dtype=np.int32)
+    rank = 0
+    for _, part, lo, hi in _sorted_neighbours(values, np.argsort(values)):
+        with np.errstate(invalid="ignore"):  # inf - inf between equal neighbours
+            gap = hi - lo > _ATOM_RTOL * np.maximum(np.abs(lo), np.abs(hi))
+        split = (hi != lo) & ~np.isnan(lo) & (gap | ~np.isfinite(hi))
+        steps = np.cumsum(split, dtype=np.int32)
+        steps += rank
+        ranks[part] = steps
+        rank = int(steps[-1])
+    return ranks
+
+
+def _run_starts(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(len + 1,) bool: True at each sorted position (by order) where a run
+    of equal values starts, and at the end."""
+    starts = np.empty(len(order) + 1, dtype=bool)
+    for start, _, lo, hi in _sorted_neighbours(values, order):
+        starts[start : start + len(hi)] = hi != lo
+    starts[0] = starts[-1] = True
+    return starts
 
 
 def _require_noiseless(table: PotentialOutcomeTable) -> None:
@@ -251,25 +299,36 @@ def exact_distribution(
     # full-length array as soon as the next step has what it needs
     del perms, index, tables
 
-    # one atom per distinct pair of ranks; the first assignment seen stands for it
-    rank0, rank1 = _atom_ranks(s0), _atom_ranks(s1)
-    rank0 *= rank1.max() + 1
-    rank0 += rank1
+    # one atom per distinct pair of ranks; a stable sort of the pair keys
+    # puts the first assignment seen, which stands for the atom, first in
+    # its run of equal keys
+    rank1 = _atom_ranks(s1)
+    key = _atom_ranks(s0).astype(np.int64)
+    key *= int(rank1.max()) + 1
+    key += rank1
     del rank1
-    first, counts = np.unique(rank0, return_index=True, return_counts=True)[1:]
-    del rank0
-    atom_s0, atom_s1 = s0[first], s1[first]
-    del s0, s1
+    order = np.argsort(key, kind="stable")
+    run_starts = _run_starts(key, order)
+    del key
+    first = order[run_starts[:-1]]
+    del order
+    counts = np.diff(np.flatnonzero(run_starts))
+    del run_starts
+    atom_s0 = s0[first]
+    del s0
+    atom_s1 = s1[first]
+    del s1
     f = f_from_sums(atom_s0, atom_s1)
-    degenerate = np.isnan(f)
-    # by F (NaN last), then S0^2, then first appearance in the stream
-    order = np.lexsort((first, atom_s0, np.where(degenerate, 0.0, f), degenerate))
-    del first, degenerate
+    # by F (NaN sorts last), then S0^2, then first appearance in the stream
+    order = np.lexsort((first, atom_s0, f))
+    del first
     f = f[order]
     atom_s0 = atom_s0[order]
     atom_s1 = atom_s1[order]
     counts = counts[order]
     del order
+    for column in (f, atom_s0, atom_s1, counts):
+        column.setflags(write=False)  # the summary keeps them without a copy
 
     return RandomizationSummary(
         design=design,

@@ -81,7 +81,10 @@ class _Value:
 
     A field declared as _converted(convert) holds convert(value), one
     declared as _array(dtype) a read-only copy in that dtype (the caller's
-    array stays writeable); input they refuse raises InvalidArgument.
+    array stays writeable).  An array that is already read-only, owns its
+    data and has that dtype is kept without a second copy: whoever made it
+    read-only is trusted not to write to it through an older view.  Input
+    they refuse raises InvalidArgument.
     Fields compare one by one, arrays by value with NaN equal to NaN; the
     hash leaves out float arrays, whose equal NaNs and signed zeros differ.
     """
@@ -128,6 +131,13 @@ def _array(dtype, optional: bool = False):
     def read_only_copy(value):
         if value is None and optional:
             return None
+        if (
+            type(value) is np.ndarray
+            and value.dtype == dtype
+            and value.flags.owndata
+            and not value.flags.writeable
+        ):
+            return value
         raw = np.asarray(value)  # ValueError when ragged
         if raw.dtype.kind not in "biuf":
             raise TypeError(f"expected an array of numbers, got dtype {raw.dtype}")

@@ -21,6 +21,9 @@ square and in order.
 on a full incidence cube, before it kept only the position of each line's
 1; it finds every 1 by scanning its line, so it shares no bookkeeping with
 the line tables, and the package's sampler must match it bit for bit.
+`unique_atom_ranks` is the atom rule as the package ran it on np.unique's
+distinct values, before it marked atom splits on sorted neighbours; the
+package's ranks must equal it.
 """
 
 from __future__ import annotations
@@ -427,3 +430,13 @@ def cube_latin_squares(order, count, seed, burn_in=None):
             n = spacing
         chunks.append(squares)
     return np.concatenate(chunks) if chunks else np.empty((0, t, t), dtype=np.int64)
+
+
+def unique_atom_ranks(values):
+    """Atom rank of each value by the distinct values of np.unique (NaNs are
+    one): a new atom wherever the gap to the previous distinct value exceeds
+    1e-12 times the larger magnitude of the two, or that value is not finite."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    lo, hi = distinct[:-1], distinct[1:]
+    split = (hi - lo > 1e-12 * np.maximum(np.abs(lo), np.abs(hi))) | ~np.isfinite(hi)
+    return np.concatenate([[0], np.cumsum(split)])[inverse]

@@ -101,6 +101,13 @@ BAD_SETTINGS = {
     "unknown measure of the Latin-square sampler": lambda: rv.sample_latin_squares(
         4, 3, seed=1, measure="bogus"
     ),
+    "unknown design of a space": lambda: rv.space_cardinality("xx", 2, 2),
+    "str cutoff of a probability query": lambda: rv.exact_distribution(
+        rv.load_bundled_table("table2")
+    ).probability_f_above("x"),
+    "bool cutoff of a probability query": lambda: rv.exact_distribution(
+        rv.load_bundled_table("table2")
+    ).probability_f_above(True),
 }
 
 
@@ -149,6 +156,10 @@ BAD_SIZES = {
     "Latin-square count of order 0": lambda: rv.latin_square_count(0),
     "Latin-square count of negative order": lambda: rv.latin_square_count(-3),
     "Latin-square space of order 0": lambda: rv.space_cardinality(rv.DesignKind.LS, 0, 0),
+    "Latin-square sampler settings of order 0": lambda: rv.enumeration.ls_sampler_settings(0),
+    "Latin-square sampler settings of a str order": lambda: (
+        rv.enumeration.ls_sampler_settings("x")
+    ),
 }
 
 

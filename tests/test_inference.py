@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 from collections import Counter
@@ -24,6 +25,7 @@ from helpers import (
     rcb_block_constant_table,
     sharp_null_table,
     two_value_witness,
+    unique_atom_ranks,
 )
 
 
@@ -165,6 +167,25 @@ class TestExactDistribution:
         summary = rv.exact_distribution(big, space)
         assert summary.assignment_count == 20
         assert not summary.is_exact
+
+    def test_streaming_sets_off_no_older_garbage_collection(self):
+        # the stream's Assignments are freed as they are read; holding a
+        # chunk of them alive set off generation-1 and -2 collections
+        table = random_rcb_table(np.random.default_rng(41), 3, 4)
+        rv.exact_distribution(table)  # the permutation table is cached
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            rv.exact_distribution(table)
+        finally:
+            gc.callbacks.remove(record)
+        assert [g for g in started if g > 0] == []
 
     def test_sampled_space(self, tables):
         space = rv.RandomizationSpace.sample(300, seed=5)
@@ -545,6 +566,45 @@ class TestAtomRule:
     def test_ranks_follow_the_value_order(self):
         values = np.array([5.0, 1.0, 5.0 * (1.0 + 2**-52), 3.0, 1.0])
         assert rv.inference._atom_ranks(values).tolist() == [2, 0, 2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 1.0, 2.0, 2.0, 1.0, 3.0],
+            [0.0, -0.0, 0.0, 1e-300, -0.0, 5e-324],
+            [np.inf, 1.0, -np.inf, np.inf, 0.0, -np.inf, 1e308],
+            [np.nan, 1.0, np.nan, np.inf, np.nan, 0.0, np.inf],
+            [np.nan, np.nan],
+            [7.0],
+            # chains of neighbours 1e-12 apart, each gap on either side of the
+            # tolerance by rounding alone
+            1.0 + 1e-12 * np.arange(40.0),
+            [(1.0 + 1e-12) ** k for k in range(-20, 20)] + [1.0 + 1e-12 * k for k in range(20)],
+        ],
+        ids=["duplicates", "signed-zeros", "infinities", "nans", "all-nan", "one", "chain",
+             "chains"],
+    )
+    def test_ranks_equal_the_unique_reference(self, values):
+        values = np.array(values, dtype=float)
+        for shuffled in (values, np.random.default_rng(3).permutation(values)):
+            got = rv.inference._atom_ranks(shuffled)
+            assert got.dtype == np.int32
+            assert got.tolist() == unique_atom_ranks(shuffled).tolist()
+
+    def test_ranks_equal_the_unique_reference_across_slices(self):
+        # several slices of the sorted values, with runs and chains crossing
+        # the slice boundaries
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=300)
+        values = np.concatenate(
+            [
+                rng.choice(base, size=3 * enumeration._CHUNK),
+                1.0 + 1e-12 * rng.integers(0, 2000, size=enumeration._CHUNK),
+                [0.0, -0.0, np.inf, np.nan, np.inf, np.nan],
+            ]
+        )
+        values = rng.permutation(values)
+        assert rv.inference._atom_ranks(values).tolist() == unique_atom_ranks(values).tolist()
 
 
 def _exact_mean_squares(table, assignment):

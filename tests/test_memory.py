@@ -33,18 +33,34 @@ def traced_peak(call, setup=""):
 
 
 def test_order_five_latin_square_table_build():
-    # measured 17.2 MB (numpy 2.4); bound = measured + 30%.  Keeping every
-    # square as int64 grids peaked at 64.7 MB.
-    assert traced_peak("_latin_square_rows(5)") < 1.3 * 17.2e6
+    # measured 2.0 MB (numpy 2.4), against 0.8 MB kept; bound = measured +
+    # 30%.  Growing each rectangle level in one piece peaked at 17.2 MB, and
+    # keeping every square as int64 grids at 64.7 MB.
+    assert traced_peak("_latin_square_rows(5)") < 1.3 * 2.0e6
 
 
 def test_exact_rcb_4x4_aggregation_per_assignment():
-    # an integer RCB 4x4 (331,776 assignments, 329,262 atoms): measured 82.5
-    # bytes per assignment (numpy 2.4); bound = measured + 30%.  Holding
-    # every full-length array of the aggregation to the end took 154.
+    # an integer RCB 4x4 (331,776 assignments, 329,262 atoms): measured 47.9
+    # bytes per assignment (numpy 2.4), the four kept columns (32 per atom)
+    # with the atoms' first assignments and their sort order; bound =
+    # measured + 30%.  np.unique atom ranks and a second copy of the
+    # columns took about 82, holding every full-length array to the end 154.
     setup = (
         "x = np.round(np.random.default_rng(5).normal(20.0, 15.0, size=(4, 4, 4)))\n"
         "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
     )
     peak = traced_peak("rv.exact_distribution(table)", setup)
-    assert peak / 331_776 < 1.3 * 82.5
+    assert peak / 331_776 < 1.3 * 47.9
+
+
+def test_exact_ls_5_distribution_per_assignment():
+    # a float LS of order 5 (161,280 squares), building the square table in
+    # the call: measured 53.3 bytes per assignment (numpy 2.4); bound =
+    # measured + 30%.  Before the table was grown in blocks and the
+    # aggregation sorted once per column, it took 106.9.
+    setup = (
+        "x = np.random.default_rng(6).normal(20.0, 15.0, size=(5, 5, 5))\n"
+        "table = rv.PotentialOutcomeTable(rv.DesignKind.LS, x)\n"
+    )
+    peak = traced_peak("rv.exact_distribution(table)", setup)
+    assert peak / 161_280 < 1.3 * 53.3
