@@ -157,7 +157,9 @@ def stage_rows(
     so that each row's indices are contiguous, in the smallest unsigned
     dtype that holds min(T!, count) - 1.  Only one chunk's labels are held at
     a time: each chunk's rows are indexed into their own distinct values,
-    which are merged once the stream ends.
+    which are merged once the stream ends.  The keys are injective, so any
+    occurrence of a key supplies its label row; np.unique then needs no
+    first occurrences, and sorts with numpy's default (unstable) argsort.
     """
     index = None
     bounds: list[tuple[int, int]] = []
@@ -173,27 +175,31 @@ def stage_rows(
         labels = labels.astype(label_dtype, copy=False)
         keys = _row_keys(labels)
         for row, (seen_keys, seen_perms) in enumerate(found):
-            local, first, inverse = np.unique(
-                keys[:, row], return_index=True, return_inverse=True
-            )
+            local, inverse = np.unique(keys[:, row], return_inverse=True)
             index[row, lo : lo + s] = inverse
             seen_keys.append(local)
-            seen_perms.append(labels[first, row])
+            seen_perms.append(labels[_occurrences(inverse, len(local)), row])
         bounds.append((lo, lo + s))
         lo += s
     if index is None or lo != count:
         raise RandovaError(f"the stream yielded {lo} assignments, expected {count}")
     perms = []
     for row, (seen_keys, seen_perms) in enumerate(found):
-        _, first, remap = np.unique(
-            np.concatenate(seen_keys), return_index=True, return_inverse=True
-        )
+        distinct, remap = np.unique(np.concatenate(seen_keys), return_inverse=True)
         start = 0
         for (a, b), local in zip(bounds, seen_keys):
             index[row, a:b] = remap[start : start + len(local)][index[row, a:b]]
             start += len(local)
-        perms.append(np.concatenate(seen_perms)[first])
+        perms.append(np.concatenate(seen_perms)[_occurrences(remap, len(distinct))])
     return tuple(perms), index.T
+
+
+def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
+    """A position in inverse of each value 0..size - 1, for the inverse of
+    np.unique over size distinct values (so each value occurs)."""
+    found = np.empty(size, dtype=np.intp)
+    found[inverse] = np.arange(len(inverse))
+    return found
 
 
 def replicate_index(

@@ -168,7 +168,9 @@ class Assignment(_Value):
             chunk.setflags(write=False)
             for grid in chunk:
                 assignment = object.__new__(cls)
-                assignment.__dict__.update(design=design, grid=grid)
+                fields = assignment.__dict__
+                fields["design"] = design
+                fields["grid"] = grid
                 yield assignment
 
     def labels(self) -> np.ndarray:

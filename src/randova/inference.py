@@ -10,10 +10,11 @@ F (S0^2 = 0 < S1^2) always does.
 Support points aggregate assignments whose S0^2 and S1^2 each fall in the
 same atom.  One rule makes the atoms of a column: sort its distinct values
 and start a new atom wherever the gap to the previous value exceeds 1e-12
-times the larger of the two.  It merges floating-point twins, whatever digit
-they straddle, and keeps truly distinct values apart; since gaps chain, an
-atom of m distinct values spans at most (m - 1) * 1e-12 relative.  Exact
-zeros come from the ANOVA kernel's zero rule, so 0.0 is an atom of its own.
+times the larger of the two, or either value is not finite.  It merges
+floating-point twins, whatever digit they straddle, and keeps truly
+distinct values apart; since gaps chain, an atom of m distinct values spans
+at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
+kernel's zero rule, so 0.0 is an atom of its own.
 
 Every run stages its assignments once: the space's stream is read one
 chunk of label grids at a time and kept as each row's distinct permutations
@@ -37,15 +38,22 @@ bisection of the F column.  `support` builds SupportPoint objects from
 the columns on demand.
 
 The aggregation holds few full-length arrays, and each only until the next
-step has what it needs.  Each column's atom ranks come from one argsort,
-with the atom splits marked on sorted neighbours a slice at a time (int32
-ranks, no distinct-value or inverse arrays).  The pairs of ranks are packed
-into one int64 key, and a stable argsort of the keys groups them: each
-run of equal keys is an atom, and its first entry is the first assignment
-seen.  The columns are made read-only, so the summary keeps them without a
-second copy.  On an integer RCB 4x4 (331,776 assignments, 329,262 atoms)
-the call peaks at about 48 traced bytes per assignment: the four kept
-columns, the atoms' first assignments and their sort order.
+step has what it needs.  It sorts with numpy's default argsort, which is
+not stable and several times faster than the stable kinds on the SIMD
+units; where the order of equal keys matters, only those few places are
+fixed.  Each column's atom ranks come from one argsort, with the atom
+splits marked on sorted neighbours a slice at a time (int32 ranks, no
+distinct-value or inverse arrays).  The pairs of ranks are packed into one
+int64 key, and an argsort of the keys groups them: each run of equal keys
+is an atom, and the smallest stream position in the run, the first
+assignment seen, stands for it (`_first_of_runs` fixes the runs longer
+than one).  The atoms are ordered by one argsort of F, and then only the
+runs of equal F are re-sorted by S0^2 and first appearance
+(`_support_order`), which gives np.lexsort's order.  The columns are made
+read-only, so the summary keeps them without a second copy.  On an
+integer RCB 4x4 (331,776 assignments, 329,262 atoms) the call peaks at
+about 48 traced bytes per assignment: the four kept columns, their sort
+order and a copy of one column as it is gathered.
 """
 
 from __future__ import annotations
@@ -203,12 +211,14 @@ def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
-    """The assignments' label grids, stacked _CHUNK at a time.  Only the
-    grids are collected, so each Assignment is freed once it is read and
-    no garbage collection is set off by a chunk of live objects."""
+    """The assignments' label grids, stacked _CHUNK at a time into one
+    (S, rows, T) array by a single concatenate (np.array over the list
+    takes half as long again).  Only the grids are collected, so each
+    Assignment is freed once it is read and no garbage collection is set
+    off by a chunk of live objects."""
     stream = iter(assignments)
     while grids := [a.grid for a in itertools.islice(stream, _CHUNK)]:
-        yield np.array(grids)
+        yield np.concatenate(grids).reshape(len(grids), *grids[0].shape)
 
 
 def _sorted_neighbours(
@@ -227,16 +237,16 @@ def _sorted_neighbours(
 def _atom_ranks(values: np.ndarray) -> np.ndarray:
     """Atom rank of each value, int32: the sorted distinct values start a
     new atom wherever the gap to the previous one exceeds _ATOM_RTOL times
-    the larger magnitude of the two (a non-finite value always does; NaN is
-    one value).  Gaps chain, so an atom of m distinct values spans at most
-    (m - 1) * _ATOM_RTOL relative.  One argsort; the splits are marked on
-    sorted neighbours a slice at a time."""
+    the larger magnitude of the two, or either of them is not finite (equal
+    infinities are one value, and so are the NaNs).  Gaps chain, so an atom
+    of m distinct values spans at most (m - 1) * _ATOM_RTOL relative.  One
+    argsort; the splits are marked on sorted neighbours a slice at a time."""
     ranks = np.empty(len(values), dtype=np.int32)
     rank = 0
     for _, part, lo, hi in _sorted_neighbours(values, np.argsort(values)):
         with np.errstate(invalid="ignore"):  # inf - inf between equal neighbours
             gap = hi - lo > _ATOM_RTOL * np.maximum(np.abs(lo), np.abs(hi))
-        split = (hi != lo) & ~np.isnan(lo) & (gap | ~np.isfinite(hi))
+        split = (hi != lo) & ~np.isnan(lo) & (gap | ~(np.isfinite(hi) & np.isfinite(lo)))
         steps = np.cumsum(split, dtype=np.int32)
         steps += rank
         ranks[part] = steps
@@ -252,6 +262,50 @@ def _run_starts(values: np.ndarray, order: np.ndarray) -> np.ndarray:
         starts[start : start + len(hi)] = hi != lo
     starts[0] = starts[-1] = True
     return starts
+
+
+def _first_of_runs(order: np.ndarray, run_starts: np.ndarray) -> np.ndarray:
+    """The smallest entry of order in each of its runs that run_starts
+    marks (`_run_starts`).  An unstable sort leaves a run in any order, so
+    the first entries are fixed only where a run is longer than one, a
+    slice at a time: the i-th sorted position p that starts no run belongs
+    to run p - i - 1."""
+    first = order[run_starts[:-1]]
+    inner_seen = 0
+    for lo in range(0, len(order), _CHUNK):
+        inner = np.flatnonzero(~run_starts[lo : lo + _CHUNK])
+        if len(inner):
+            inner += lo
+            runs = inner - np.arange(inner_seen + 1, inner_seen + 1 + len(inner))
+            np.minimum.at(first, runs, order[inner])
+            inner_seen += len(inner)
+    return first
+
+
+def _support_order(f: np.ndarray, s0: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The atoms' order by F (NaN last), then S0^2, then first appearance,
+    as np.lexsort((first, s0, f)) gives it.  One unstable argsort of F,
+    then only the runs of equal F (NaN equal to NaN, -0.0 to 0.0) are
+    re-sorted by (S0^2, first); ties are found on sorted neighbours a slice
+    at a time and are few where F varies."""
+    order = np.argsort(f)
+    parts = []
+    for start, _, lo, hi in _sorted_neighbours(f, order):
+        tie = (hi == lo) | (np.isnan(hi) & np.isnan(lo))
+        tie[0] &= start > 0  # the first value stands before itself
+        parts.append(np.flatnonzero(tie) + start)
+    ties = np.concatenate(parts)
+    if len(ties):
+        # a run of equal F is its head, the position before its first tie,
+        # and its ties; runs are numbered in sorted order
+        new_run = np.concatenate([[True], ties[1:] != ties[:-1] + 1])
+        members = np.concatenate([ties[new_run] - 1, ties])
+        runs = np.concatenate([np.arange(np.count_nonzero(new_run)), np.cumsum(new_run) - 1])
+        atoms = order[members]
+        atoms = atoms[np.lexsort((first[atoms], s0[atoms], runs))]
+        members.sort()
+        order[members] = atoms
+    return order
 
 
 def _require_noiseless(table: PotentialOutcomeTable) -> None:
@@ -299,29 +353,32 @@ def exact_distribution(
     # full-length array as soon as the next step has what it needs
     del perms, index, tables
 
-    # one atom per distinct pair of ranks; a stable sort of the pair keys
-    # puts the first assignment seen, which stands for the atom, first in
-    # its run of equal keys
+    # one atom per distinct pair of ranks, a run of equal keys in their
+    # sorted order; the run's smallest stream position, the first
+    # assignment seen, stands for the atom
     rank1 = _atom_ranks(s1)
     key = _atom_ranks(s0).astype(np.int64)
     key *= int(rank1.max()) + 1
     key += rank1
     del rank1
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     run_starts = _run_starts(key, order)
     del key
-    first = order[run_starts[:-1]]
+    first = _first_of_runs(order, run_starts)
     del order
-    counts = np.diff(np.flatnonzero(run_starts))
-    del run_starts
     atom_s0 = s0[first]
     del s0
     atom_s1 = s1[first]
     del s1
     f = f_from_sums(atom_s0, atom_s1)
-    # by F (NaN sorts last), then S0^2, then first appearance in the stream
-    order = np.lexsort((first, atom_s0, f))
+    order = _support_order(f, atom_s0, first)
     del first
+    # the counts only now, so that the tie scan above runs beside the run
+    # starts' bytes, not a count per atom
+    starts = np.flatnonzero(run_starts)
+    del run_starts
+    counts = np.diff(starts)
+    del starts
     f = f[order]
     atom_s0 = atom_s0[order]
     atom_s1 = atom_s1[order]

@@ -24,6 +24,13 @@ the line tables, and the package's sampler must match it bit for bit.
 `unique_atom_ranks` is the atom rule as the package ran it on np.unique's
 distinct values, before it marked atom splits on sorted neighbours; the
 package's ranks must equal it.
+`stable_support_columns` is the support aggregation as the package ran it
+with stable sorts: atoms grouped by a stable argsort of the packed rank
+pairs, so each atom's first assignment leads its run, and ordered by
+`np.lexsort`; `exact_distribution` must give the same columns.
+`first_occurrence_stage_rows` is label staging as the package ran it, with
+each distinct key's label row taken from its first occurrence
+(`np.unique(return_index=True)`); `stage_rows` must give the same arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +41,14 @@ import math
 import numpy as np
 
 import randova as rv
-from randova.anova import batch_anova_ls, batch_anova_rcb, row_tables, stage_rows
+from randova.anova import (
+    batch_anova_ls,
+    batch_anova_rcb,
+    f_from_sums,
+    row_tables,
+    stage_rows,
+)
+from randova.enumeration import _row_keys
 
 
 def random_rcb_table(rng, num_blocks=None, num_treatments=None, sd=0.0):
@@ -435,8 +449,45 @@ def cube_latin_squares(order, count, seed, burn_in=None):
 def unique_atom_ranks(values):
     """Atom rank of each value by the distinct values of np.unique (NaNs are
     one): a new atom wherever the gap to the previous distinct value exceeds
-    1e-12 times the larger magnitude of the two, or that value is not finite."""
+    1e-12 times the larger magnitude of the two, or either is not finite."""
     distinct, inverse = np.unique(values, return_inverse=True)
     lo, hi = distinct[:-1], distinct[1:]
-    split = (hi - lo > 1e-12 * np.maximum(np.abs(lo), np.abs(hi))) | ~np.isfinite(hi)
+    gap = hi - lo > 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    split = gap | ~np.isfinite(hi) | ~np.isfinite(lo)
     return np.concatenate([[0], np.cumsum(split)])[inverse]
+
+
+def stable_support_columns(s0, s1):
+    """(f_stat, s0_sq, s1_sq, counts) of the atoms of the (S0^2, S1^2) of
+    every assignment, in stream order: one atom per distinct pair of atom
+    ranks (`unique_atom_ranks`), grouped by a stable argsort of the packed
+    pairs so that the first assignment seen stands for its atom, and ordered
+    by np.lexsort on (F, S0^2, first appearance)."""
+    r0, r1 = unique_atom_ranks(s0), unique_atom_ranks(s1)
+    key = r0.astype(np.int64) * (int(r1.max()) + 1) + r1
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
+    first = order[starts[:-1]]
+    counts = np.diff(starts)
+    atom_s0, atom_s1 = s0[first], s1[first]
+    f = f_from_sums(atom_s0, atom_s1)
+    by = np.lexsort((first, atom_s0, f))
+    return f[by], atom_s0[by], atom_s1[by], counts[by]
+
+
+def first_occurrence_stage_rows(chunks, count):
+    """(perms, index) of `stage_rows` over one pass of the (S, rows, T) label
+    chunks: per row the distinct label rows in key order, each taken from
+    the first occurrence of its key, and the (count, rows) index into them
+    in the smallest unsigned dtype that holds min(T!, count) - 1."""
+    labels = np.concatenate([c.astype(np.min_scalar_type(c.shape[2] - 1)) for c in chunks])
+    _, rows, t = labels.shape
+    dtype = np.min_scalar_type(min(math.factorial(t), count) - 1)
+    keys = _row_keys(labels)
+    perms, index = [], np.empty((count, rows), dtype=dtype)
+    for row in range(rows):
+        _, first, inverse = np.unique(keys[:, row], return_index=True, return_inverse=True)
+        perms.append(labels[first, row])
+        index[:, row] = inverse
+    return tuple(perms), index

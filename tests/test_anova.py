@@ -14,9 +14,11 @@ from randova.anova import (
     stage_rows,
 )
 from randova.enumeration import assignment_stream
+from randova.inference import _label_chunks
 from helpers import (
     all_assignments,
     batch_kernel,
+    first_occurrence_stage_rows,
     fsum_anova,
     label_grid_anova,
     random_ls_table,
@@ -267,6 +269,48 @@ def _table_kernel(table, labels, chunk=7):
     for row, distinct in enumerate(perms):
         assert np.array_equal(distinct[index[:, row]], labels[:, row])
     return batch_kernel(table, labels, chunk)
+
+
+class TestStagingReference:
+    """stage_rows against first-occurrence staging, on the label chunks of
+    exact and sampled spaces."""
+
+    @staticmethod
+    def _check(table, space):
+        _, count, _ = assignment_stream(table, space)
+        perms, index = stage_rows(_label_chunks(assignment_stream(table, space)[0]), count)
+        want_perms, want_index = first_occurrence_stage_rows(
+            _label_chunks(assignment_stream(table, space)[0]), count
+        )
+        assert len(perms) == len(want_perms)
+        for got, want in zip(perms, want_perms):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert index.dtype == want_index.dtype and index.flags.f_contiguous
+        np.testing.assert_array_equal(index, want_index)
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"])
+    def test_exact_spaces(self, tables, name):
+        rng = np.random.default_rng(6)
+        table = tables.get(name) or (
+            random_ls_table(rng, 5) if name == "ls5" else random_rcb_table(rng, 3, 4)
+        )
+        self._check(table, rv.RandomizationSpace.exact())
+
+    @pytest.mark.parametrize(
+        "design, size, draws",
+        # T = 17 keys the rows as bytes, not packed integers
+        [(rv.DesignKind.LS, 8, 1000), (rv.DesignKind.RCB, (20, 5), 20000),
+         (rv.DesignKind.RCB, (3, 17), 3000)],
+        ids=["ls8", "rcb20x5", "rcb3x17-byte-keys"],
+    )
+    def test_sampled_spaces(self, design, size, draws):
+        rng = np.random.default_rng(9)
+        if design is rv.DesignKind.RCB:
+            table = random_rcb_table(rng, *size)
+        else:
+            table = random_ls_table(rng, size)
+        self._check(table, rv.RandomizationSpace.sample(draws, seed=2))
 
 
 class TestTableKernel:

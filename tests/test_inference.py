@@ -11,7 +11,7 @@ import pytest
 import randova as rv
 import randova.enumeration as enumeration
 import randova.inference as inference
-from randova.anova import design_dfs, f_from_sums
+from randova.anova import design_dfs, f_from_sums, row_tables
 from randova.enumeration import assignment_stream
 from helpers import (
     additive_table,
@@ -24,6 +24,7 @@ from helpers import (
     random_rcb_table,
     rcb_block_constant_table,
     sharp_null_table,
+    stable_support_columns,
     two_value_witness,
     unique_atom_ranks,
 )
@@ -563,6 +564,17 @@ class TestAtomRule:
         # each gap is below the tolerance, the whole span is not
         assert _atom_count([1.0, 1.0 + 9e-13, 1.0 + 1.8e-12]) == 1
 
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [([-np.inf, -np.inf, 0.0], [0, 0, 1]), ([-np.inf, 1.0, 5.0, -1e308], [0, 2, 3, 1])],
+        ids=["equal-negative-infinities", "negative-infinity-below-finite"],
+    )
+    def test_negative_infinity_is_an_atom_of_its_own(self, values, ranks):
+        # the tolerance 1e-12 * inf must not swallow the gap above -inf
+        values = np.array(values)
+        assert rv.inference._atom_ranks(values).tolist() == ranks
+        assert unique_atom_ranks(values).tolist() == ranks
+
     def test_ranks_follow_the_value_order(self):
         values = np.array([5.0, 1.0, 5.0 * (1.0 + 2**-52), 3.0, 1.0])
         assert rv.inference._atom_ranks(values).tolist() == [2, 0, 2, 1, 0]
@@ -605,6 +617,99 @@ class TestAtomRule:
         )
         values = rng.permutation(values)
         assert rv.inference._atom_ranks(values).tolist() == unique_atom_ranks(values).tolist()
+
+
+def _stream_mean_squares(table, space):
+    """(S0^2, S1^2) of every assignment of the space in stream order, by the
+    staged batch kernel of the exact path, _CHUNK assignments at a time."""
+    perms, index, _ = inference._staged(table, space)
+    x = table.outcomes
+    tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
+    parts = [
+        inference._batch_sums(tables, index[lo : lo + enumeration._CHUNK])
+        for lo in range(0, len(index), enumeration._CHUNK)
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _identical_blocks_rcb():
+    # identical blocks: an assignment that permutes every block alike has
+    # S0^2 = 0 < S1^2, every other a finite F
+    return rv.PotentialOutcomeTable(
+        rv.DesignKind.RCB, np.zeros((3, 3, 3)) + np.array([0.0, 1.0, 3.0])[:, None] + [0.1, 0.7, 2.9]
+    )
+
+
+class TestSupportOrder:
+    """Atoms grouped by an unstable argsort and ordered by one argsort of F
+    with the ties re-sorted, against the stable-sort reference."""
+
+    @pytest.mark.parametrize(
+        "name", ["rcb4x4-integer", "table4", "constant", "infinite-f", "rcb20x5-sampled"]
+    )
+    def test_columns_equal_the_stable_sort_reference(self, tables, name):
+        space = rv.RandomizationSpace.exact()
+        if name == "rcb4x4-integer":
+            x = np.round(np.random.default_rng(5).normal(20.0, 15.0, size=(4, 4, 4)))
+            table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
+        elif name == "table4":
+            table = tables["table4"]
+        elif name == "constant":
+            table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.full((3, 3, 3), 2.0))
+        elif name == "infinite-f":
+            table = _identical_blocks_rcb()
+        else:
+            table = random_rcb_table(np.random.default_rng(8), 20, 5)
+            space = rv.RandomizationSpace.sample(20000, seed=3)
+        summary = rv.exact_distribution(table, space)
+        want = stable_support_columns(*_stream_mean_squares(table, space))
+        got = (summary.f_stat, summary.s0_sq, summary.s1_sq, summary.counts)
+        for column, expected in zip(got, want):
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
+        f = summary.f_stat
+        if name == "rcb4x4-integer":
+            assert np.count_nonzero(f[1:] == f[:-1]) > 100  # runs of tied F
+        elif name == "table4":
+            assert len(f) == 2 and (summary.counts > 1).all()
+        elif name == "constant":
+            assert np.isnan(f).all()
+        elif name == "infinite-f":
+            assert np.isinf(f).any() and np.isfinite(f).any()
+
+    def test_ties_crossing_a_slice_boundary_match_lexsort(self):
+        # sorted F holds a run of equal values across the first _CHUNK slice
+        # boundary, runs of signed zeros, infinities and NaNs; S0^2 ties
+        # within runs leave the first appearance to decide
+        k = enumeration._CHUNK
+        rng = np.random.default_rng(12)
+        f = np.concatenate(
+            [
+                [0.0, -0.0] * 20,
+                np.linspace(1.0, 2.0, k - 100),
+                np.full(300, 2.5),
+                np.linspace(3.0, 4.0, 500),
+                [np.inf] * 30,
+                [np.nan] * 30,
+            ]
+        )
+        order = rng.permutation(len(f))
+        f = f[order]
+        s0 = rng.integers(0, 4, size=len(f)).astype(float)
+        s0[rng.random(len(f)) < 0.1] = -0.0
+        first = rng.permutation(len(f))
+        got = inference._support_order(f, s0, first)
+        assert got.tolist() == np.lexsort((first, s0, f)).tolist()
+
+    def test_first_of_runs_crossing_slice_boundaries(self):
+        k = enumeration._CHUNK
+        rng = np.random.default_rng(13)
+        sizes = np.concatenate([[1] * 50, [k + 7], rng.integers(1, 6, size=800), [3 * k]])
+        order = rng.permutation(int(sizes.sum()))
+        run_starts = np.zeros(len(order) + 1, dtype=bool)
+        run_starts[np.concatenate([[0], np.cumsum(sizes)])] = True
+        want = np.minimum.reduceat(order, np.flatnonzero(run_starts[:-1]))
+        assert inference._first_of_runs(order, run_starts).tolist() == want.tolist()
 
 
 def _exact_mean_squares(table, assignment):

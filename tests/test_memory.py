@@ -42,7 +42,7 @@ def test_order_five_latin_square_table_build():
 def test_exact_rcb_4x4_aggregation_per_assignment():
     # an integer RCB 4x4 (331,776 assignments, 329,262 atoms): measured 47.9
     # bytes per assignment (numpy 2.4), the four kept columns (32 per atom)
-    # with the atoms' first assignments and their sort order; bound =
+    # with their sort order and a copy of one column as it is gathered; bound =
     # measured + 30%.  np.unique atom ranks and a second copy of the
     # columns took about 82, holding every full-length array to the end 154.
     setup = (
