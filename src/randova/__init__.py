@@ -17,22 +17,14 @@ All operations are pure functions over immutable values and are safe to call
 concurrently.
 """
 
-from .anova import AnovaSummary, ObservedExperiment, anova, observe
-from .documents import (
-    dumps_report,
-    load_table,
-    report_document,
-    table_from_document,
-    table_to_document,
-)
+from .anova import ObservedExperiment, anova, observe
+from .documents import dumps_report, load_table, report_document, table_to_document
 from .enumeration import (
     Assignment,
     LsMeasure,
     RandomizationSpace,
     enumerate_latin_squares,
     enumerate_rcb,
-    latin_square_count,
-    rcb_space_size,
     sample_latin_squares,
     sample_rcb,
     space_cardinality,
@@ -58,16 +50,13 @@ from .errors import (
 )
 from .expected_ms import (
     ExpectedMeanSquares,
-    LsDifferenceDecomposition,
-    MeanDifferenceVariance,
     expected_ms,
     ls_difference_decomposition,
     mean_difference_variance,
 )
-from .fdist import FReference, f_quantile, f_survival, regularized_incomplete_beta
+from .fdist import FReference, f_quantile, f_survival
 from .inference import (
     MonteCarloReport,
-    NullStatus,
     RandomizationSummary,
     SupportPoint,
     SurvivalCurve,
@@ -99,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditivityReport",
-    "AnovaSummary",
     "Assignment",
     "CheckResult",
     "ConvergenceFailure",
@@ -113,14 +101,11 @@ __all__ = [
     "InvalidArgument",
     "InvalidDegreesOfFreedom",
     "InvalidProbability",
-    "LsDifferenceDecomposition",
     "LsMeasure",
-    "MeanDifferenceVariance",
     "MonteCarloReport",
     "NegativeArgument",
     "NegativeErrorSd",
     "NonFiniteEntry",
-    "NullStatus",
     "ObservedExperiment",
     "ParseError",
     "PotentialOutcomeTable",
@@ -146,7 +131,6 @@ __all__ = [
     "f_quantile",
     "f_survival",
     "fisher_sharp_null_holds",
-    "latin_square_count",
     "load_bundled_table",
     "load_bundled_tables",
     "load_table",
@@ -155,15 +139,12 @@ __all__ = [
     "monte_carlo_with_errors",
     "neyman_null_holds",
     "observe",
-    "rcb_space_size",
-    "regularized_incomplete_beta",
     "report_document",
     "run_reproduction",
     "sample_latin_squares",
     "sample_rcb",
     "space_cardinality",
     "survival_curve",
-    "table_from_document",
     "table_to_document",
     "type1_error",
     "validate",

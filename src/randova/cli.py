@@ -11,22 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .documents import dumps_report, load_table, report_document, table_to_document
-from .enumeration import (
-    LsMeasure,
-    RandomizationSpace,
-    latin_square_count,
-    ls_sampler_settings,
-    rcb_space_size,
-)
+from .enumeration import LsMeasure, RandomizationSpace, ls_sampler_settings, space_cardinality
 from .errors import RandovaError, SpaceTooLarge
 from .expected_ms import expected_ms, ls_difference_decomposition
 from .inference import (
     DEFAULT_GRID_POINTS,
-    DEFAULT_MC_ERROR_SD,
     DEFAULT_MC_REPLICATIONS,
     monte_carlo_with_errors,
     survival_curve,
@@ -39,6 +32,8 @@ from .reproduce import (
     load_bundled_tables,
     run_reproduction,
 )
+
+DEFAULT_MC_ERROR_SD = 0.01  # the noise level of `mc` on a noiseless table
 
 
 def _table_inputs(
@@ -146,9 +141,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     # --seed is the noise seed; it seeds the space too only with --sample
     space = _space_from_args(args, args.seed if args.sample is not None else None)
+    sigma_eps = args.sigma_eps
+    if sigma_eps is None:
+        sigma_eps = table.technical_error_sd or DEFAULT_MC_ERROR_SD
     report = monte_carlo_with_errors(
-        table,
-        sigma_eps=args.sigma_eps,
+        replace(table, technical_error_sd=sigma_eps),
         replications=args.reps,
         alpha=args.alpha,
         seed=args.seed if args.seed is not None else 0,
@@ -165,22 +162,15 @@ def _cmd_enumerate_count(args: argparse.Namespace) -> int:
     if design is DesignKind.RCB:
         if args.blocks is None or args.treatments is None:
             raise RandovaError("rcb counts need --blocks and --treatments")
-        count = rcb_space_size(args.blocks, args.treatments)
-        payload = {
-            "design": design.value,
-            "blocks": args.blocks,
-            "treatments": args.treatments,
-            "count": count,
-        }
+        payload = {"design": design.value, "blocks": args.blocks, "treatments": args.treatments}
+        payload["count"] = space_cardinality(design, args.blocks, args.treatments)
     else:
         order = args.order if args.order is not None else args.treatments
         if order is None:
             raise RandovaError("ls counts need --order")
-        count = latin_square_count(order)
+        count = space_cardinality(design, order, order)
         if count is None:
-            raise RandovaError(
-                f"no exact Latin-square count available for order {order}"
-            )
+            raise RandovaError(f"no exact Latin-square count available for order {order}")
         payload = {"design": design.value, "order": order, "count": count}
     doc = report_document("enumerate_count", {}, payload)
     print(dumps_report(doc))
@@ -250,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "mc", help="Monte Carlo rejection probability with technical errors"
     )
     p_mc.add_argument("table")
-    p_mc.add_argument("--sigma-eps", type=float, default=DEFAULT_MC_ERROR_SD)
+    sigma_help = f"technical error sd (default: the table's, or {DEFAULT_MC_ERROR_SD} if it is 0)"
+    p_mc.add_argument("--sigma-eps", type=float, default=None, help=sigma_help)
     p_mc.add_argument("--reps", type=int, default=DEFAULT_MC_REPLICATIONS)
     p_mc.add_argument("--alpha", type=float, default=0.05)
     p_mc.add_argument(
@@ -295,15 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: pass --sample N (and --seed) to sample the space uniformly",
-            file=sys.stderr,
-        )
-        return 2
     except RandovaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SpaceTooLarge) and "sample" in vars(args):
+            print(
+                "hint: pass --sample N (and --seed) to sample the space uniformly",
+                file=sys.stderr,
+            )
         return 2
 
 

@@ -47,7 +47,7 @@ def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
-    return table_from_document(doc)
+    return _table_from_document(doc)
 
 
 def _require(doc: dict, field: str, kind: type, optional: bool = False) -> Any:
@@ -66,7 +66,7 @@ def _require(doc: dict, field: str, kind: type, optional: bool = False) -> Any:
     return value
 
 
-def table_from_document(doc: dict) -> PotentialOutcomeTable:
+def _table_from_document(doc: dict) -> PotentialOutcomeTable:
     design_raw = _require(doc, "design", str)
     try:
         design = DesignKind(design_raw)
@@ -138,7 +138,7 @@ def table_from_document(doc: dict) -> PotentialOutcomeTable:
 
 
 def table_to_document(table: PotentialOutcomeTable) -> dict:
-    """Inverse of table_from_document (round-trips to an equal document)."""
+    """Inverse of load_table (round-trips to an equal document)."""
     doc: dict[str, Any] = {"design": table.design.value}
     doc["treatments"] = table.num_treatments
     if table.design is DesignKind.RCB:

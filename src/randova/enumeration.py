@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, SpaceTooLarge, _number
+from .errors import DimensionMismatch, InvalidArgument, SpaceTooLarge, _check_int, _number
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, _array, _converted, _Value
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -55,6 +55,7 @@ ENUM_CAP_ENV_VAR = "RANDOVA_ENUM_CAP"
 # square of orders 1-5.
 LATIN_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
 MAX_EXACT_LS_ORDER = 5
+_MAX_COUNT = 10**4300 - 1  # 4300 digits: Python's default limit on int -> str
 
 _CHUNK = 4096  # assignments built per step of the enumerators and samplers
 
@@ -191,12 +192,6 @@ class Assignment(_Value):
         )
 
 
-def _check_int(value: int, least: int, what: str) -> None:
-    """InvalidArgument unless value is an int >= least (a bool is not one)."""
-    if not _number(value, integral=True) >= least:
-        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
-
-
 def _ls_measure(measure: LsMeasure | str) -> LsMeasure:
     try:
         return LsMeasure(measure)
@@ -228,14 +223,23 @@ def _check_sizes(**sizes: int) -> None:
         raise DimensionMismatch(f"sizes must be >= 1, got {got}")
 
 
-def rcb_space_size(num_blocks: int, num_treatments: int) -> int:
-    """Cardinality (T!)^N of the RCB randomization space; DimensionMismatch
-    unless N, T >= 1."""
+def _rcb_space_size(num_blocks: int, num_treatments: int, limit: int) -> int | None:
+    """(T!)^N when it is at most limit, else None, found without building a
+    number much larger than limit; DimensionMismatch unless N, T >= 1."""
     _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
-    return math.factorial(num_treatments) ** num_blocks
+    factorial = 1
+    for k in range(2, num_treatments + 1):
+        factorial *= k
+        if factorial > limit:
+            return None
+    # factorial >= 2^(bits - 1), so its N-th power is >= 2^((bits - 1) N)
+    if (factorial.bit_length() - 1) * num_blocks >= limit.bit_length():
+        return None
+    size = factorial**num_blocks
+    return size if size <= limit else None
 
 
-def latin_square_count(order: int) -> int | None:
+def _latin_square_count(order: int) -> int | None:
     """Total Latin squares of the order, or None when not tabulated (order > 5);
     DimensionMismatch unless the order is >= 1."""
     _check_sizes(order=order)
@@ -245,34 +249,43 @@ def latin_square_count(order: int) -> int | None:
 def space_cardinality(
     design: DesignKind, num_blocks: int, num_treatments: int
 ) -> int | None:
-    """rcb_space_size or latin_square_count; InvalidArgument for an unknown
-    design."""
+    """Size of the design's randomization space: (T!)^N for RCB, and for LS
+    the number of Latin squares of order T (num_blocks unread), or None when
+    it is not tabulated (T > 5).  InvalidArgument for an unknown design,
+    DimensionMismatch unless the sizes are integers >= 1, SpaceTooLarge for
+    an RCB size of more than 4300 digits, which is not built."""
     try:
         design = DesignKind(design)
     except ValueError:
         choices = ", ".join(d.value for d in DesignKind)
         raise InvalidArgument(f"unknown design {design!r}; choose from {choices}") from None
-    if design is DesignKind.RCB:
-        return rcb_space_size(num_blocks, num_treatments)
-    return latin_square_count(num_treatments)
-
-
-def _check_cap(size: int, space: str) -> None:
-    cap = enumeration_cap()
-    if size > cap:
+    if design is DesignKind.LS:
+        return _latin_square_count(num_treatments)
+    size = _rcb_space_size(num_blocks, num_treatments, _MAX_COUNT)
+    if size is None:
         raise SpaceTooLarge(
-            f"{space} has {size} assignments, above the cap {cap}; "
-            "use uniform sampling instead"
+            f"the RCB space has ({num_treatments}!)^{num_blocks} assignments,"
+            " a number of more than 4300 digits"
         )
+    return size
+
+
+def _space_too_large(space: str, size: int | str, cap: int) -> SpaceTooLarge:
+    return SpaceTooLarge(
+        f"{space} has {size} assignments, above the cap {cap}; use uniform sampling instead"
+    )
 
 
 def enumerate_rcb(num_blocks: int, num_treatments: int) -> Iterator[Assignment]:
     """Stream all (T!)^N per-block permutation assignments, lexicographically.
 
-    Sizes and the cap are checked at the call, not at the first next().
+    Sizes and the cap are checked at the call, not at the first next(); a
+    size above the cap is not built.
     """
-    size = rcb_space_size(num_blocks, num_treatments)
-    _check_cap(size, "RCB space")
+    cap = enumeration_cap()
+    size = _rcb_space_size(num_blocks, num_treatments, cap)
+    if size is None:
+        raise _space_too_large("RCB space", f"({num_treatments}!)^{num_blocks}", cap)
     return Assignment._of_rows(DesignKind.RCB, _rcb_chunks(num_blocks, num_treatments, size))
 
 
@@ -374,13 +387,15 @@ def enumerate_latin_squares(order: int) -> Iterator[Assignment]:
     grids is gathered from them when the stream reaches it.  The order and
     the cap are checked at the call, not at the first next().
     """
-    known = latin_square_count(order)
+    known = _latin_square_count(order)
     if known is None:
         raise SpaceTooLarge(
             f"exact Latin-square enumeration is supported up to order "
             f"{MAX_EXACT_LS_ORDER}; order {order} must be sampled"
         )
-    _check_cap(known, "Latin-square space")
+    cap = enumeration_cap()
+    if known > cap:
+        raise _space_too_large("Latin-square space", known, cap)
     return Assignment._of_rows(DesignKind.LS, _latin_square_chunks(order))
 
 
@@ -595,8 +610,8 @@ def assignment_stream(
     if space.sample_size is None:
         if table.design is DesignKind.RCB:
             n = table.num_blocks
-            return enumerate_rcb(n, t), rcb_space_size(n, t), True
-        return enumerate_latin_squares(t), latin_square_count(t), True
+            return enumerate_rcb(n, t), math.factorial(t) ** n, True
+        return enumerate_latin_squares(t), _latin_square_count(t), True
     if table.design is DesignKind.RCB:
         settings = {"burn_in": space.burn_in, "ls_measure": space.ls_measure}
         given = [name for name, value in settings.items() if value is not None]

@@ -3,7 +3,8 @@
 Public functions never raise bare ValueError/TypeError for contract
 violations; they raise one of these so callers (and the CLI) can map
 failures to diagnostics and exit codes.  `_number` is the one rule for what
-a numeric setting is: one of the wrong type fails its range check.
+a numeric setting is: one of the wrong type fails its range check
+(`_check_int` for the integer ones).
 """
 
 import math
@@ -16,6 +17,12 @@ def _number(value, integral: bool = False):
     fails every range check."""
     kind = int if integral else numbers.Real
     return value if isinstance(value, kind) and not isinstance(value, bool) else math.nan
+
+
+def _check_int(value: int, least: int, what: str) -> None:
+    """InvalidArgument unless value is an int >= least (a bool is not one)."""
+    if not _number(value, integral=True) >= least:
+        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 class RandovaError(Exception):

@@ -76,8 +76,9 @@ from .anova import (
     row_tables,
     stage_rows,
 )
-from .enumeration import _CHUNK, Assignment, RandomizationSpace, _check_int, assignment_stream
-from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, TechnicalErrorsPresent, _number
+from .enumeration import _CHUNK, Assignment, RandomizationSpace, assignment_stream
+from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, TechnicalErrorsPresent
+from .errors import _check_int, _number
 from .fdist import FReference, f_quantile, f_survival
 from .potential_outcomes import (
     DesignKind,
@@ -94,7 +95,6 @@ _MC_ROWS = 4 * _CHUNK  # assignment x replication evaluations per table-kernel c
 _ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
-DEFAULT_MC_ERROR_SD = 0.01
 
 
 @dataclass(frozen=True)
@@ -331,13 +331,14 @@ def exact_distribution(
     table: PotentialOutcomeTable,
     space: RandomizationSpace = RandomizationSpace.exact(),
 ) -> RandomizationSummary:
-    """Randomization distribution of (S0^2, S1^2, F) for a noiseless table."""
+    """Randomization distribution of (S0^2, S1^2, F) for a noiseless table.
+    A design without residual df is refused before its space is read."""
     validate(table)
     _require_noiseless(table)
-    perms, index, is_exact = _staged(table, space)
     design, outcomes = table.design, table.outcomes
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)
+    perms, index, is_exact = _staged(table, space)
     tables = row_tables(design, outcomes[None], perms, outcomes.mean(axis=(0, 1)))
 
     count = len(index)
@@ -402,13 +403,6 @@ def exact_distribution(
     )
 
 
-def null_status(table: PotentialOutcomeTable) -> NullStatus:
-    return NullStatus(
-        neyman_null_holds=neyman_null_holds(table),
-        fisher_sharp_null_holds=fisher_sharp_null_holds(table),
-    )
-
-
 def type1_error(
     table: PotentialOutcomeTable,
     alpha: float = 0.05,
@@ -430,7 +424,7 @@ def type1_error(
         rejection_probability=summary.probability_f_above(cutoff),
         cutoff=cutoff,
         alpha=alpha,
-        null_status=null_status(table),
+        null_status=NullStatus(neyman_null_holds(table), fisher_sharp_null_holds(table)),
     )
 
 
@@ -479,7 +473,6 @@ def survival_curve(
 
 def monte_carlo_with_errors(
     table: PotentialOutcomeTable,
-    sigma_eps: float = DEFAULT_MC_ERROR_SD,
     replications: int = DEFAULT_MC_REPLICATIONS,
     alpha: float = 0.05,
     seed: int = 0,
@@ -488,6 +481,8 @@ def monte_carlo_with_errors(
 ) -> MonteCarloReport:
     """Rejection probability of the F-test with Normal technical errors.
 
+    The errors' sd sigma_eps is the table's technical_error_sd, which must
+    be > 0 (NegativeErrorSd; a noiseless table has exact_distribution).
     Each replication draws one i.i.d. Normal(0, sigma_eps^2) error per
     potential outcome (every counterfactual gets its own draw), bakes the
     perturbed outcomes into a fixed table, computes the full randomization
@@ -502,17 +497,20 @@ def monte_carlo_with_errors(
     noise draw of the group (`row_tables`, shifted by the noiseless table's
     treatment means), summed over the rows of every assignment under every
     draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the staged
-    index, `replicate_index`).  sigma_eps must be finite and > 0
-    (NegativeErrorSd), and each group's noisy outcomes must keep within the
-    magnitude bound of `validate` (NonFiniteEntry).
+    index, `replicate_index`).  Each group's noisy outcomes must keep
+    within the magnitude bound of `validate` (NonFiniteEntry).
     """
     validate(table)
-    if not 0.0 < _number(sigma_eps) < math.inf:
-        raise NegativeErrorSd(f"sigma_eps must be finite and > 0, got {sigma_eps!r}")
     _check_int(replications, 1, "replications")
     if not 0.0 < _number(alpha) < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
     _check_int(seed, 0, "seed")
+    sigma_eps = table.technical_error_sd
+    if sigma_eps == 0.0:
+        raise NegativeErrorSd(
+            f"the Monte Carlo study needs technical_error_sd > 0, got {sigma_eps};"
+            " use exact_distribution for noiseless tables"
+        )
 
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)

@@ -125,6 +125,13 @@ def _converted(convert, **kwargs):
     return field(metadata={"convert": convert}, **kwargs)
 
 
+def _real(value) -> float:
+    """value as a float; TypeError unless it is a real number (`_number`)."""
+    if _number(value) is not value:
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def _array(dtype, optional: bool = False):
     """None stays None when optional."""
 
@@ -156,14 +163,16 @@ class PotentialOutcomeTable(_Value):
     """Immutable potential-outcome table plus a technical-error magnitude.
 
     technical_error_sd is the standard deviation sigma_eps of i.i.d. mean-zero
-    measurement noise added to each revealed outcome; 0 means noiseless.  The
-    noise draws themselves are never stored here (they are realized by the
-    inference engine).
+    measurement noise added to each revealed outcome; 0 means noiseless.  It
+    is the one noise level of the package: expected_ms adds its square, and
+    the Monte Carlo study draws its errors with it.  The noise draws
+    themselves are never stored here (they are realized by the inference
+    engine).
     """
 
     design: DesignKind = _converted(DesignKind)
     outcomes: np.ndarray = _array(float)
-    technical_error_sd: float = _converted(float, default=0.0)
+    technical_error_sd: float = _converted(_real, default=0.0)
     name: str | None = None
 
     @property

@@ -5,6 +5,7 @@ captured output of a failing run) and asserts at the stated tolerance.
 Criteria with runtime budgets measure wall-clock time on this machine.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -105,9 +106,8 @@ def test_criterion_04_oracle_equivalence(tables):
 
     worst = 0.0
     for table in cases:
-        assert rv.rcb_space_size(table.num_blocks, table.num_treatments) <= 10**5 or (
-            table.design is rv.DesignKind.LS and table.num_treatments <= 4
-        )
+        size = rv.space_cardinality(rv.DesignKind.RCB, table.num_blocks, table.num_treatments)
+        assert size <= 10**5 or (table.design is rv.DesignKind.LS and table.num_treatments <= 4)
         sd = table.technical_error_sd
         noiseless = (
             table
@@ -159,9 +159,8 @@ def test_criterion_05_table4_distribution(tables):
 
 def test_criterion_06_monte_carlo(tables):
     start = time.perf_counter()
-    report = rv.monte_carlo_with_errors(
-        tables["table4"], sigma_eps=0.01, replications=2000, alpha=0.05, seed=1935
-    )
+    table = dataclasses.replace(tables["table4"], technical_error_sd=0.01)
+    report = rv.monte_carlo_with_errors(table, replications=2000, alpha=0.05, seed=1935)
     elapsed = time.perf_counter() - start
     ok = report.mean_rejection < 0.01 and elapsed < 120.0
     _report(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ class TestType1:
         assert code == 2
         assert "--sample" in err
 
+    def test_huge_rcb_space_advises_sampling(self, capsys, tmp_path):
+        # (20!)^300 has 5,591 digits, more than Python writes out of an int
+        huge = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((300, 20, 20)))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(rv.table_to_document(huge)))
+        code, out, err = run_cli(capsys, "type1", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: RCB space has (20!)^300 assignments, above the cap")
+        assert "--sample" in err
+
 
 class TestCurve:
     def test_csv_and_json(self, capsys, table_paths, tmp_path):
@@ -190,22 +201,42 @@ class TestMonteCarlo:
             capsys, "mc", table_paths["table4"], "--sigma-eps", "0"
         )
         assert code == 2
-        assert "sigma" in err
+        assert "technical_error_sd > 0" in err and "exact_distribution" in err
 
     def test_infinite_sigma_exits_2(self, capsys, table_paths):
-        code, out, err = run_cli(
-            capsys, "mc", table_paths["table4"], "--sigma-eps", "inf", "--reps", "2"
-        )
-        assert (code, out) == (2, "")
-        assert "sigma_eps must be finite" in err
+        for sigma in ("inf", "1e300"):
+            code, out, err = run_cli(
+                capsys, "mc", table_paths["table4"], "--sigma-eps", sigma, "--reps", "2"
+            )
+            assert (code, out) == (2, "")
+            assert "technical_error_sd must be >= 0 and at most 2^480" in err
 
     def test_overflowing_noise_exits_2_without_traceback(self, table_paths):
+        # within the bound on the sd, but the noisy outcomes cross 2^480
         code, out, err = run_module(
-            "mc", table_paths["table4"], "--sigma-eps", "1e300", "--reps", "2"
+            "mc", table_paths["table4"], "--sigma-eps", "1e143", "--reps", "2"
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: outcomes with technical errors too large")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table_sd,flag,error_sd",
+        [(0.5, (), 0.5), (0.5, ("--sigma-eps", "0.01"), 0.01), (0.0, (), 0.01)],
+    )
+    def test_noise_level_is_the_tables_unless_the_flag_is_given(
+        self, capsys, tmp_path, tables, table_sd, flag, error_sd
+    ):
+        doc = rv.table_to_document(tables["table4"])
+        doc["technical_error_sd"] = table_sd
+        path = tmp_path / "table4.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "mc", str(path), "--reps", "2", *flag)
+        assert code == 0
+        report = json.loads(out)
+        assert report["error_sd"] == error_sd
+        # the inputs record the file's table
+        assert report["inputs"]["technical_error_sd"] == table_sd
 
 
 class TestEnumerateCount:
@@ -234,6 +265,30 @@ class TestEnumerateCount:
         code, _, err = run_cli(capsys, "enumerate-count", "--design", "rcb")
         assert code == 2
         assert "blocks" in err
+
+    @pytest.mark.parametrize("blocks", ["100", "100000"])
+    def test_count_of_more_than_4300_digits_exits_2_at_once(self, capsys, blocks):
+        # (100!)^100 has 15,798 digits; (100!)^100000 is not built
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "enumerate-count", "--design", "rcb", "--blocks", blocks, "--treatments", "100"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the RCB space has (100!)^{blocks} assignments,"
+            " a number of more than 4300 digits\n"
+        )
+
+    def test_count_of_4300_digits_is_written(self, capsys):
+        # 6^5525 has 4,300 digits and 6^5526 has 4,301
+        argv = ["enumerate-count", "--design", "rcb", "--treatments", "3", "--blocks"]
+        code, out, _ = run_cli(capsys, *argv, "5525")
+        assert code == 0
+        assert out.split('"count": ')[1].split("\n")[0] == str(6**5525)
+        code, out, err = run_cli(capsys, *argv, "5526")
+        assert (code, out) == (2, "")
+        assert "more than 4300 digits" in err
 
     def test_unknown_ls_order_exits_2(self, capsys):
         code, _, err = run_cli(

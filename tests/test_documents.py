@@ -65,26 +65,26 @@ class TestLoadTable:
         doc = rv.table_to_document(tables["table1"])
         mutate(doc)
         with pytest.raises(rv.ParseError, match=message):
-            rv.table_from_document(doc)
+            rv.load_table(doc)
 
     def test_non_finite_entry_rejected(self, tables):
         doc = rv.table_to_document(tables["table1"])
         doc["outcomes"][0][0][0] = float("inf")
         with pytest.raises(rv.ParseError, match="finite"):
-            rv.table_from_document(doc)
+            rv.load_table(doc)
 
     def test_ls_blocks_field_must_agree(self, tables):
         doc = rv.table_to_document(tables["table2"])
         doc["blocks"] = 4
         with pytest.raises(rv.ParseError, match="blocks"):
-            rv.table_from_document(doc)
+            rv.load_table(doc)
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4"])
     def test_bundled_documents_round_trip(self, tables, name):
         doc = rv.table_to_document(tables[name])
-        again = rv.table_to_document(rv.table_from_document(doc))
+        again = rv.table_to_document(rv.load_table(doc))
         assert doc == again
 
     def test_random_tables_round_trip(self):
@@ -92,7 +92,7 @@ class TestRoundTrip:
         for design in (rv.DesignKind.RCB, rv.DesignKind.LS):
             table = random_table(rng, design, sd=0.25)
             doc = rv.table_to_document(table)
-            loaded = rv.table_from_document(doc)
+            loaded = rv.load_table(doc)
             assert np.array_equal(loaded.outcomes, table.outcomes)
             assert loaded.technical_error_sd == table.technical_error_sd
             assert rv.table_to_document(loaded) == doc

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ class TestEnumerateRcb:
 
     def test_four_blocks_three_treatments_all_distinct(self):
         keys = {grid_key(a) for a in rv.enumerate_rcb(4, 3)}
-        assert len(keys) == 6**4 == rv.rcb_space_size(4, 3)
+        assert len(keys) == 6**4 == rv.space_cardinality(rv.DesignKind.RCB, 4, 3)
 
     def test_every_assignment_is_a_per_block_bijection(self):
         for assignment in rv.enumerate_rcb(3, 3):
@@ -57,6 +59,23 @@ class TestEnumerateRcb:
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
         with pytest.raises(rv.SpaceTooLarge):
             rv.enumerate_rcb(3, 3)
+
+    @pytest.mark.parametrize("sizes", [(300, 20), (100000, 30)])
+    def test_huge_space_refused_without_building_its_size(self, sizes):
+        # (20!)^300 has more digits than Python writes out of an int, and
+        # (30!)^100000 took seconds to build
+        start = time.perf_counter()
+        with pytest.raises(rv.SpaceTooLarge, match=r"\(\d+!\)\^\d+ assignments, above the cap"):
+            rv.enumerate_rcb(*sizes)
+        with pytest.raises(rv.SpaceTooLarge, match="more than 4300 digits"):
+            rv.space_cardinality(rv.DesignKind.RCB, *sizes)
+        assert time.perf_counter() - start < 1.0
+
+    def test_space_at_the_cap_is_enumerated(self, monkeypatch):
+        monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "1296")
+        assert len(list(rv.enumerate_rcb(4, 3))) == 1296
+        with pytest.raises(rv.SpaceTooLarge, match=r"\(3!\)\^5 assignments"):
+            rv.enumerate_rcb(5, 3)
 
     @pytest.mark.parametrize("blocks,treatments", [(2, 3), (3, 3), (1, 4)])
     def test_itertools_product_order(self, blocks, treatments):
@@ -105,13 +124,16 @@ class TestEnumerateLatinSquares:
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_against_independent_counting_oracle(self, order):
-        assert count_latin_squares_bruteforce(order) == rv.latin_square_count(order)
+        assert count_latin_squares_bruteforce(order) == rv.space_cardinality(
+            rv.DesignKind.LS, order, order
+        )
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_matches_the_backtracking_oracle_in_order(self, order):
         want = np.array(list(latin_square_grids(order)))
         got = np.array([a.grid.ravel() for a in rv.enumerate_latin_squares(order)])
-        assert got.shape == want.shape == (rv.latin_square_count(order), order * order)
+        count = rv.space_cardinality(rv.DesignKind.LS, order, order)
+        assert got.shape == want.shape == (count, order * order)
         assert (got == want).all()
 
     def test_import_does_not_build_the_table(self):
@@ -134,7 +156,7 @@ class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_rows_index_the_enumerated_squares(self, order):
         rows = _latin_square_rows(order)
-        assert len(rows) == rv.latin_square_count(order)
+        assert len(rows) == rv.space_cardinality(rv.DesignKind.LS, order, order)
         got = np.array([a.grid for a in rv.enumerate_latin_squares(order)])
         assert (got == _permutation_table(order)[rows]).all()
 
@@ -414,7 +436,8 @@ class TestRandomizationSpace:
         with pytest.raises(rv.InvalidArgument, match=next(iter(settings))):
             rv.type1_error(tables["table1"], space=space)
         with pytest.raises(rv.InvalidArgument, match="RCB"):
-            rv.monte_carlo_with_errors(tables["table1"], replications=2, space=space)
+            noisy = dataclasses.replace(tables["table1"], technical_error_sd=0.01)
+            rv.monte_carlo_with_errors(noisy, replications=2, space=space)
         # an LS table takes them
         assert rv.exact_distribution(tables["table3"], space).assignment_count == 50
 
@@ -429,6 +452,6 @@ class TestRandomizationSpace:
         assert [grid_key(a) for a in stream] == [grid_key(a) for a in given]
 
     def test_rcb_space_size_formula(self):
-        assert rv.rcb_space_size(2, 2) == 4
-        assert rv.rcb_space_size(4, 3) == 1296
-        assert rv.rcb_space_size(1, 5) == math.factorial(5)
+        assert rv.space_cardinality(rv.DesignKind.RCB, 2, 2) == 4
+        assert rv.space_cardinality(rv.DesignKind.RCB, 4, 3) == 1296
+        assert rv.space_cardinality(rv.DesignKind.RCB, 1, 5) == math.factorial(5)

@@ -52,6 +52,12 @@ BAD_SETTINGS = {
     "str technical error sd": lambda: rv.PotentialOutcomeTable(
         "rcb", ZEROS, technical_error_sd="x"
     ),
+    "numeric str technical error sd": lambda: rv.PotentialOutcomeTable(
+        "rcb", ZEROS, technical_error_sd="0.1"
+    ),
+    "bool technical error sd": lambda: rv.PotentialOutcomeTable(
+        "rcb", ZEROS, technical_error_sd=True
+    ),
     "fractional summary counts": lambda: rv.RandomizationSummary(
         "rcb", [1.0], [1.0], [1.0], [0.5], 1.0, 1.0, True, 1, 1, 1
     ),
@@ -142,8 +148,8 @@ def test_enum_cap_must_be_a_positive_integer(monkeypatch, raw):
 
 BAD_SIZES = {
     "RCB space with no blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, 0, 3),
-    "RCB space with negative blocks": lambda: rv.rcb_space_size(-1, 3),
-    "RCB space with negative treatments": lambda: rv.rcb_space_size(2, -1),
+    "RCB space with negative blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, -1, 3),
+    "RCB space with negative treatments": lambda: rv.space_cardinality(rv.DesignKind.RCB, 2, -1),
     "RCB enumeration with no treatments": lambda: rv.enumerate_rcb(2, 0),
     "RCB enumeration with fractional blocks": lambda: rv.enumerate_rcb(2.0, 2),
     "fractional treatment index": lambda: rv.mean_difference_variance(
@@ -153,8 +159,8 @@ BAD_SIZES = {
     "RCB sampler with no treatments": lambda: rv.sample_rcb(3, 0, 5, seed=1),
     "Latin-square enumeration of order 0": lambda: rv.enumerate_latin_squares(0),
     "Latin-square sampler of order 0": lambda: rv.sample_latin_squares(0, 3, seed=1),
-    "Latin-square count of order 0": lambda: rv.latin_square_count(0),
-    "Latin-square count of negative order": lambda: rv.latin_square_count(-3),
+    "Latin-square count of order 0": lambda: rv.space_cardinality("ls", 1, 0),
+    "Latin-square count of negative order": lambda: rv.space_cardinality("ls", -3, -3),
     "Latin-square space of order 0": lambda: rv.space_cardinality(rv.DesignKind.LS, 0, 0),
     "Latin-square sampler settings of order 0": lambda: rv.enumeration.ls_sampler_settings(0),
     "Latin-square sampler settings of a str order": lambda: (

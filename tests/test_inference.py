@@ -159,6 +159,17 @@ class TestExactDistribution:
         with pytest.raises(rv.TechnicalErrorsPresent):
             rv.exact_distribution(noisy)
 
+    def test_degenerate_design_refused_before_its_space_is_read(self, monkeypatch):
+        # an RCB of one block has no residual df; its 9! assignments are not streamed
+        def unreachable(table, space):
+            raise AssertionError("the assignment stream was read")
+
+        monkeypatch.setattr(inference, "assignment_stream", unreachable)
+        table = random_rcb_table(np.random.default_rng(43), 1, 9)
+        for call in (rv.exact_distribution, rv.type1_error):
+            with pytest.raises(rv.DegenerateDesign):
+                call(table)
+
     def test_space_too_large_propagates(self):
         big = rv.PotentialOutcomeTable(rv.DesignKind.RCB, np.zeros((9, 5, 5)))
         with pytest.raises(rv.SpaceTooLarge):
@@ -362,28 +373,40 @@ class TestRandomizationTestExactness:
             assert np.mean(p_values <= alpha) <= alpha + 1e-12
 
 
+def _noisy(table, sd):
+    """The table with technical errors of standard deviation sd."""
+    return dataclasses.replace(table, technical_error_sd=sd)
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, tables):
-        kwargs = dict(sigma_eps=0.01, replications=5, alpha=0.05, seed=99)
-        first = rv.monte_carlo_with_errors(tables["table4"], **kwargs)
-        second = rv.monte_carlo_with_errors(tables["table4"], **kwargs)
+        kwargs = dict(replications=5, alpha=0.05, seed=99)
+        first = rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), **kwargs)
+        second = rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), **kwargs)
         assert first == second
 
     def test_single_replication(self, tables):
         report = rv.monte_carlo_with_errors(
-            tables["table4"], sigma_eps=0.01, replications=1, seed=3
+            _noisy(tables["table4"], 0.01), replications=1, seed=3
         )
         assert report.standard_error is None
         assert report.rejection_probabilities is None
         again = rv.monte_carlo_with_errors(
-            tables["table4"], sigma_eps=0.01, replications=1, seed=3
+            _noisy(tables["table4"], 0.01), replications=1, seed=3
         )
         assert report.mean_rejection == again.mean_rejection
 
+    def test_error_sd_is_the_tables(self, tables):
+        report = rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.5), replications=2)
+        assert report.error_sd == 0.5
+
+    def test_noiseless_table_refused_naming_the_exact_distribution(self, tables):
+        with pytest.raises(rv.NegativeErrorSd, match="exact_distribution"):
+            rv.monte_carlo_with_errors(tables["table4"], replications=2)
+
     def test_keep_replications(self, tables):
         report = rv.monte_carlo_with_errors(
-            tables["table4"],
-            sigma_eps=0.01,
+            _noisy(tables["table4"], 0.01),
             replications=4,
             seed=1,
             keep_replications=True,
@@ -398,33 +421,34 @@ class TestMonteCarlo:
         table = tables["table2"]
         exact = rv.type1_error(table, alpha=0.05).rejection_probability
         report = rv.monte_carlo_with_errors(
-            table, sigma_eps=1e-12, replications=40, alpha=0.05, seed=8
+            _noisy(table, 1e-12), replications=40, alpha=0.05, seed=8
         )
         assert report.mean_rejection == pytest.approx(exact, abs=0.02)
 
     def test_invalid_arguments(self, tables):
-        for sigma_eps in (0.0, -1.0, math.inf, math.nan, "0.1"):
+        for sd in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(rv.NegativeErrorSd):
-                rv.monte_carlo_with_errors(tables["table4"], sigma_eps=sigma_eps)
+                rv.monte_carlo_with_errors(_noisy(tables["table4"], sd))
+        # a noise level that is not a real number is refused with the table
+        for sd in ("0.1", True):
+            with pytest.raises(rv.InvalidArgument, match="technical_error_sd"):
+                _noisy(tables["table4"], sd)
         with pytest.raises(ValueError):
-            rv.monte_carlo_with_errors(
-                tables["table4"], sigma_eps=0.01, replications=0
-            )
+            rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), replications=0)
         for alpha in (1.5, "x"):
             with pytest.raises(rv.InvalidAlpha):
-                rv.monte_carlo_with_errors(
-                    tables["table4"], sigma_eps=0.01, alpha=alpha
-                )
+                rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), alpha=alpha)
 
     def test_noise_beyond_the_magnitude_bound_rejected(self, tables):
-        # finite, but the noisy outcomes' sums of squares would overflow
+        # within validate's bound of 2^480 / 16 units, but the noisy outcomes
+        # cross it, so their sums of squares could overflow
+        noisy = rv.validate(_noisy(tables["table4"], 1e143))
         with pytest.raises(rv.NonFiniteEntry, match="technical errors too large"):
-            rv.monte_carlo_with_errors(tables["table4"], sigma_eps=1e300, replications=2)
+            rv.monte_carlo_with_errors(noisy, replications=2)
 
     def test_standard_error_formula(self, tables):
         report = rv.monte_carlo_with_errors(
-            tables["table4"],
-            sigma_eps=0.5,
+            _noisy(tables["table4"], 0.5),
             replications=16,
             seed=21,
             keep_replications=True,
@@ -484,7 +508,7 @@ class TestMonteCarloAgainstBatchKernels:
         table = MC_TABLES[name]
         space = rv.RandomizationSpace.exact()
         report = rv.monte_carlo_with_errors(
-            table, sigma_eps=sigma_eps, replications=6, seed=17, keep_replications=True
+            _noisy(table, sigma_eps), replications=6, seed=17, keep_replications=True
         )
         want = _reference_rejections(table, sigma_eps, 6, 17, space)
         assert list(report.rejection_probabilities) == want
@@ -496,7 +520,7 @@ class TestMonteCarloAgainstBatchKernels:
         monkeypatch.setattr(inference, "_MC_ROWS", rows_per_call)
         table = MC_TABLES["table4"]
         report = rv.monte_carlo_with_errors(
-            table, sigma_eps=0.5, replications=40, seed=3, keep_replications=True
+            _noisy(table, 0.5), replications=40, seed=3, keep_replications=True
         )
         want = _reference_rejections(table, 0.5, 40, 3, rv.RandomizationSpace.exact())
         assert list(report.rejection_probabilities) == want
@@ -512,7 +536,7 @@ class TestMonteCarloAgainstBatchKernels:
     def test_sampled_space_matches(self, table):
         space = rv.RandomizationSpace.sample(3000, seed=9)
         report = rv.monte_carlo_with_errors(
-            table, sigma_eps=0.3, replications=12, seed=5, space=space, keep_replications=True
+            _noisy(table, 0.3), replications=12, seed=5, space=space, keep_replications=True
         )
         assert list(report.rejection_probabilities) == _reference_rejections(
             table, 0.3, 12, 5, space

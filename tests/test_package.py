@@ -1,0 +1,28 @@
+import randova as rv
+
+PUBLIC_NAMES = {
+    "AdditivityReport", "Assignment", "CheckResult", "ConvergenceFailure", "Decomposition",
+    "DegenerateDesign", "DesignKind", "DimensionMismatch", "ExpectedMeanSquares", "FReference",
+    "InvalidAlpha", "InvalidArgument", "InvalidDegreesOfFreedom", "InvalidProbability",
+    "LsMeasure", "MonteCarloReport", "NegativeArgument", "NegativeErrorSd", "NonFiniteEntry",
+    "ObservedExperiment", "ParseError", "PotentialOutcomeTable", "RandomizationSpace",
+    "RandomizationSummary", "RandovaError", "SameTreatment", "ShapeMismatch", "SpaceTooLarge",
+    "SupportPoint", "SurvivalCurve", "TechnicalErrorsPresent", "Type1Report", "WrongDesign",
+    "anova", "check_additivity", "decompose", "dumps_report", "enumerate_latin_squares",
+    "enumerate_rcb", "exact_distribution", "expected_ms", "f_quantile", "f_survival",
+    "fisher_sharp_null_holds", "load_bundled_table", "load_bundled_tables", "load_table",
+    "ls_difference_decomposition", "mean_difference_variance", "monte_carlo_with_errors",
+    "neyman_null_holds", "observe", "report_document", "run_reproduction",
+    "sample_latin_squares", "sample_rcb", "space_cardinality", "survival_curve",
+    "table_to_document", "type1_error", "validate",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(rv.__all__) == len(PUBLIC_NAMES) == 61
+    assert set(rv.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in rv.__all__:
+        assert getattr(rv, name) is not None, name
