@@ -30,7 +30,6 @@ from .enumeration import (
     space_cardinality,
 )
 from .errors import (
-    ConvergenceFailure,
     DegenerateDesign,
     DimensionMismatch,
     InvalidAlpha,
@@ -90,7 +89,6 @@ __all__ = [
     "AdditivityReport",
     "Assignment",
     "CheckResult",
-    "ConvergenceFailure",
     "Decomposition",
     "DegenerateDesign",
     "DesignKind",

@@ -20,10 +20,10 @@ and `anova`, which scores one assignment as a batch of one and so gets the
 same bits as that assignment's row of any batch.  A row is an RCB block or
 an LS row; under every assignment its labels are a permutation, and a row
 contributes additively.  `stage_rows` keeps, per row, the distinct
-permutations that occur in a stream of label grids and each assignment's
-index into them; `replicate_index` extends the index over G stacked outcome
-arrays.  `row_tables` gives, per row, outcome array and distinct permutation,
-the row's responses shifted by the table's mean potential outcome of their
+permutations in one chunk of label grids and each assignment's index into
+them; `replicate_index` extends an index over G stacked outcome arrays.
+`row_tables` gives, per row, outcome array and permutation, the row's
+responses shifted by the table's mean potential outcome of their
 treatment, y' = y - c(t), and centred on the row mean: w by treatment (LS:
 by column, then by treatment) and the sum of squares of w, plus max|y| of
 the unshifted responses.  Summing the tables over the rows of an assignment
@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .enumeration import Assignment, _row_keys
-from .errors import DegenerateDesign, InvalidArgument, RandovaError, ShapeMismatch
+from .errors import DegenerateDesign, InvalidArgument, ShapeMismatch
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, _array, _Value, validate
 
 
@@ -144,53 +143,21 @@ def batch_anova_ls(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np
     return _mean_squares(tables, index, DesignKind.LS)
 
 
-def stage_rows(
-    chunks: Iterable[np.ndarray], count: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The distinct permutations of each row over a stream of assignments,
-    and each assignment's index into them.
-
-    chunks are (S, rows, T) label stacks, count assignments in all.  Returns,
-    per row, the (P_r, T) distinct label rows in lexicographic order (by
-    `_row_keys`; an exact space's are `_permutation_table(T)`, so its index
-    is the enumerators' own), and the (count, rows) index array, column-major
-    so that each row's indices are contiguous, in the smallest unsigned
-    dtype that holds min(T!, count) - 1.  Only one chunk's labels are held at
-    a time: each chunk's rows are indexed into their own distinct values,
-    which are merged once the stream ends.  The keys are injective, so any
-    occurrence of a key supplies its label row; np.unique then needs no
-    first occurrences, and sorts with numpy's default (unstable) argsort.
-    """
-    index = None
-    bounds: list[tuple[int, int]] = []
-    found: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
-    lo = 0
-    for labels in chunks:
-        s, rows, t = labels.shape
-        if index is None:
-            label_dtype = np.min_scalar_type(t - 1)
-            dtype = np.min_scalar_type(min(math.factorial(t), count) - 1)
-            index = np.empty((rows, count), dtype=dtype)
-            found = [([], []) for _ in range(rows)]
-        labels = labels.astype(label_dtype, copy=False)
-        keys = _row_keys(labels)
-        for row, (seen_keys, seen_perms) in enumerate(found):
-            local, inverse = np.unique(keys[:, row], return_inverse=True)
-            index[row, lo : lo + s] = inverse
-            seen_keys.append(local)
-            seen_perms.append(labels[_occurrences(inverse, len(local)), row])
-        bounds.append((lo, lo + s))
-        lo += s
-    if index is None or lo != count:
-        raise RandovaError(f"the stream yielded {lo} assignments, expected {count}")
+def stage_rows(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per row of one (S, rows, T) chunk of label grids, the (P_r, T)
+    distinct label rows in lexicographic order (by `_row_keys`), and the
+    (S, rows) index into them, column-major, in the smallest unsigned dtype
+    that holds min(T!, S) - 1.  The keys are injective, so any occurrence of
+    a key supplies its label row; np.unique then needs no first occurrences,
+    and sorts with numpy's default (unstable) argsort."""
+    s, rows, t = labels.shape
+    labels = labels.astype(np.min_scalar_type(t - 1), copy=False)
+    keys = _row_keys(labels)
+    index = np.empty((rows, s), dtype=np.min_scalar_type(min(math.factorial(t), s) - 1))
     perms = []
-    for row, (seen_keys, seen_perms) in enumerate(found):
-        distinct, remap = np.unique(np.concatenate(seen_keys), return_inverse=True)
-        start = 0
-        for (a, b), local in zip(bounds, seen_keys):
-            index[row, a:b] = remap[start : start + len(local)][index[row, a:b]]
-            start += len(local)
-        perms.append(np.concatenate(seen_perms)[_occurrences(remap, len(distinct))])
+    for row in range(rows):
+        distinct, index[row] = np.unique(keys[:, row], return_inverse=True)
+        perms.append(labels[_occurrences(index[row], len(distinct)), row])
     return tuple(perms), index.T
 
 
@@ -205,7 +172,7 @@ def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
 def replicate_index(
     index: np.ndarray, perms: tuple[np.ndarray, ...], copies: int
 ) -> np.ndarray:
-    """The staged index of `stage_rows` repeated for a stack of `copies`
+    """A staged (S, rows) index into perms repeated for a stack of `copies`
     outcome arrays: evaluation g * S + s is assignment s under array g.
 
     Row r's table column for array g and permutation p is g * P_r + p
@@ -238,8 +205,8 @@ class RowTables:
 def row_tables(
     design: DesignKind, x: np.ndarray, perms: tuple[np.ndarray, ...], shift: np.ndarray
 ) -> RowTables:
-    """Tables of a (G, rows, T, T) stack of outcome arrays for the distinct
-    row permutations perms of stage_rows.  shift is the (T,) vector c
+    """Tables of a (G, rows, T, T) stack of outcome arrays for the row
+    permutations perms (`stage_rows`).  shift is the (T,) vector c
     subtracted from every response to treatment t before centring, the
     noiseless table's mean potential outcome of each treatment,
     outcomes.mean(axis=(0, 1)), for every array of the stack."""
@@ -299,6 +266,7 @@ def _mean_squares(
     for row, table in enumerate(tables.sums[1:], start=1):
         np.take(table, index[:, row], axis=1, out=part, mode="clip")
         acc += part
+    del part  # freed before the squares' temporaries
     rows, t = len(tables.sums), tables.num_treatments
     df1, df0 = design_dfs(design, rows, t)
     shifts = rows * tables.offsets[:, None]  # N d, LS: T d
@@ -355,7 +323,7 @@ def anova(experiment: ObservedExperiment) -> AnovaSummary:
     """ANOVA summary of one observed experiment, by the batch kernel on a
     batch of one."""
     table = experiment.table
-    perms, index = stage_rows([experiment.assignment.grid[None]], 1)
+    perms, index = stage_rows(experiment.assignment.grid[None])
     x = table.outcomes
     tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls

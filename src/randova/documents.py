@@ -43,7 +43,7 @@ def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
                 doc = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
@@ -60,10 +60,18 @@ def _require(doc: dict, field: str, kind: type, optional: bool = False) -> Any:
         if _number(value, integral=kind is int) is not value:
             expected = "an integer" if kind is int else "a number"
             raise ParseError(f"{field}: expected {expected}, got {value!r}")
-        return kind(value)
+        return _float(value, field) if kind is float else int(value)
     if not isinstance(value, kind):
         raise ParseError(f"{field}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _float(value, field: str) -> float:
+    """A real number as a float; ParseError naming field past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{field}: integer too large for a float") from None
 
 
 def _table_from_document(doc: dict) -> PotentialOutcomeTable:
@@ -107,17 +115,13 @@ def _table_from_document(doc: dict) -> PotentialOutcomeTable:
                 )
             values = []
             for k, value in enumerate(cell):
+                field = f"outcomes, block/row {i + 1}, plot/column {j + 1}, treatment {k + 1}"
                 if _number(value) is not value:
-                    raise ParseError(
-                        f"outcomes, block/row {i + 1}, plot/column {j + 1}, "
-                        f"treatment {k + 1}: expected a number, got {value!r}"
-                    )
+                    raise ParseError(f"{field}: expected a number, got {value!r}")
+                value = _float(value, field)
                 if not math.isfinite(value):
-                    raise ParseError(
-                        f"outcomes, block/row {i + 1}, plot/column {j + 1}, "
-                        f"treatment {k + 1}: value must be finite"
-                    )
-                values.append(float(value))
+                    raise ParseError(f"{field}: value must be finite")
+                values.append(value)
             parsed_row.append(values)
         parsed.append(parsed_row)
 

@@ -66,10 +66,6 @@ class TechnicalErrorsPresent(RandovaError):
     """Exact randomization distributions require technical_error_sd == 0."""
 
 
-class InvalidAlpha(RandovaError):
-    """Significance level outside (0, 1)."""
-
-
 class NegativeArgument(RandovaError):
     """Survival function evaluated at a negative point."""
 
@@ -92,3 +88,7 @@ class ParseError(RandovaError):
 
 class InvalidArgument(RandovaError, ValueError):
     """A setting or caller-built value is outside its domain (a ValueError too)."""
+
+
+class InvalidAlpha(InvalidArgument):
+    """Significance level outside (0, 1), or so small that 1 - alpha is 1."""

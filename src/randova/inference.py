@@ -16,20 +16,21 @@ distinct values apart; since gaps chain, an atom of m distinct values spans
 at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
 kernel's zero rule, so 0.0 is an atom of its own.
 
-Every run stages its assignments once: the space's stream is read one
-chunk of label grids at a time and kept as each row's distinct permutations
-and every assignment's index into them (`_staged`, `stage_rows`), so no
-stack of every label grid is held.  Every run then scores that index with
-the one ANOVA kernel of each design (`randova.anova`) over per-row tables
-of the responses, shifted by the noiseless table's mean potential outcome of
-each treatment, which leaves S0^2 unchanged and keeps it from cancelling
-when treatment effects dwarf the residual.  The exact and sampled
-distributions table the permutations once, for the table's outcomes, and
-score the index a chunk at a time.  Compensated partial sums, one per chunk,
-make the reported means bit-reproducible and within about an ulp of the
-exact mean of the computed mean squares.  The Monte Carlo study tables the
-permutations once per group of noise draws and scores every assignment
-under every draw of the group.
+Every run reads its space's stream once, a chunk of label grids at a time,
+and stages each chunk on its own: per row, the chunk's distinct permutations
+and each assignment's index into them (`_staged`, `stage_rows`).  It scores
+them with the one ANOVA kernel of each design (`randova.anova`) over
+per-row tables of the responses, shifted by the noiseless table's mean
+potential outcome of each treatment, which leaves S0^2 unchanged and keeps
+it from cancelling when treatment effects dwarf the residual.  The exact
+and sampled distributions table and score each chunk as it arrives, so
+they keep no index or tables of the whole stream; compensated partial
+sums, one per chunk, make the reported means bit-reproducible and within
+about an ulp of the exact mean of the computed mean squares.  The Monte
+Carlo study scores every assignment under every noise draw: it places the
+chunks' permutations side by side, each chunk's index shifted past the
+earlier ones in a narrow dtype (`_side_by_side`), and tables them once per
+group of noise draws.
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -77,8 +78,8 @@ from .anova import (
     stage_rows,
 )
 from .enumeration import _CHUNK, Assignment, RandomizationSpace, assignment_stream
-from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, TechnicalErrorsPresent
-from .errors import _check_int, _number
+from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, RandovaError
+from .errors import TechnicalErrorsPresent, _check_int, _number
 from .fdist import FReference, f_quantile, f_survival
 from .potential_outcomes import (
     DesignKind,
@@ -308,6 +309,12 @@ def _support_order(f: np.ndarray, s0: np.ndarray, first: np.ndarray) -> np.ndarr
     return order
 
 
+def _check_alpha(alpha: float) -> None:
+    """InvalidAlpha unless alpha is in (0, 1) and 1 - alpha < 1 in floating point."""
+    if not (0.0 < _number(alpha) < 1.0 and 1.0 - alpha < 1.0):
+        raise InvalidAlpha(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
+
+
 def _require_noiseless(table: PotentialOutcomeTable) -> None:
     if table.technical_error_sd != 0.0:
         raise TechnicalErrorsPresent(
@@ -316,15 +323,40 @@ def _require_noiseless(table: PotentialOutcomeTable) -> None:
         )
 
 
-def _staged(
-    table: PotentialOutcomeTable, space: RandomizationSpace
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, bool]:
-    """The space's assignments of the table, streamed once and staged: per
-    row the distinct permutations, each assignment's index into them
-    (`stage_rows`), and whether the space is exact."""
+def _staged(table: PotentialOutcomeTable, space: RandomizationSpace) -> tuple:
+    """(chunks, count, is_exact): the space's count assignments streamed
+    once and staged a chunk at a time (`stage_rows`); the chunks raise
+    RandovaError unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
-    perms, index = stage_rows(_label_chunks(stream), count)
-    return perms, index, is_exact
+
+    def chunks():
+        seen = 0
+        # through map, no int64 label chunk outlives its staging
+        for perms, index in map(stage_rows, _label_chunks(stream)):
+            seen += len(index)
+            yield perms, index
+        if seen != count:
+            raise RandovaError(f"the stream yielded {seen} assignments, expected {count}")
+
+    return chunks(), count, is_exact
+
+
+def _side_by_side(chunks: Iterable[tuple]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Staged chunks as one (perms, index): each row's permutations side by
+    side, each chunk's index shifted past the earlier chunks' permutations,
+    column-major in the smallest unsigned dtype that holds it."""
+    chunks = list(chunks)
+    perms = tuple(map(np.concatenate, zip(*(p for p, _ in chunks))))
+    dtype = np.min_scalar_type(max(map(len, perms)) - 1)
+    index = np.empty((len(perms), sum(len(i) for _, i in chunks)), dtype=dtype)
+    for row, placed in enumerate(index):
+        lo = offset = 0
+        for chunk_perms, chunk_index in chunks:
+            part = placed[lo : lo + len(chunk_index)]
+            part[:] = chunk_index[:, row]
+            part += offset
+            lo, offset = lo + len(part), offset + len(chunk_perms[row])
+    return perms, index.T
 
 
 def exact_distribution(
@@ -338,21 +370,19 @@ def exact_distribution(
     design, outcomes = table.design, table.outcomes
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)
-    perms, index, is_exact = _staged(table, space)
-    tables = row_tables(design, outcomes[None], perms, outcomes.mean(axis=(0, 1)))
-
-    count = len(index)
+    chunks, count, is_exact = _staged(table, space)
+    shift = outcomes.mean(axis=(0, 1))
     s0, s1 = np.empty(count), np.empty(count)
     s0_partials: list[float] = []
     s1_partials: list[float] = []
-    for lo in range(0, count, _CHUNK):
-        part0, part1 = _batch_sums(tables, index[lo : lo + _CHUNK])
+    lo = 0
+    for perms, index in chunks:
+        tables = row_tables(design, outcomes[None], perms, shift)
+        part0, part1 = _batch_sums(tables, index)
         s0_partials.append(math.fsum(part0.tolist()))
         s1_partials.append(math.fsum(part1.tolist()))
-        s0[lo : lo + _CHUNK], s1[lo : lo + _CHUNK] = part0, part1
-    # the staged index and its tables go before the aggregation, and each
-    # full-length array as soon as the next step has what it needs
-    del perms, index, tables
+        s0[lo : lo + len(index)], s1[lo : lo + len(index)] = part0, part1
+        lo += len(index)
 
     # one atom per distinct pair of ranks, a run of equal keys in their
     # sorted order; the run's smallest stream position, the first
@@ -414,8 +444,7 @@ def type1_error(
     refuses a table violating either null (power studies reuse it), it only
     reports the null status alongside.
     """
-    if not 0.0 < _number(alpha) < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     summary = exact_distribution(table, space)
     cutoff = f_quantile(
         FReference(summary.df_treatment, summary.df_residual), 1.0 - alpha
@@ -490,20 +519,19 @@ def monte_carlo_with_errors(
     independent seed-derived streams, so the result depends only on the seed,
     not the execution schedule.
 
-    The assignments are streamed once into per-row index tables
-    (`stage_rows`); no stack of every label grid is kept.  Replications are
-    then scored in groups whose size keeps assignments x replications near
-    a fixed budget: one table per row and distinct permutation for each
-    noise draw of the group (`row_tables`, shifted by the noiseless table's
-    treatment means), summed over the rows of every assignment under every
-    draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the staged
-    index, `replicate_index`).  Each group's noisy outcomes must keep
+    The assignments are streamed once, staged a chunk at a time and placed
+    side by side (`_side_by_side`); no stack of label grids is kept.
+    Replications are then scored in groups whose size keeps assignments x
+    replications near a fixed budget: one table per row and permutation for
+    each noise draw of the group (`row_tables`, shifted by the noiseless
+    table's treatment means), summed over the rows of every assignment under
+    every draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the
+    staged index, `replicate_index`).  Each group's noisy outcomes must keep
     within the magnitude bound of `validate` (NonFiniteEntry).
     """
     validate(table)
     _check_int(replications, 1, "replications")
-    if not 0.0 < _number(alpha) < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     _check_int(seed, 0, "seed")
     sigma_eps = table.technical_error_sd
     if sigma_eps == 0.0:
@@ -515,8 +543,8 @@ def monte_carlo_with_errors(
     n, _, t = table.outcomes.shape
     df1, df0 = design_dfs(table.design, n, t)
     cutoff = f_quantile(FReference(df1, df0), 1.0 - alpha)
-    perms, index, _ = _staged(table, space)
-    count = len(index)
+    chunks, count, _ = _staged(table, space)
+    perms, index = _side_by_side(chunks)
 
     shift = table.outcomes.mean(axis=(0, 1))
     children = np.random.SeedSequence(seed).spawn(replications)

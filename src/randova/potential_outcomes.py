@@ -94,7 +94,7 @@ class _Value:
             if "convert" in f.metadata:
                 try:
                     value = f.metadata["convert"](getattr(self, f.name))
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
                     raise InvalidArgument(f"{type(self).__name__}.{f.name}: {exc}") from None
                 object.__setattr__(self, f.name, value)
 

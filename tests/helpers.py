@@ -254,17 +254,16 @@ def label_grid_anova(design, x, labels):
 
 def batch_kernel(table, labels, chunk=None):
     """(S0^2, S1^2) of an (S, rows, T) stack of label grids by the package's
-    batch kernel, as the exact path runs it: rows staged (from chunks of the
-    given size, so that staging merges across chunks), tabled with the
-    table's treatment shift."""
+    batch kernel, as the exact path runs it: each chunk of the given size
+    staged and tabled on its own, with the table's treatment shift."""
     chunk = chunk or len(labels)
-    perms, index = stage_rows(
-        (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
-    )
     x = table.outcomes
-    tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is rv.DesignKind.RCB else batch_anova_ls
-    return kernel(tables, index)
+    parts = []
+    for lo in range(0, len(labels), chunk):
+        perms, index = stage_rows(labels[lo : lo + chunk])
+        parts.append(kernel(row_tables(table.design, x[None], perms, x.mean(axis=(0, 1))), index))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def enumeration_mean_squares(table):
@@ -476,13 +475,13 @@ def stable_support_columns(s0, s1):
     return f[by], atom_s0[by], atom_s1[by], counts[by]
 
 
-def first_occurrence_stage_rows(chunks, count):
-    """(perms, index) of `stage_rows` over one pass of the (S, rows, T) label
-    chunks: per row the distinct label rows in key order, each taken from
-    the first occurrence of its key, and the (count, rows) index into them
-    in the smallest unsigned dtype that holds min(T!, count) - 1."""
-    labels = np.concatenate([c.astype(np.min_scalar_type(c.shape[2] - 1)) for c in chunks])
-    _, rows, t = labels.shape
+def first_occurrence_stage_rows(labels):
+    """(perms, index) of `stage_rows` on one (S, rows, T) label chunk: per
+    row the distinct label rows in key order, each taken from the first
+    occurrence of its key, and the (S, rows) index into them in the
+    smallest unsigned dtype that holds min(T!, S) - 1."""
+    count, rows, t = labels.shape
+    labels = labels.astype(np.min_scalar_type(t - 1))
     dtype = np.min_scalar_type(min(math.factorial(t), count) - 1)
     keys = _row_keys(labels)
     perms, index = [], np.empty((count, rows), dtype=dtype)

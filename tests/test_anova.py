@@ -141,7 +141,7 @@ class TestAnova:
         small, large = np.ones((2, 2, 2)), np.full((2, 2, 2), 1e6)
         small[0, 0, :] += step
         large[0, 0, :] += step
-        perms, index = stage_rows([np.array([[[0, 1], [0, 1]]])], 1)
+        perms, index = stage_rows(np.array([[[0, 1], [0, 1]]]))
         tables = row_tables("rcb", np.stack([small, large]), perms, np.ones(2))
         s0, s1 = batch_anova_rcb(tables, replicate_index(index, perms, 2))
         assert s0[0] == pytest.approx(step**2 / 4, rel=1e-9)
@@ -261,33 +261,33 @@ class TestBatchKernels:
 
 
 def _table_kernel(table, labels, chunk=7):
-    """(S0^2, S1^2) of each label grid by the batch kernel, staged from
-    chunks of the given size so that staging merges across chunks."""
-    perms, index = stage_rows(
-        (labels[lo : lo + chunk] for lo in range(0, len(labels), chunk)), len(labels)
-    )
-    for row, distinct in enumerate(perms):
-        assert np.array_equal(distinct[index[:, row]], labels[:, row])
+    """(S0^2, S1^2) of each label grid by the batch kernel, each chunk of
+    the given size staged on its own."""
+    for lo in range(0, len(labels), chunk):
+        perms, index = stage_rows(labels[lo : lo + chunk])
+        for row, distinct in enumerate(perms):
+            assert np.array_equal(distinct[index[:, row]], labels[lo : lo + chunk, row])
     return batch_kernel(table, labels, chunk)
 
 
 class TestStagingReference:
-    """stage_rows against first-occurrence staging, on the label chunks of
+    """stage_rows against first-occurrence staging, on each label chunk of
     exact and sampled spaces."""
 
     @staticmethod
     def _check(table, space):
-        _, count, _ = assignment_stream(table, space)
-        perms, index = stage_rows(_label_chunks(assignment_stream(table, space)[0]), count)
-        want_perms, want_index = first_occurrence_stage_rows(
-            _label_chunks(assignment_stream(table, space)[0]), count
-        )
-        assert len(perms) == len(want_perms)
-        for got, want in zip(perms, want_perms):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        assert index.dtype == want_index.dtype and index.flags.f_contiguous
-        np.testing.assert_array_equal(index, want_index)
+        stream, count, _ = assignment_stream(table, space)
+        chunks = list(_label_chunks(stream))
+        assert sum(map(len, chunks)) == count
+        for labels in chunks:
+            perms, index = stage_rows(labels)
+            want_perms, want_index = first_occurrence_stage_rows(labels)
+            assert len(perms) == len(want_perms)
+            for got, want in zip(perms, want_perms):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert index.dtype == want_index.dtype and index.flags.f_contiguous
+            np.testing.assert_array_equal(index, want_index)
 
     @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"])
     def test_exact_spaces(self, tables, name):
@@ -341,7 +341,7 @@ class TestTableKernel:
         stream, _, _ = assignment_stream(table, rv.RandomizationSpace.sample(draws, seed=4))
         assignments = list(stream)
         labels = np.stack([a.labels() for a in assignments])
-        perms, _ = stage_rows([labels], draws)
+        perms, _ = stage_rows(labels)
         assert all(len(distinct) < draws for distinct in perms)
         s0, s1 = _table_kernel(table, labels)
         for idx, assignment in enumerate(assignments):
@@ -352,22 +352,24 @@ class TestTableKernel:
     @pytest.mark.parametrize("t", [3, 16, 17])
     def test_staging_round_trips_packed_and_byte_keys(self, t):
         # rows of up to 16 labels are keyed as packed integers, longer ones
-        # as bytes; both must give back every row, merged across chunks
+        # as bytes; both must give back every row of each chunk, the second
+        # chunk's repeated rows included
         rng = np.random.default_rng(t)
         labels = np.argsort(rng.random((50, 3, t)), axis=2)
         labels[25:] = labels[:25]
-        perms, index = stage_rows([labels[:20], labels[20:]], len(labels))
-        for row, distinct in enumerate(perms):
-            # np.unique(axis=0) sorts the rows lexicographically, as both keys do
-            assert np.array_equal(distinct, np.unique(labels[:, row], axis=0))
-            assert np.array_equal(distinct[index[:, row]], labels[:, row])
+        for chunk in (labels[:20], labels[20:]):
+            perms, index = stage_rows(chunk)
+            for row, distinct in enumerate(perms):
+                # np.unique(axis=0) sorts the rows lexicographically, as both keys do
+                assert np.array_equal(distinct, np.unique(chunk[:, row], axis=0))
+                assert np.array_equal(distinct[index[:, row]], chunk[:, row])
 
     @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
     def test_a_stack_of_outcome_arrays_scores_as_each_alone(self, design):
         rng = np.random.default_rng(31)
         table = random_table(rng, design)
         labels = np.stack([a.labels() for a in all_assignments(table)])
-        perms, index = stage_rows([labels], len(labels))
+        perms, index = stage_rows(labels)
         stack = table.outcomes + rng.normal(0.0, 0.1, size=(3,) + table.outcomes.shape)
         shift = table.outcomes.mean(axis=(0, 1))
         pairs = replicate_index(index, perms, len(stack))
@@ -382,7 +384,7 @@ class TestTableKernel:
     def test_batch_kernels_check_row_tables_and_index(self):
         table = random_rcb_table(np.random.default_rng(2), 3, 3)
         labels = np.stack([a.labels() for a in all_assignments(table)])
-        perms, index = stage_rows([labels], len(labels))
+        perms, index = stage_rows(labels)
         tables = row_tables(table.design, table.outcomes[None], perms, np.zeros(3))
         with pytest.raises(rv.InvalidArgument):
             batch_anova_ls(tables, index)

@@ -95,6 +95,12 @@ class TestType1:
         assert code == 2
         assert "alpha" in err
 
+    def test_tiny_alpha_is_named(self, capsys, table_paths):
+        # 1 - 1e-300 is 1.0; the error names the alpha given, not 1.0
+        code, out, err = run_cli(capsys, "type1", table_paths["table4"], "--alpha", "1e-300")
+        assert (code, out) == (2, "")
+        assert "got 1e-300" in err and "1.0" not in err
+
     def test_sampled_space_deterministic(self, capsys, table_paths):
         args = ("type1", table_paths["table4"], "--sample", "200", "--seed", "3")
         _, first, _ = run_cli(capsys, *args)
@@ -351,6 +357,23 @@ class TestArgumentErrors:
         code, out, err = run_module("type1", table_paths["table4"], RANDOVA_ENUM_CAP="abc")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "RANDOVA_ENUM_CAP" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["expected-ms", "type1", "curve", "mc"])
+    @pytest.mark.parametrize("field", ["outcome", "technical_error_sd"])
+    def test_integer_beyond_float_range_exits_2_without_traceback(
+        self, tmp_path, tables, command, field
+    ):
+        doc = rv.table_to_document(tables["table4"])
+        if field == "outcome":
+            doc["outcomes"][0][0][0] = 10**400
+        else:
+            doc["technical_error_sd"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_module(command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "integer too large for a float" in err
         assert "Traceback" not in err
 
     def test_zero_reps_exits_2_without_traceback(self, table_paths):

@@ -30,9 +30,11 @@ class TestLoadTable:
         with pytest.raises(rv.ParseError, match="cannot read"):
             rv.load_table(tmp_path / "nope.json")
 
-    def test_invalid_json(self, tmp_path):
+    # an int of more than 4300 digits is refused by Python's int parser
+    @pytest.mark.parametrize("text", ["{not json", '{"treatments": 1' + "0" * 5000 + "}"])
+    def test_invalid_json(self, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(rv.ParseError, match="not valid JSON"):
             rv.load_table(path)
 
@@ -59,6 +61,15 @@ class TestLoadTable:
             ),
             (lambda d: d.update(technical_error_sd=-2), "technical_error_sd"),
             (lambda d: d.update(technical_error_sd="big"), "technical_error_sd"),
+            # integers beyond the float range, as JSON may hold them
+            (
+                lambda d: d.update(technical_error_sd=10**400),
+                "technical_error_sd: integer too large",
+            ),
+            (
+                lambda d: d["outcomes"][1][0].__setitem__(1, -(10**400)),
+                "block/row 2, plot/column 1, treatment 2: integer too large",
+            ),
         ],
     )
     def test_diagnostics_name_the_field(self, tables, mutate, message):

@@ -58,6 +58,16 @@ BAD_SETTINGS = {
     "bool technical error sd": lambda: rv.PotentialOutcomeTable(
         "rcb", ZEROS, technical_error_sd=True
     ),
+    "technical error sd beyond the float range": lambda: rv.PotentialOutcomeTable(
+        "rcb", ZEROS, technical_error_sd=10**400
+    ),
+    # 1 - alpha rounds to 1 below about 1.1e-16
+    "type1 alpha below the rounding of 1 - alpha": lambda: rv.type1_error(
+        rv.load_bundled_table("table4"), alpha=1e-300
+    ),
+    "mc alpha below the rounding of 1 - alpha": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), alpha=1e-17
+    ),
     "fractional summary counts": lambda: rv.RandomizationSummary(
         "rcb", [1.0], [1.0], [1.0], [0.5], 1.0, 1.0, True, 1, 1, 1
     ),

@@ -117,10 +117,13 @@ class TestExactDistribution:
 
     @pytest.mark.parametrize("design,shape", [("rcb", (3, 3, 3)), ("ls", (4, 4, 4))])
     def test_stages_and_tables_the_stream_once(self, monkeypatch, design, shape):
-        # 216 RCB / 576 LS assignments, scored 50 at a time
+        # 216 RCB / 576 LS assignments, streamed once and staged, tabled and
+        # scored 50 at a time
         monkeypatch.setattr(inference, "_CHUNK", 50)
         calls = Counter()
-        for name in ("stage_rows", "row_tables", "batch_anova_rcb", "batch_anova_ls"):
+        for name in (
+            "assignment_stream", "stage_rows", "row_tables", "batch_anova_rcb", "batch_anova_ls"
+        ):
             def counted(*args, _name=name, _call=getattr(inference, name), **kwargs):
                 calls[_name] += 1
                 return _call(*args, **kwargs)
@@ -128,29 +131,65 @@ class TestExactDistribution:
             monkeypatch.setattr(inference, name, counted)
         x = np.random.default_rng(4).normal(20.0, 15.0, size=shape)
         summary = rv.exact_distribution(rv.PotentialOutcomeTable(design, x))
-        kernel = f"batch_anova_{design}"
-        assert calls == {"stage_rows": 1, "row_tables": 1, kernel: -(-summary.assignment_count // 50)}
+        chunks = -(-summary.assignment_count // 50)
+        assert calls == {
+            "assignment_stream": 1, "stage_rows": chunks, "row_tables": chunks,
+            f"batch_anova_{design}": chunks,
+        }
 
     @pytest.mark.parametrize(
         "name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"]
     )
-    def test_exact_staging_is_the_enumerators_index(self, tables, name):
-        # one key order for staging and enumeration: every row's permutations
-        # are the lexicographic table, and the index is RCB's mixed-radix
-        # digits (block 0 most significant) or the Latin-square row table
-        rng = np.random.default_rng(5)
-        table = tables.get(name) or (
-            random_ls_table(rng, 5) if name == "ls5" else random_rcb_table(rng, 3, 4)
-        )
-        perms, index, is_exact = inference._staged(table, rv.RandomizationSpace.exact())
-        n, _, t = table.outcomes.shape
-        every = enumeration._permutation_table(t)
-        assert is_exact and all(np.array_equal(p, every) for p in perms)
-        if table.design is rv.DesignKind.LS:
-            want = enumeration._latin_square_rows(t)
-        else:
-            want = np.array(list(itertools.product(range(len(every)), repeat=n)))
-        np.testing.assert_array_equal(index, want)
+    def test_exact_chunks_stage_the_enumerators_labels(self, monkeypatch, tables, name):
+        # each chunk's permutations are its distinct rows in lexicographic
+        # order, and its index rebuilds the enumerators' label grids
+        monkeypatch.setattr(inference, "_CHUNK", 50)
+        table = _staging_table(tables, name)
+        chunks, count, is_exact = inference._staged(table, rv.RandomizationSpace.exact())
+        labels = _enumerators_labels(table)
+        lo = 0
+        for perms, index in chunks:
+            part = labels[lo : lo + len(index)]
+            for row, distinct in enumerate(perms):
+                np.testing.assert_array_equal(distinct, np.unique(part[:, row], axis=0))
+                np.testing.assert_array_equal(distinct[index[:, row]], part[:, row])
+            lo += len(index)
+        assert is_exact and lo == count == len(labels)
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"]
+    )
+    def test_side_by_side_index_rebuilds_the_enumerators_labels(self, monkeypatch, tables, name):
+        # Monte Carlo's one index: each row's chunk permutations in stream
+        # order, each chunk's index shifted past the earlier ones
+        monkeypatch.setattr(inference, "_CHUNK", 50)
+        table = _staging_table(tables, name)
+        chunks = list(inference._staged(table, rv.RandomizationSpace.exact())[0])
+        perms, index = inference._side_by_side(chunks)
+        labels = _enumerators_labels(table)
+        for row, placed in enumerate(perms):
+            np.testing.assert_array_equal(placed, np.concatenate([p[row] for p, _ in chunks]))
+            np.testing.assert_array_equal(placed[index[:, row]], labels[:, row])
+        assert index.dtype == np.min_scalar_type(max(map(len, perms)) - 1)
+        assert index.flags.f_contiguous
+
+    def test_a_stream_of_the_wrong_length_is_refused(self, monkeypatch, tables):
+        # the staged chunks must add up to the space's count
+        table = tables["table4"]
+        stream, count, is_exact = assignment_stream(table, rv.RandomizationSpace.exact())
+        every = list(stream)
+        noisy = dataclasses.replace(table, technical_error_sd=0.01)
+        for wrong, call in [
+            (every[:-1], lambda: rv.exact_distribution(table)),
+            (every[:-1], lambda: rv.monte_carlo_with_errors(noisy, replications=2)),
+            (every + every[:1], lambda: rv.monte_carlo_with_errors(noisy, replications=2)),
+        ]:
+            monkeypatch.setattr(
+                inference, "assignment_stream", lambda table, space: (iter(wrong), count, is_exact)
+            )
+            message = f"yielded {len(wrong)} assignments, expected {count}"
+            with pytest.raises(rv.RandovaError, match=message):
+                call()
 
     def test_noisy_table_rejected(self, tables):
         noisy = rv.PotentialOutcomeTable(
@@ -239,8 +278,9 @@ class TestType1Error:
             assert report.rejection_probability == 0.0
 
     def test_invalid_alpha(self, tables):
-        for alpha in (0.0, 1.0, -0.1, 2.0, math.nan, "x"):
-            with pytest.raises(rv.InvalidAlpha):
+        # below about 1.1e-16, 1 - alpha rounds to 1
+        for alpha in (0.0, 1.0, -0.1, 2.0, math.nan, "x", 1e-300):
+            with pytest.raises(rv.InvalidAlpha, match="alpha must be in"):
                 rv.type1_error(tables["table4"], alpha=alpha)
 
     def test_sampled_space_agrees_for_table4(self, tables):
@@ -435,8 +475,8 @@ class TestMonteCarlo:
                 _noisy(tables["table4"], sd)
         with pytest.raises(ValueError):
             rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), replications=0)
-        for alpha in (1.5, "x"):
-            with pytest.raises(rv.InvalidAlpha):
+        for alpha in (1.5, "x", 1e-17):
+            with pytest.raises(rv.InvalidAlpha, match="alpha must be in"):
                 rv.monte_carlo_with_errors(_noisy(tables["table4"], 0.01), alpha=alpha)
 
     def test_noise_beyond_the_magnitude_bound_rejected(self, tables):
@@ -645,15 +685,32 @@ class TestAtomRule:
 
 def _stream_mean_squares(table, space):
     """(S0^2, S1^2) of every assignment of the space in stream order, by the
-    staged batch kernel of the exact path, _CHUNK assignments at a time."""
-    perms, index, _ = inference._staged(table, space)
+    batch kernel of the exact path on each staged chunk."""
+    chunks, _, _ = inference._staged(table, space)
     x = table.outcomes
-    tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
     parts = [
-        inference._batch_sums(tables, index[lo : lo + enumeration._CHUNK])
-        for lo in range(0, len(index), enumeration._CHUNK)
+        inference._batch_sums(row_tables(table.design, x[None], perms, x.mean(axis=(0, 1))), index)
+        for perms, index in chunks
     ]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _staging_table(tables, name):
+    rng = np.random.default_rng(5)
+    return tables.get(name) or (
+        random_ls_table(rng, 5) if name == "ls5" else random_rcb_table(rng, 3, 4)
+    )
+
+
+def _enumerators_labels(table):
+    """The exact space's label grids in enumeration order: RCB's mixed-radix
+    digits (block 0 most significant) or the Latin-square row table, over
+    the lexicographic permutation table."""
+    n, _, t = table.outcomes.shape
+    every = enumeration._permutation_table(t)
+    if table.design is rv.DesignKind.LS:
+        return every[enumeration._latin_square_rows(t)]
+    return every[np.array(list(itertools.product(range(len(every)), repeat=n)))]
 
 
 def _identical_blocks_rcb():
