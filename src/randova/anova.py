@@ -21,7 +21,8 @@ same bits as that assignment's row of any batch.  A row is an RCB block or
 an LS row; under every assignment its labels are a permutation, and a row
 contributes additively.  `stage_rows` keeps, per row, the distinct
 permutations in one chunk of label grids and each assignment's index into
-them; `replicate_index` extends an index over G stacked outcome arrays.
+them (the Monte Carlo study joins the chunks' stagings); `replicate_index`
+extends an index over G stacked outcome arrays.
 `row_tables` gives, per row, outcome array and permutation, the row's
 responses shifted by the table's mean potential outcome of their
 treatment, y' = y - c(t), and centred on the row mean: w by treatment (LS:

@@ -18,19 +18,15 @@ kernel's zero rule, so 0.0 is an atom of its own.
 
 Every run reads its space's stream once, a chunk of label grids at a time,
 and stages each chunk on its own: per row, the chunk's distinct permutations
-and each assignment's index into them (`_staged`, `stage_rows`).  It scores
-them with the one ANOVA kernel of each design (`randova.anova`) over
-per-row tables of the responses, shifted by the noiseless table's mean
-potential outcome of each treatment, which leaves S0^2 unchanged and keeps
-it from cancelling when treatment effects dwarf the residual.  The exact
-and sampled distributions table and score each chunk as it arrives, so
-they keep no index or tables of the whole stream; compensated partial
-sums, one per chunk, make the reported means bit-reproducible and within
-about an ulp of the exact mean of the computed mean squares.  The Monte
-Carlo study scores every assignment under every noise draw: it places the
-chunks' permutations side by side, each chunk's index shifted past the
-earlier ones in a narrow dtype (`_side_by_side`), and tables them once per
-group of noise draws.
+and each assignment's index into them (`_staged`, `stage_rows`).  They are
+scored by the one ANOVA kernel of each design (`randova.anova`) over per-row
+tables of the responses, shifted by the noiseless table's mean potential
+outcome of each treatment, which leaves S0^2 unchanged and keeps it from
+cancelling when treatment effects dwarf the residual.  The exact and
+sampled distributions table and score each chunk as it arrives, with
+compensated partial sums, one per chunk, for bit-reproducible means.  The
+Monte Carlo study, which rescores every assignment under each noise draw,
+joins the chunks' stagings without their repeats (`_side_by_side`).
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -323,10 +319,12 @@ def _require_noiseless(table: PotentialOutcomeTable) -> None:
         )
 
 
-def _staged(table: PotentialOutcomeTable, space: RandomizationSpace) -> tuple:
+def _staged(
+    table: PotentialOutcomeTable, space: RandomizationSpace
+) -> tuple[Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], int, bool]:
     """(chunks, count, is_exact): the space's count assignments streamed
-    once and staged a chunk at a time (`stage_rows`); the chunks raise
-    RandovaError unless they add up to count."""
+    once and staged a chunk at a time (`stage_rows`, one (perms, index) per
+    chunk); the chunks raise RandovaError unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
 
     def chunks():
@@ -341,21 +339,21 @@ def _staged(table: PotentialOutcomeTable, space: RandomizationSpace) -> tuple:
     return chunks(), count, is_exact
 
 
-def _side_by_side(chunks: Iterable[tuple]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Staged chunks as one (perms, index): each row's permutations side by
-    side, each chunk's index shifted past the earlier chunks' permutations,
+def _side_by_side(
+    chunks: Iterable[tuple[tuple[np.ndarray, ...], np.ndarray]],
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Staged chunks as one (perms, index): each row's chunk permutations
+    side by side, staged again (`stage_rows`) so that the tables hold no
+    repeats across chunks, and each chunk's index mapped through that staging,
     column-major in the smallest unsigned dtype that holds it."""
     chunks = list(chunks)
-    perms = tuple(map(np.concatenate, zip(*(p for p, _ in chunks))))
+    sides = [stage_rows(np.concatenate(side)[:, None]) for side in zip(*(p for p, _ in chunks))]
+    perms = tuple(distinct for (distinct,), _ in sides)
     dtype = np.min_scalar_type(max(map(len, perms)) - 1)
     index = np.empty((len(perms), sum(len(i) for _, i in chunks)), dtype=dtype)
-    for row, placed in enumerate(index):
-        lo = offset = 0
-        for chunk_perms, chunk_index in chunks:
-            part = placed[lo : lo + len(chunk_index)]
-            part[:] = chunk_index[:, row]
-            part += offset
-            lo, offset = lo + len(part), offset + len(chunk_perms[row])
+    for row, (placed, (_, remap)) in enumerate(zip(index, sides)):
+        starts = itertools.accumulate((len(p[row]) for p, _ in chunks), initial=0)
+        placed[:] = np.concatenate([remap[s:, 0][i[:, row]] for s, (_, i) in zip(starts, chunks)])
     return perms, index.T
 
 
