@@ -298,9 +298,11 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
 
     Raises ShapeMismatch when the assignment does not fit the table, and
     InvalidArgument when the label grid is not a per-block permutation (RCB)
-    or a Latin square (LS).
+    or a Latin square (LS), or when assignment is not an Assignment.
     """
     validate(table)
+    if not isinstance(assignment, Assignment):
+        raise InvalidArgument(f"expected an Assignment, got {type(assignment).__name__}")
     if assignment.design is not table.design:
         raise ShapeMismatch(
             f"assignment is for {assignment.design.value}, table is "

@@ -12,9 +12,11 @@ Table document (one-based semantics, positional arrays):
     }
 
 Malformed documents raise ParseError with a diagnostic naming the offending
-field (blocks/plots/columns reported one-based).  Reports are emitted with
-every float at 17 significant digits so they round-trip losslessly; an
-infinite F serializes as "inf" and a degenerate (0/0) F as "degenerate".
+field (blocks/plots/columns reported one-based).  A top-level field not
+shown above is refused by name, so a misspelt optional field cannot load
+as its default.  Reports are emitted with every float at 17 significant
+digits so they round-trip losslessly; an infinite F serializes as "inf"
+and a degenerate (0/0) F as "degenerate".
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ParseError, _number
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 _FLOAT_FORMAT = ".17g"
+_FIELDS = ("design", "treatments", "blocks", "outcomes", "technical_error_sd", "name")
 
 
 def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
@@ -75,6 +78,11 @@ def _float(value, field: str) -> float:
 
 
 def _table_from_document(doc: dict) -> PotentialOutcomeTable:
+    unknown = [repr(field) for field in doc if field not in _FIELDS]
+    if unknown:
+        raise ParseError(
+            f"unknown field(s) {', '.join(unknown)}; a table document has {', '.join(_FIELDS)}"
+        )
     design_raw = _require(doc, "design", str)
     try:
         design = DesignKind(design_raw)

@@ -604,8 +604,11 @@ def assignment_stream(
     """Resolve a space against a table: (stream, count when known, is_exact).
 
     Raises InvalidArgument when a sampled space for an RCB table carries
-    Latin-square sampler settings, which that sampler would ignore.
+    Latin-square sampler settings, which that sampler would ignore, and
+    when space is not a RandomizationSpace.
     """
+    if not isinstance(space, RandomizationSpace):
+        raise InvalidArgument(f"expected a RandomizationSpace, got {type(space).__name__}")
     t = table.num_treatments
     if space.sample_size is None:
         if table.design is DesignKind.RCB:

@@ -45,6 +45,7 @@ from .potential_outcomes import (
     PotentialOutcomeTable,
     decompose,
     fsum_all,
+    validate,
 )
 
 
@@ -160,7 +161,7 @@ def ls_difference_decomposition(
     table: PotentialOutcomeTable,
 ) -> LsDifferenceDecomposition:
     """Unscaled components of the LS difference; WrongDesign for RCB input."""
-    if table.design is not DesignKind.LS:
+    if validate(table).design is not DesignKind.LS:
         raise WrongDesign("difference decomposition is defined for LS tables only")
     dec = decompose(table)
     t = dec.num_treatments

@@ -34,23 +34,15 @@ numpy over the atom ranks of the two columns, and P(F > k) is answered by one
 bisection of the F column.  `support` builds SupportPoint objects from
 the columns on demand.
 
-The aggregation holds few full-length arrays, and each only until the next
-step has what it needs.  It sorts with numpy's default argsort, which is
-not stable and several times faster than the stable kinds on the SIMD
-units; where the order of equal keys matters, only those few places are
-fixed.  Each column's atom ranks come from one argsort, with the atom
-splits marked on sorted neighbours a slice at a time (int32 ranks, no
-distinct-value or inverse arrays).  The pairs of ranks are packed into one
-int64 key, and an argsort of the keys groups them: each run of equal keys
-is an atom, and the smallest stream position in the run, the first
-assignment seen, stands for it (`_first_of_runs` fixes the runs longer
-than one).  The atoms are ordered by one argsort of F, and then only the
-runs of equal F are re-sorted by S0^2 and first appearance
-(`_support_order`), which gives np.lexsort's order.  The columns are made
-read-only, so the summary keeps them without a second copy.  On an
-integer RCB 4x4 (331,776 assignments, 329,262 atoms) the call peaks at
-about 48 traced bytes per assignment: the four kept columns, their sort
-order and a copy of one column as it is gathered.
+The aggregation sorts with numpy's default argsort, which is not stable
+but several times faster than the stable kinds on the SIMD units (a
+stable lexsort of the atoms takes about ten times as long); so the order
+of equal keys is fixed only where it matters, by taking the smallest
+stream position of each run and re-sorting only the runs of equal F.  The
+atom ranks and the ties of F are marked on sorted neighbours a slice at a
+time, because a full-length scan holds more full-length arrays at once
+and raises the call's peak, about 48 traced bytes per assignment on an
+integer RCB 4x4 (331,776 assignments, 329,262 atoms).
 """
 
 from __future__ import annotations
@@ -251,34 +243,6 @@ def _atom_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _run_starts(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """(len + 1,) bool: True at each sorted position (by order) where a run
-    of equal values starts, and at the end."""
-    starts = np.empty(len(order) + 1, dtype=bool)
-    for start, _, lo, hi in _sorted_neighbours(values, order):
-        starts[start : start + len(hi)] = hi != lo
-    starts[0] = starts[-1] = True
-    return starts
-
-
-def _first_of_runs(order: np.ndarray, run_starts: np.ndarray) -> np.ndarray:
-    """The smallest entry of order in each of its runs that run_starts
-    marks (`_run_starts`).  An unstable sort leaves a run in any order, so
-    the first entries are fixed only where a run is longer than one, a
-    slice at a time: the i-th sorted position p that starts no run belongs
-    to run p - i - 1."""
-    first = order[run_starts[:-1]]
-    inner_seen = 0
-    for lo in range(0, len(order), _CHUNK):
-        inner = np.flatnonzero(~run_starts[lo : lo + _CHUNK])
-        if len(inner):
-            inner += lo
-            runs = inner - np.arange(inner_seen + 1, inner_seen + 1 + len(inner))
-            np.minimum.at(first, runs, order[inner])
-            inner_seen += len(inner)
-    return first
-
-
 def _support_order(f: np.ndarray, s0: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The atoms' order by F (NaN last), then S0^2, then first appearance,
     as np.lexsort((first, s0, f)) gives it.  One unstable argsort of F,
@@ -391,9 +355,10 @@ def exact_distribution(
     key += rank1
     del rank1
     order = np.argsort(key)
-    run_starts = _run_starts(key, order)
+    key = key[order]
+    run_starts = np.concatenate([[True], key[1:] != key[:-1], [True]])
     del key
-    first = _first_of_runs(order, run_starts)
+    first = np.minimum.reduceat(order, np.flatnonzero(run_starts[:-1]))
     del order
     atom_s0 = s0[first]
     del s0
@@ -545,7 +510,9 @@ def monte_carlo_with_errors(
     perms, index = _side_by_side(chunks)
 
     shift = table.outcomes.mean(axis=(0, 1))
-    children = np.random.SeedSequence(seed).spawn(replications)
+    # each group spawns its own children; the spawn keys run on, so the
+    # streams are those of one spawn of every replication
+    root = np.random.SeedSequence(seed)
     group = max(1, _MC_ROWS // count)
     pairs = index if group == 1 else replicate_index(index, perms, group)
     rejections: list[float] = []
@@ -553,7 +520,7 @@ def monte_carlo_with_errors(
         noise = np.stack(
             [
                 np.random.default_rng(child).normal(0.0, sigma_eps, size=table.outcomes.shape)
-                for child in children[lo : lo + group]
+                for child in root.spawn(min(group, replications - lo))
             ]
         )
         noisy = table.outcomes + noise

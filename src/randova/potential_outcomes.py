@@ -216,8 +216,11 @@ def validate(table: PotentialOutcomeTable) -> PotentialOutcomeTable:
     infinite, or when units * max|outcome| exceeds 2^480 (units = N * T for
     RCB, T^2 for LS), beyond which the sums of squares of the ANOVA kernel
     and of `decompose` could overflow; NegativeErrorSd when
-    technical_error_sd is negative, NaN, or above that bound over units.
+    technical_error_sd is negative, NaN, or above that bound over units;
+    InvalidArgument when table is not a PotentialOutcomeTable.
     """
+    if not isinstance(table, PotentialOutcomeTable):
+        raise InvalidArgument(f"expected a PotentialOutcomeTable, got {type(table).__name__}")
     arr = table.outcomes
     if arr.ndim != 3:
         raise DimensionMismatch(
@@ -449,6 +452,6 @@ def neyman_null_holds(table: PotentialOutcomeTable) -> bool:
 def fisher_sharp_null_holds(table: PotentialOutcomeTable) -> bool:
     """True when every unit's potential outcomes agree across treatments
     within DEFAULT_ADDITIVITY_TOLERANCE."""
-    x = table.outcomes
+    x = validate(table).outcomes
     spread = x.max(axis=2) - x.min(axis=2)
     return float(spread.max()) <= DEFAULT_ADDITIVITY_TOLERANCE

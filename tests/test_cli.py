@@ -376,6 +376,16 @@ class TestArgumentErrors:
         assert err.startswith("error:") and "integer too large for a float" in err
         assert "Traceback" not in err
 
+    def test_unknown_table_field_exits_2_without_traceback(self, tmp_path, tables):
+        doc = rv.table_to_document(tables["table4"])
+        doc["technical_error_SD"] = 5.0
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_module("mc", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "technical_error_SD" in err
+        assert "Traceback" not in err
+
     def test_zero_reps_exits_2_without_traceback(self, table_paths):
         code, out, err = run_module("mc", table_paths["table4"], "--reps", "0")
         assert (code, out) == (2, "")

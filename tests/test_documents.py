@@ -84,6 +84,14 @@ class TestLoadTable:
         with pytest.raises(rv.ParseError, match="finite"):
             rv.load_table(doc)
 
+    def test_unknown_fields_are_refused_by_name(self, tables):
+        # a misspelt technical_error_sd would otherwise load as a noiseless table
+        doc = rv.table_to_document(tables["table4"])
+        doc["technical_error_SD"] = 5.0
+        doc["note"] = "typo"
+        with pytest.raises(rv.ParseError, match="'technical_error_SD', 'note'"):
+            rv.load_table(doc)
+
     def test_ls_blocks_field_must_agree(self, tables):
         doc = rv.table_to_document(tables["table2"])
         doc["blocks"] = 4

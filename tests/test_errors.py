@@ -118,6 +118,16 @@ BAD_SETTINGS = {
         4, 3, seed=1, measure="bogus"
     ),
     "unknown design of a space": lambda: rv.space_cardinality("xx", 2, 2),
+    # arguments of the wrong type, which would otherwise end in AttributeError
+    "no table for type1": lambda: rv.type1_error(None),
+    "no table for expected mean squares": lambda: rv.expected_ms(None),
+    "no table for the LS difference decomposition": lambda: rv.ls_difference_decomposition(None),
+    "no table for the sharp null": lambda: rv.fisher_sharp_null_holds(None),
+    "str space of an exact distribution": lambda: rv.exact_distribution(
+        rv.load_bundled_table("table2"), "exact"
+    ),
+    "no space for type1": lambda: rv.type1_error(rv.load_bundled_table("table2"), space=None),
+    "no assignment to observe": lambda: rv.observe(rv.load_bundled_table("table2"), None),
     "str cutoff of a probability query": lambda: rv.exact_distribution(
         rv.load_bundled_table("table2")
     ).probability_f_above("x"),

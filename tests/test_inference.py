@@ -799,16 +799,6 @@ class TestSupportOrder:
         got = inference._support_order(f, s0, first)
         assert got.tolist() == np.lexsort((first, s0, f)).tolist()
 
-    def test_first_of_runs_crossing_slice_boundaries(self):
-        k = enumeration._CHUNK
-        rng = np.random.default_rng(13)
-        sizes = np.concatenate([[1] * 50, [k + 7], rng.integers(1, 6, size=800), [3 * k]])
-        order = rng.permutation(int(sizes.sum()))
-        run_starts = np.zeros(len(order) + 1, dtype=bool)
-        run_starts[np.concatenate([[0], np.cumsum(sizes)])] = True
-        want = np.minimum.reduceat(order, np.flatnonzero(run_starts[:-1]))
-        assert inference._first_of_runs(order, run_starts).tolist() == want.tolist()
-
 
 def _exact_mean_squares(table, assignment):
     """(S0^2, S1^2) of one assignment in exact rational arithmetic."""
