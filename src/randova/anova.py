@@ -101,17 +101,17 @@ class AnovaSummary:
 def f_from_sums(s0_sq, s1_sq):
     """F ratio with the degenerate conventions (inf / NaN on zero residual).
 
-    Elementwise on two arrays of one shape; a float for two scalars.  One
-    division, then only the S0^2 = 0 entries are set.
+    Elementwise on two arrays of one shape.  One division, then only the
+    S0^2 = 0 entries are set.
     """
     s0 = np.asarray(s0_sq, dtype=float)
     s1 = np.asarray(s1_sq, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.asarray(s1 / s0)
+        f = s1 / s0
     zero = s0 == 0.0
     if zero.any():
         f[zero] = np.where(s1[zero] > 0.0, np.inf, np.nan)
-    return f if f.ndim else float(f)
+    return f
 
 
 def design_dfs(design: DesignKind, num_blocks: int, num_treatments: int) -> tuple[int, int]:
@@ -331,12 +331,11 @@ def anova(experiment: ObservedExperiment) -> AnovaSummary:
     tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls
     s0, s1 = kernel(tables, index)
-    s0_sq, s1_sq = float(s0[0]), float(s1[0])
     df1, df0 = design_dfs(table.design, table.num_blocks, table.num_treatments)
     return AnovaSummary(
-        s0_sq=s0_sq,
-        s1_sq=s1_sq,
-        f_stat=f_from_sums(s0_sq, s1_sq),
+        s0_sq=float(s0[0]),
+        s1_sq=float(s1[0]),
+        f_stat=float(f_from_sums(s0, s1)[0]),
         df_treatment=df1,
         df_residual=df0,
     )

@@ -67,7 +67,7 @@ def _space_from_args(args: argparse.Namespace, seed: int | None) -> Randomizatio
     )
 
 
-def _add_space_flags(parser: argparse.ArgumentParser) -> None:
+def _add_space_flags(parser: argparse.ArgumentParser, seed_help: str) -> None:
     parser.add_argument(
         "--sample",
         type=int,
@@ -75,6 +75,7 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="sample N assignments uniformly instead of exact enumeration",
     )
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
     parser.add_argument(
         "--burn-in",
         type=int,
@@ -213,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_type1.add_argument("table")
     p_type1.add_argument("--alpha", type=float, default=0.05)
-    p_type1.add_argument(
-        "--seed", type=int, default=None, help="seed of the --sample draws (default 0)"
-    )
-    _add_space_flags(p_type1)
+    _add_space_flags(p_type1, "seed of the --sample draws (default 0)")
     p_type1.set_defaults(func=_cmd_type1)
 
     p_curve = sub.add_parser(
@@ -230,10 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"number of grid points (default {DEFAULT_GRID_POINTS})",
     )
     p_curve.add_argument("--csv", default=None, help="also write the curve as CSV")
-    p_curve.add_argument(
-        "--seed", type=int, default=None, help="seed of the --sample draws (default 0)"
-    )
-    _add_space_flags(p_curve)
+    _add_space_flags(p_curve, "seed of the --sample draws (default 0)")
     p_curve.set_defaults(func=_cmd_curve)
 
     p_mc = sub.add_parser(
@@ -245,17 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--reps", type=int, default=DEFAULT_MC_REPLICATIONS)
     p_mc.add_argument("--alpha", type=float, default=0.05)
     p_mc.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed of the noise draws, and of the --sample draws (default 0)",
-    )
-    p_mc.add_argument(
         "--keep-reps",
         action="store_true",
         help="retain per-replication rejection probabilities in the report",
     )
-    _add_space_flags(p_mc)
+    _add_space_flags(p_mc, "seed of the noise draws, and of the --sample draws (default 0)")
     p_mc.set_defaults(func=_cmd_mc)
 
     p_count = sub.add_parser(

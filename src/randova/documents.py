@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, _number
+from .errors import InvalidArgument, ParseError, _number
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 _FLOAT_FORMAT = ".17g"
@@ -150,7 +150,11 @@ def _table_from_document(doc: dict) -> PotentialOutcomeTable:
 
 
 def table_to_document(table: PotentialOutcomeTable) -> dict:
-    """Inverse of load_table (round-trips to an equal document)."""
+    """Inverse of load_table (round-trips to an equal document).  Raises
+    InvalidArgument when table is not a PotentialOutcomeTable; its values
+    are not checked."""
+    if not isinstance(table, PotentialOutcomeTable):
+        raise InvalidArgument(f"expected a PotentialOutcomeTable, got {type(table).__name__}")
     doc: dict[str, Any] = {"design": table.design.value}
     doc["treatments"] = table.num_treatments
     if table.design is DesignKind.RCB:

@@ -11,6 +11,8 @@ first use; the last row of a square is forced by the others.  Each chunk of
 grids is gathered from those indices when the stream reaches it.  Exact
 enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
+A sampled run is held to the same cap on its number of draws, since it
+stages and scores every draw; the lazy public samplers are not capped.
 The enumerators and samplers build only valid assignments, so they do not
 check them one by one; `observe` checks the grids that callers build.
 Enumerated and sampled assignments are read-only row views of their chunk.
@@ -604,8 +606,9 @@ def assignment_stream(
     """Resolve a space against a table: (stream, count when known, is_exact).
 
     Raises InvalidArgument when a sampled space for an RCB table carries
-    Latin-square sampler settings, which that sampler would ignore, and
-    when space is not a RandomizationSpace.
+    Latin-square sampler settings, which that sampler would ignore, when a
+    sample is above the enumeration cap, and when space is not a
+    RandomizationSpace.
     """
     if not isinstance(space, RandomizationSpace):
         raise InvalidArgument(f"expected a RandomizationSpace, got {type(space).__name__}")
@@ -615,6 +618,12 @@ def assignment_stream(
             n = table.num_blocks
             return enumerate_rcb(n, t), math.factorial(t) ** n, True
         return enumerate_latin_squares(t), _latin_square_count(t), True
+    cap = enumeration_cap()
+    if space.sample_size > cap:
+        raise InvalidArgument(
+            f"a sample of {space.sample_size} draws is above the cap {cap};"
+            f" draw fewer or raise {ENUM_CAP_ENV_VAR}"
+        )
     if table.design is DesignKind.RCB:
         settings = {"burn_in": space.burn_in, "ls_measure": space.ls_measure}
         given = [name for name, value in settings.items() if value is not None]

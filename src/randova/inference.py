@@ -275,14 +275,6 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
 
 
-def _require_noiseless(table: PotentialOutcomeTable) -> None:
-    if table.technical_error_sd != 0.0:
-        raise TechnicalErrorsPresent(
-            "exact randomization distributions require technical_error_sd == 0;"
-            " use monte_carlo_with_errors for noisy tables"
-        )
-
-
 def _staged(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], int, bool]:
@@ -328,7 +320,11 @@ def exact_distribution(
     """Randomization distribution of (S0^2, S1^2, F) for a noiseless table.
     A design without residual df is refused before its space is read."""
     validate(table)
-    _require_noiseless(table)
+    if table.technical_error_sd != 0.0:
+        raise TechnicalErrorsPresent(
+            "exact randomization distributions require technical_error_sd == 0;"
+            " use monte_carlo_with_errors for noisy tables"
+        )
     design, outcomes = table.design, table.outcomes
     n, _, t = outcomes.shape
     df1, df0 = design_dfs(design, n, t)

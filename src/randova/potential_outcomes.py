@@ -132,6 +132,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _optional_str(value) -> str | None:
+    """value itself; TypeError unless it is a str or None."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a str or None, got {value!r}")
+    return value
+
+
 def _array(dtype, optional: bool = False):
     """None stays None when optional."""
 
@@ -146,7 +153,7 @@ def _array(dtype, optional: bool = False):
         ):
             return value
         raw = np.asarray(value)  # ValueError when ragged
-        if raw.dtype.kind not in "biuf":
+        if raw.dtype.kind not in "iuf":
             raise TypeError(f"expected an array of numbers, got dtype {raw.dtype}")
         with np.errstate(invalid="ignore"):
             arr = raw.astype(dtype)
@@ -173,7 +180,7 @@ class PotentialOutcomeTable(_Value):
     design: DesignKind = _converted(DesignKind)
     outcomes: np.ndarray = _array(float)
     technical_error_sd: float = _converted(_real, default=0.0)
-    name: str | None = None
+    name: str | None = _converted(_optional_str, default=None)
 
     @property
     def num_treatments(self) -> int:

@@ -359,6 +359,17 @@ class TestArgumentErrors:
         assert err.startswith("error:") and "RANDOVA_ENUM_CAP" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["type1", "curve"])
+    def test_sample_above_the_cap_exits_2_without_traceback(self, table_paths, command):
+        code, out, err = run_module(
+            command, table_paths["table1"], "--sample", "1000000000000", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a sample of 1000000000000 draws is above the cap 10000000;"
+            " draw fewer or raise RANDOVA_ENUM_CAP\n"
+        )
+
     @pytest.mark.parametrize("command", ["expected-ms", "type1", "curve", "mc"])
     @pytest.mark.parametrize("field", ["outcome", "technical_error_sd"])
     def test_integer_beyond_float_range_exits_2_without_traceback(

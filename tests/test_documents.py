@@ -116,6 +116,13 @@ class TestRoundTrip:
             assert loaded.technical_error_sd == table.technical_error_sd
             assert rv.table_to_document(loaded) == doc
 
+    @pytest.mark.parametrize("name", [None, "", "table", "naïve \"quoted\" name"])
+    @pytest.mark.parametrize("design", [rv.DesignKind.RCB, rv.DesignKind.LS])
+    def test_named_tables_round_trip(self, design, name):
+        outcomes = random_table(np.random.default_rng(5), design).outcomes
+        table = rv.PotentialOutcomeTable(design, outcomes, 0.5, name=name)
+        assert rv.load_table(rv.table_to_document(table)) == table
+
 
 class TestReportSerialization:
     def test_floats_round_trip_losslessly(self):

@@ -128,6 +128,10 @@ BAD_SETTINGS = {
     ),
     "no space for type1": lambda: rv.type1_error(rv.load_bundled_table("table2"), space=None),
     "no assignment to observe": lambda: rv.observe(rv.load_bundled_table("table2"), None),
+    "int name of a table": lambda: rv.PotentialOutcomeTable("rcb", ZEROS, name=5),
+    "bool outcomes": lambda: rv.PotentialOutcomeTable("rcb", np.ones((2, 3, 3), bool)),
+    "bool labels": lambda: rv.Assignment("rcb", [[True, False], [False, True]]),
+    "no table to write as a document": lambda: rv.table_to_document(None),
     "str cutoff of a probability query": lambda: rv.exact_distribution(
         rv.load_bundled_table("table2")
     ).probability_f_above("x"),

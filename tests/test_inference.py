@@ -554,6 +554,34 @@ def _mc_tables():
 MC_TABLES = _mc_tables()
 
 
+class TestSampleCap:
+    """A sampled run stages and scores every draw, so its draws are held to
+    the enumeration cap; the lazy public samplers are not."""
+
+    @pytest.mark.parametrize("name", ["table1", "table4"])
+    def test_sample_above_the_cap_is_refused(self, monkeypatch, tables, name):
+        monkeypatch.setenv(enumeration.ENUM_CAP_ENV_VAR, "100")
+        over = rv.RandomizationSpace.sample(101, seed=1)
+        with pytest.raises(rv.InvalidArgument, match="above the cap 100.*RANDOVA_ENUM_CAP"):
+            rv.type1_error(tables[name], space=over)
+        with pytest.raises(rv.InvalidArgument, match="above the cap 100.*RANDOVA_ENUM_CAP"):
+            rv.monte_carlo_with_errors(_noisy(tables[name], 0.01), replications=2, space=over)
+
+    @pytest.mark.parametrize("name", ["table1", "table4"])
+    def test_sample_at_the_cap_runs(self, monkeypatch, tables, name):
+        monkeypatch.setenv(enumeration.ENUM_CAP_ENV_VAR, "100")
+        at = rv.RandomizationSpace.sample(100, seed=1)
+        assert 0.0 <= rv.type1_error(tables[name], space=at).rejection_probability <= 1.0
+        assert rv.exact_distribution(tables[name], at).assignment_count == 100
+        report = rv.monte_carlo_with_errors(_noisy(tables[name], 0.01), replications=2, space=at)
+        assert 0.0 <= report.mean_rejection <= 1.0
+
+    def test_public_samplers_are_not_capped(self, monkeypatch):
+        monkeypatch.setenv(enumeration.ENUM_CAP_ENV_VAR, "100")
+        assert len(list(rv.sample_rcb(2, 3, 101, seed=1))) == 101
+        assert len(list(rv.sample_latin_squares(4, 101, seed=1))) == 101
+
+
 class TestMonteCarloAgainstBatchKernels:
     """Every replication's rejection equals that of the label-grid kernel
     (`helpers.label_grid_anova`) on the same noise, on tables where the zero
