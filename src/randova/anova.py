@@ -146,13 +146,14 @@ def batch_anova_ls(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np
 
 def stage_rows(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Per row of one (S, rows, T) chunk of label grids, the (P_r, T)
-    distinct label rows in lexicographic order (by `_row_keys`), and the
-    (S, rows) index into them, column-major, in the smallest unsigned dtype
-    that holds min(T!, S) - 1.  The keys are injective, so any occurrence of
-    a key supplies its label row; np.unique then needs no first occurrences,
-    and sorts with numpy's default (unstable) argsort."""
+    distinct label rows in lexicographic order (by `_row_keys`), in the
+    labels' dtype, and the (S, rows) index into them, column-major, in the
+    smallest unsigned dtype that holds min(T!, S) - 1.  The streams' chunks
+    come in the smallest unsigned dtype that holds T - 1
+    (`inference._label_chunks`).  The keys are injective, so any occurrence
+    of a key supplies its label row; np.unique then needs no first
+    occurrences, and sorts with numpy's default (unstable) argsort."""
     s, rows, t = labels.shape
-    labels = labels.astype(np.min_scalar_type(t - 1), copy=False)
     keys = _row_keys(labels)
     index = np.empty((rows, s), dtype=np.min_scalar_type(min(math.factorial(t), s) - 1))
     perms = []

@@ -19,17 +19,22 @@ Enumerated and sampled assignments are read-only row views of their chunk.
 Every enumerator and sampler checks its arguments when called.
 
 Uniform sampling builds a chunk of draws at a time.  RCB draws independent
-uniform permutations per block, as the argsort of uniform keys.  For LS the
-default measure is uniform over ALL Latin squares of the order, realized by
-one Jacobson-Matthews chain (+-1 moves on the incidence cube) per draw, the
-chains of a chunk run in lockstep: each chain runs burn_in moves, then is
-checked every m moves (m a fixed constant per order) and emits its square
-at the first check that finds it proper.  A chain keeps its cube as three
-(T, T) tables of the position of each line's 1 (the symbol of each cell,
-the row of each column and symbol, the column of each row and symbol) and,
-while improper, the two 1s on each line through its -1 cell, so a move
-reads six table entries and rewrites twelve instead of scanning three
-lines.  A "subgroup" measure is also available which only randomizes
+uniform permutations per block, as the argsort of uniform keys, in blocks of
+at most _LABEL_BUDGET keys (2^16, 655 draws of an RCB 20x5), so the keys
+and their int64 argsort take about 1 MB, where a whole chunk of 4,096 draws
+took 6.6 MB.  For LS the default measure is uniform over ALL Latin squares
+of the order, realized by one Jacobson-Matthews chain (+-1 moves on the
+incidence cube) per draw, the chains of a chunk run in lockstep: each chain
+runs burn_in moves, then is checked every m moves (m a fixed constant per
+order) and emits its square at the first check that finds it proper.  A
+chain keeps its cube as three (T, T) tables of the position of each line's
+1 (the symbol of each cell, the row of each column and symbol, the column
+of each row and symbol) and, while improper, the two 1s on each line
+through its -1 cell, so a move reads six table entries and rewrites twelve
+instead of scanning three lines.  One generator call draws the random
+integers of 16 moves of every chain of the chunk (0.5 MB of int64 for
+4,096 chains); they come in the same order whatever the number of moves
+per call.  A "subgroup" measure is also available which only randomizes
 rows/columns/symbols of a fixed cyclic reference square (a strictly smaller
 orbit unless T <= 3; up to order 3 both measures draw from it).
 """
@@ -60,10 +65,12 @@ MAX_EXACT_LS_ORDER = 5
 _MAX_COUNT = 10**4300 - 1  # 4300 digits: Python's default limit on int -> str
 
 _CHUNK = 4096  # assignments built per step of the enumerators and samplers
+# labels (rows * T per assignment) staged, or drawn by the RCB sampler, per step
+_LABEL_BUDGET = 2**16
 
 _JM_BURN_IN_FACTOR = 2  # burn-in moves of each chain = factor * T^3
 _JM_CHECK_SPACING_FACTOR = 4  # moves between a chain's later checks = factor * T
-_JM_MOVES_PER_DRAW = 64  # moves whose random integers one Generator call draws
+_JM_MOVES_PER_DRAW = 16  # moves whose random integers one Generator call draws
 
 
 def enumeration_cap() -> int:
@@ -165,7 +172,8 @@ class Assignment(_Value):
 
         For the enumerators and samplers, whose grids are valid: each
         Assignment holds its row view and skips __init__, which would only
-        copy and re-check a grid that is already read-only int64.
+        copy and re-check a grid that is already read-only int64.  A chunk
+        is dropped after its last row, before the next one is built.
         """
         for chunk in chunks:
             chunk.setflags(write=False)
@@ -175,6 +183,7 @@ class Assignment(_Value):
                 fields["design"] = design
                 fields["grid"] = grid
                 yield assignment
+            del chunk, grid, assignment, fields
 
     def labels(self) -> np.ndarray:
         """The treatment-label grid."""
@@ -412,16 +421,20 @@ def sample_rcb(
 ) -> Iterator[Assignment]:
     """Independent uniform per-block permutations; deterministic given seed.
 
-    Each chunk of draws is the argsort of (S, N, T) uniform keys.  Sizes and
-    the draw count are checked at the call, not at the first next().
+    Each block of S draws is the argsort of (S, N, T) uniform keys, with S
+    at most _CHUNK and S * N * T at most _LABEL_BUDGET unless S is 1.  The
+    generator fills its keys in order, so the blocks' size does not change
+    the draws.  Sizes and the draw count are checked at the call, not at
+    the first next().
     """
     _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
     _check_int(count, 1, "sample size")
     _check_int(seed, 0, "seed")
     rng = np.random.default_rng(seed)
+    block = min(_CHUNK, max(1, _LABEL_BUDGET // (num_blocks * num_treatments)))
     chunks = (
-        rng.random((min(_CHUNK, count - lo), num_blocks, num_treatments)).argsort(axis=2)
-        for lo in range(0, count, _CHUNK)
+        rng.random((min(block, count - lo), num_blocks, num_treatments)).argsort(axis=2)
+        for lo in range(0, count, block)
     )
     return Assignment._of_rows(DesignKind.RCB, chunks)
 

@@ -16,13 +16,14 @@ distinct values apart; since gaps chain, an atom of m distinct values spans
 at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
 kernel's zero rule, so 0.0 is an atom of its own.
 
-Every run reads its space's stream once, a chunk of label grids at a time,
-and stages each chunk on its own: per row, the chunk's distinct permutations
-and each assignment's index into them (`_staged`, `stage_rows`).  They are
-scored by the one ANOVA kernel of each design (`randova.anova`) over per-row
-tables of the responses, shifted by the noiseless table's mean potential
-outcome of each treatment, which leaves S0^2 unchanged and keeps it from
-cancelling when treatment effects dwarf the residual.  The exact and
+Every run reads its space's stream once, a chunk of label grids at a time
+in the smallest unsigned dtype (`_label_chunks`), and stages each chunk on
+its own: per row, the chunk's distinct permutations and each assignment's
+index into them (`_staged`, `stage_rows`).  They are scored by the one
+ANOVA kernel of each design (`randova.anova`) over per-row tables of the
+responses, shifted by the noiseless table's mean potential outcome of each
+treatment, which leaves S0^2 unchanged and keeps it from cancelling when
+treatment effects dwarf the residual.  The exact and
 sampled distributions table and score each chunk as it arrives, with
 compensated partial sums, one per chunk, for bit-reproducible means.  The
 Monte Carlo study, which rescores every assignment under each noise draw,
@@ -65,7 +66,15 @@ from .anova import (
     row_tables,
     stage_rows,
 )
-from .enumeration import _CHUNK, Assignment, RandomizationSpace, assignment_stream
+from .enumeration import (
+    _CHUNK,
+    _LABEL_BUDGET,
+    ENUM_CAP_ENV_VAR,
+    Assignment,
+    RandomizationSpace,
+    assignment_stream,
+    enumeration_cap,
+)
 from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, RandovaError
 from .errors import TechnicalErrorsPresent, _check_int, _number
 from .fdist import FReference, f_quantile, f_survival
@@ -200,14 +209,28 @@ def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
-    """The assignments' label grids, stacked _CHUNK at a time into one
-    (S, rows, T) array by a single concatenate (np.array over the list
-    takes half as long again).  Only the grids are collected, so each
-    Assignment is freed once it is read and no garbage collection is set
-    off by a chunk of live objects."""
+    """The assignments' label grids, _CHUNK at a time, in one (S, rows, T)
+    array of the narrow dtype `stage_rows` keys, the smallest unsigned one
+    that holds T - 1.  The grids are concatenated into it max(1,
+    _LABEL_BUDGET // (rows * T)) at a time (np.array over a list takes half
+    as long again) and dropped, so no int64 copy of a chunk is made and the
+    samplers' int64 blocks are freed as they are read.  Only the grids are
+    collected, so each Assignment is freed once it is read and no garbage
+    collection is set off by a chunk of live objects."""
     stream = iter(assignments)
-    while grids := [a.grid for a in itertools.islice(stream, _CHUNK)]:
-        yield np.concatenate(grids).reshape(len(grids), *grids[0].shape)
+    for first in stream:  # each chunk starts at the first grid not yet read
+        rows, t = first.grid.shape
+        step = min(_CHUNK, max(1, _LABEL_BUDGET // (rows * t)))
+        labels = np.empty((_CHUNK, rows, t), dtype=np.min_scalar_type(t - 1))
+        grids = [first.grid] + [a.grid for a in itertools.islice(stream, step - 1)]
+        del first
+        filled = 0
+        while grids:
+            part = labels[filled : filled + len(grids)].reshape(-1, t)
+            np.concatenate(grids, out=part, casting="unsafe")
+            filled += len(grids)
+            grids = [a.grid for a in itertools.islice(stream, min(step, _CHUNK - filled))]
+        yield labels[:filled]
 
 
 def _sorted_neighbours(
@@ -285,7 +308,7 @@ def _staged(
 
     def chunks():
         seen = 0
-        # through map, no int64 label chunk outlives its staging
+        # through map, no label chunk outlives its staging
         for perms, index in map(stage_rows, _label_chunks(stream)):
             seen += len(index)
             yield perms, index
@@ -425,11 +448,18 @@ def survival_curve(
     """P(F > k) on a grid, randomization-exact versus the F reference.
 
     The default grid is grid_points points on [0, U] with
-    U = max(2 * F-quantile(0.95), largest finite F in the support).  A
-    given cutoff_grid must be 1-d, finite and >= 0 (InvalidArgument).
+    U = max(2 * F-quantile(0.95), largest finite F in the support), and
+    grid_points at most the enumeration cap.  A given cutoff_grid must be
+    1-d, finite and >= 0 (InvalidArgument).
     """
     if cutoff_grid is None:
         _check_int(grid_points, 2, "grid_points")
+        cap = enumeration_cap()
+        if grid_points > cap:
+            raise InvalidArgument(
+                f"a grid of {grid_points} points is above the cap {cap};"
+                f" ask for fewer or raise {ENUM_CAP_ENV_VAR}"
+            )
     if cutoff_grid is not None:
         try:
             grid = np.asarray(cutoff_grid, dtype=float)

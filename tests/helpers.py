@@ -378,10 +378,12 @@ def cube_latin_squares(order, count, seed, burn_in=None):
     """(count, T, T) int64 squares of the Latin-square sampler as it ran on a
     (K, T, T, T) int8 incidence cube, the reference for the line-table
     sampler, which must give the same squares bit for bit: the same chains
-    of _CHUNK draws in lockstep, the same blocks of random integers, coins
-    and checks.  Each move gathers the three lines through its cell and
-    finds the 1 on each with argmax, the first or, by coin, the last where
-    a line holds two."""
+    of _CHUNK draws in lockstep, the same random integers, coins and checks.
+    It draws the integers of 64 moves per generator call, the package's
+    block before it drew 16, so a match also shows that the block size does
+    not change the draws.  Each move gathers the three lines through its
+    cell and finds the 1 on each with argmax, the first or, by coin, the
+    last where a line holds two."""
     enum = rv.enumeration
     t = order
     burn_in, _ = enum.ls_sampler_settings(order, burn_in)
@@ -403,8 +405,8 @@ def cube_latin_squares(order, count, seed, burn_in=None):
         base = np.arange(k) * t**3
         symbol_line, column_line, row_line = line, line * t, line * t * t
         r_hole, c_hole, s_hole = hole
-        for lo in range(0, n, enum._JM_MOVES_PER_DRAW):
-            block = min(enum._JM_MOVES_PER_DRAW, n - lo)
+        for lo in range(0, n, 64):
+            block = min(64, n - lo)
             draws = rng.integers(0, t * t * (t - 1) * 8, size=(block, k))
             draws, rows = np.divmod(draws, t)
             draws, cols = np.divmod(draws, t)

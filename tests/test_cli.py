@@ -370,6 +370,14 @@ class TestArgumentErrors:
             " draw fewer or raise RANDOVA_ENUM_CAP\n"
         )
 
+    def test_grid_above_the_cap_exits_2_without_traceback(self, table_paths):
+        code, out, err = run_module("curve", table_paths["table4"], "--grid", "100000000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a grid of 100000000000 points is above the cap 10000000;"
+            " ask for fewer or raise RANDOVA_ENUM_CAP\n"
+        )
+
     @pytest.mark.parametrize("command", ["expected-ms", "type1", "curve", "mc"])
     @pytest.mark.parametrize("field", ["outcome", "technical_error_sd"])
     def test_integer_beyond_float_range_exits_2_without_traceback(

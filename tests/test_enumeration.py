@@ -275,6 +275,15 @@ class TestSampling:
         freqs = hits / draws
         assert np.abs(freqs - 1 / order).max() < 0.04
 
+    @pytest.mark.parametrize("blocks, treatments, count", [(20, 5, 5_000), (2, 3, 10_000)])
+    def test_rcb_draws_are_one_argsort_of_the_seeds_keys(self, blocks, treatments, count):
+        # the sampler draws its keys in blocks (655 draws of an RCB 20x5, a
+        # chunk of an RCB 2x3), which must not change them
+        want = np.random.default_rng(8).random((count, blocks, treatments)).argsort(axis=2)
+        got = np.stack([a.grid for a in rv.sample_rcb(blocks, treatments, count, seed=8)])
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     def test_every_rcb_draw_is_valid(self):
         draws = list(rv.sample_rcb(20, 5, 2000, seed=5))
         assert len(draws) == 2000

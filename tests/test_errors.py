@@ -79,6 +79,10 @@ BAD_SETTINGS = {
     "one grid point": lambda: rv.survival_curve(
         rv.load_bundled_table("table2"), grid_points=1
     ),
+    # refused before the grid is built: 10^11 points would take 745 GiB
+    "grid points above the enumeration cap": lambda: rv.survival_curve(
+        rv.load_bundled_table("table2"), grid_points=100_000_000_000
+    ),
     "NaN cutoff": lambda: rv.survival_curve(
         rv.load_bundled_table("table2"), cutoff_grid=[1.0, float("nan")]
     ),

@@ -111,3 +111,27 @@ def test_monte_carlo_replications():
     )
     peak = traced_peak("rv.monte_carlo_with_errors(table, replications=5_000, seed=1)", setup)
     assert peak < 1.3 * 1.96e6
+
+
+def test_sampled_rcb_20x5_distribution():
+    # a float RCB 20x5 over 20,000 seeded draws: the sampler draws its keys
+    # 655 draws at a time and the staging fills each chunk's uint8 labels
+    # from them: measured 3.33 MB (numpy 2.4); bound = measured + 30%.
+    # Drawing, argsorting and copying whole chunks as int64 peaked at 11.0 MB.
+    setup = (
+        "x = np.random.default_rng(1).normal(20.0, 15.0, size=(20, 5, 5))\n"
+        "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
+    )
+    peak = traced_peak(
+        "rv.exact_distribution(table, rv.RandomizationSpace.sample(20_000, seed=1))", setup
+    )
+    assert peak < 1.3 * 3.33e6
+
+
+def test_latin_square_8_sampler_chunk():
+    # one chunk of 4,096 Jacobson-Matthews chains of order 8, run to the end,
+    # drawing the integers of 16 moves per generator call: measured 10.1 MB
+    # (numpy 2.4); bound = measured + 30%.  Drawing 64 moves per call peaked
+    # at 24.8 MB.
+    peak = traced_peak("sum(1 for _ in rv.sample_latin_squares(8, 4096, seed=1))")
+    assert peak < 1.3 * 10.1e6
