@@ -23,8 +23,6 @@ from .enumeration import (
     Assignment,
     LsMeasure,
     RandomizationSpace,
-    enumerate_latin_squares,
-    enumerate_rcb,
     sample_latin_squares,
     sample_rcb,
     space_cardinality,
@@ -72,8 +70,6 @@ from .potential_outcomes import (
     PotentialOutcomeTable,
     check_additivity,
     decompose,
-    fisher_sharp_null_holds,
-    neyman_null_holds,
     validate,
 )
 from .reproduce import (
@@ -122,20 +118,16 @@ __all__ = [
     "check_additivity",
     "decompose",
     "dumps_report",
-    "enumerate_latin_squares",
-    "enumerate_rcb",
     "exact_distribution",
     "expected_ms",
     "f_quantile",
     "f_survival",
-    "fisher_sharp_null_holds",
     "load_bundled_table",
     "load_bundled_tables",
     "load_table",
     "ls_difference_decomposition",
     "mean_difference_variance",
     "monte_carlo_with_errors",
-    "neyman_null_holds",
     "observe",
     "report_document",
     "run_reproduction",

@@ -154,11 +154,11 @@ def stage_rows(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     of a key supplies its label row; np.unique then needs no first
     occurrences, and sorts with numpy's default (unstable) argsort."""
     s, rows, t = labels.shape
-    keys = _row_keys(labels)
     index = np.empty((rows, s), dtype=np.min_scalar_type(min(math.factorial(t), s) - 1))
     perms = []
     for row in range(rows):
-        distinct, index[row] = np.unique(keys[:, row], return_inverse=True)
+        # keyed a row at a time, so no (S, rows) array of keys is made
+        distinct, index[row] = np.unique(_row_keys(labels[:, row]), return_inverse=True)
         perms.append(labels[_occurrences(index[row], len(distinct)), row])
     return tuple(perms), index.T
 

@@ -16,7 +16,9 @@ stages and scores every draw; the lazy public samplers are not capped.
 The enumerators and samplers build only valid assignments, so they do not
 check them one by one; `observe` checks the grids that callers build.
 Enumerated and sampled assignments are read-only row views of their chunk.
-Every enumerator and sampler checks its arguments when called.
+`assignment_stream` is the one way into an exact space: it checks the
+space's size against the cap when called, as each public sampler checks its
+arguments.
 
 Uniform sampling builds a chunk of draws at a time.  RCB draws independent
 uniform permutations per block, as the argsort of uniform keys, in blocks of
@@ -42,7 +44,6 @@ orbit unless T <= 3; up to order 3 both measures draw from it).
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -281,23 +282,30 @@ def space_cardinality(
     return size
 
 
-def _space_too_large(space: str, size: int | str, cap: int) -> SpaceTooLarge:
-    return SpaceTooLarge(
-        f"{space} has {size} assignments, above the cap {cap}; use uniform sampling instead"
-    )
-
-
-def enumerate_rcb(num_blocks: int, num_treatments: int) -> Iterator[Assignment]:
-    """Stream all (T!)^N per-block permutation assignments, lexicographically.
-
-    Sizes and the cap are checked at the call, not at the first next(); a
-    size above the cap is not built.
-    """
-    cap = enumeration_cap()
-    size = _rcb_space_size(num_blocks, num_treatments, cap)
-    if size is None:
-        raise _space_too_large("RCB space", f"({num_treatments}!)^{num_blocks}", cap)
-    return Assignment._of_rows(DesignKind.RCB, _rcb_chunks(num_blocks, num_treatments, size))
+def _exact_space_size(design: DesignKind, num_blocks: int, num_treatments: int) -> int:
+    """The size of the design's exact space, (T!)^N for RCB and the number
+    of Latin squares of order T for LS, found without building a number
+    much larger than enumeration_cap().  SpaceTooLarge for an LS of order
+    above 5 or a size above the cap; DimensionMismatch unless the sizes are
+    integers >= 1."""
+    if design is DesignKind.LS:
+        size = _latin_square_count(num_treatments)
+        if size is None:
+            raise SpaceTooLarge(
+                f"exact Latin-square enumeration is supported up to order "
+                f"{MAX_EXACT_LS_ORDER}; order {num_treatments} must be sampled"
+            )
+        cap = enumeration_cap()
+        space, shown = "Latin-square space", size
+    else:
+        cap = enumeration_cap()
+        size = _rcb_space_size(num_blocks, num_treatments, cap)
+        space, shown = "RCB space", f"({num_treatments}!)^{num_blocks}"
+    if size is None or size > cap:
+        raise SpaceTooLarge(
+            f"{space} has {shown} assignments, above the cap {cap}; use uniform sampling instead"
+        )
+    return size
 
 
 def _rcb_chunks(num_blocks: int, num_treatments: int, size: int) -> Iterator[np.ndarray]:
@@ -388,26 +396,6 @@ def _latin_square_rows(order: int) -> np.ndarray:
     rows = np.column_stack([rows, last])
     rows.setflags(write=False)
     return rows
-
-
-def enumerate_latin_squares(order: int) -> Iterator[Assignment]:
-    """Stream every Latin square of the order, row-major lexicographic.
-
-    The squares are kept as row indices into the permutation table (0.8 MB
-    of uint8 at order 5, built on first use); each chunk of _CHUNK int64
-    grids is gathered from them when the stream reaches it.  The order and
-    the cap are checked at the call, not at the first next().
-    """
-    known = _latin_square_count(order)
-    if known is None:
-        raise SpaceTooLarge(
-            f"exact Latin-square enumeration is supported up to order "
-            f"{MAX_EXACT_LS_ORDER}; order {order} must be sampled"
-        )
-    cap = enumeration_cap()
-    if known > cap:
-        raise _space_too_large("Latin-square space", known, cap)
-    return Assignment._of_rows(DesignKind.LS, _latin_square_chunks(order))
 
 
 def _latin_square_chunks(order: int) -> Iterator[np.ndarray]:
@@ -615,8 +603,14 @@ def _jacobson_matthews_moves(
 
 def assignment_stream(
     table: PotentialOutcomeTable, space: RandomizationSpace
-) -> tuple[Iterator[Assignment], int | None, bool]:
-    """Resolve a space against a table: (stream, count when known, is_exact).
+) -> tuple[Iterator[Assignment], int, bool]:
+    """Resolve a space against a table: (stream, count, is_exact).
+
+    An exact stream visits the table's whole space in lexicographic order:
+    RCB by the concatenated per-block permutations, as itertools.product
+    gives them, LS row-major.  Its count is the space's size, checked
+    against the cap at the call, not at the first next(), and a size above
+    the cap is not built (SpaceTooLarge, `_exact_space_size`).
 
     Raises InvalidArgument when a sampled space for an RCB table carries
     Latin-square sampler settings, which that sampler would ignore, when a
@@ -627,10 +621,12 @@ def assignment_stream(
         raise InvalidArgument(f"expected a RandomizationSpace, got {type(space).__name__}")
     t = table.num_treatments
     if space.sample_size is None:
+        size = _exact_space_size(table.design, table.num_blocks, t)
         if table.design is DesignKind.RCB:
-            n = table.num_blocks
-            return enumerate_rcb(n, t), math.factorial(t) ** n, True
-        return enumerate_latin_squares(t), _latin_square_count(t), True
+            chunks = _rcb_chunks(table.num_blocks, t, size)
+        else:
+            chunks = _latin_square_chunks(t)
+        return Assignment._of_rows(table.design, chunks), size, True
     cap = enumeration_cap()
     if space.sample_size > cap:
         raise InvalidArgument(

@@ -89,7 +89,8 @@ from .potential_outcomes import (
     validate,
 )
 
-_MC_ROWS = 4 * _CHUNK  # assignment x replication evaluations per table-kernel call
+_MC_ROWS = 4 * _CHUNK  # assignment x replication evaluations per group of noise draws
+_MC_BATCH = _CHUNK  # of those, evaluations per kernel call
 _ATOM_RTOL = 1e-12  # largest relative gap between neighbours in one atom
 DEFAULT_GRID_POINTS = 200
 DEFAULT_MC_REPLICATIONS = 2000
@@ -364,6 +365,7 @@ def exact_distribution(
         s1_partials.append(math.fsum(part1.tolist()))
         s0[lo : lo + len(index)], s1[lo : lo + len(index)] = part0, part1
         lo += len(index)
+        del perms, index, tables, part0, part1  # not held while the next chunk is staged
 
     # one atom per distinct pair of ranks, a run of equal keys in their
     # sorted order; the run's smallest stream position, the first
@@ -515,8 +517,10 @@ def monte_carlo_with_errors(
     each noise draw of the group (`row_tables`, shifted by the noiseless
     table's treatment means), summed over the rows of every assignment under
     every draw (`batch_anova_rcb` / `batch_anova_ls` on the tables and the
-    staged index, `replicate_index`).  Each group's noisy outcomes must keep
-    within the magnitude bound of `validate` (NonFiniteEntry).
+    staged index, `replicate_index`), _CHUNK evaluations a kernel call, so
+    the kernel's per-evaluation arrays stay small.  Each group's noisy
+    outcomes must keep within the magnitude bound of `validate`
+    (NonFiniteEntry).
     """
     validate(table)
     _check_int(replications, 1, "replications")
@@ -554,8 +558,8 @@ def monte_carlo_with_errors(
         tables = row_tables(table.design, noisy, perms, shift)
         evaluations = len(noise) * count
         above = np.empty(evaluations, dtype=bool)
-        for first in range(0, evaluations, _MC_ROWS):
-            batch = slice(first, min(first + _MC_ROWS, evaluations))
+        for first in range(0, evaluations, _MC_BATCH):
+            batch = slice(first, min(first + _MC_BATCH, evaluations))
             above[batch] = f_from_sums(*_batch_sums(tables, pairs[batch])) > cutoff
         rejections.extend((np.count_nonzero(above.reshape(-1, count), axis=1) / count).tolist())
 

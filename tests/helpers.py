@@ -48,7 +48,7 @@ from randova.anova import (
     row_tables,
     stage_rows,
 )
-from randova.enumeration import _row_keys
+from randova.enumeration import _row_keys, assignment_stream
 
 
 def random_rcb_table(rng, num_blocks=None, num_treatments=None, sd=0.0):
@@ -147,10 +147,29 @@ def grid_key(assignment):
     return tuple(map(tuple, assignment.grid.tolist()))
 
 
+def zero_table(design, num_blocks, num_treatments):
+    """A table of zeros of the design's shape, (N, T, T) for RCB and
+    (T, T, T) for LS (num_blocks unread).  The zeros are read-only, so the
+    table keeps them without a copy, and no page of them is touched: the
+    table of a huge space costs no memory."""
+    design = rv.DesignKind(design)
+    rows = num_treatments if design is rv.DesignKind.LS else num_blocks
+    zeros = np.zeros((rows, num_treatments, num_treatments))
+    zeros.setflags(write=False)
+    return rv.PotentialOutcomeTable(design, zeros)
+
+
+def exact_stream(design, num_blocks, num_treatments):
+    """The exact stream of a design's space, the way every run enters it:
+    `assignment_stream` on a `zero_table`.  Sizes and the cap are checked
+    at the call."""
+    table = zero_table(design, num_blocks, num_treatments)
+    stream, _, _ = assignment_stream(table, rv.RandomizationSpace.exact())
+    return stream
+
+
 def all_assignments(table):
-    if table.design is rv.DesignKind.RCB:
-        return list(rv.enumerate_rcb(table.num_blocks, table.num_treatments))
-    return list(rv.enumerate_latin_squares(table.num_treatments))
+    return list(exact_stream(table.design, table.num_blocks, table.num_treatments))
 
 
 def treatment_means(experiment):

@@ -17,6 +17,7 @@ from helpers import (
     all_assignments,
     batch_kernel,
     enumeration_contrast_moments,
+    exact_stream,
     ls_interaction_free_table,
     random_ls_table,
     random_rcb_table,
@@ -247,11 +248,11 @@ def test_criterion_08_sharp_null_invariants():
 def test_criterion_09_enumeration_counts():
     rcb_ok = True
     for n, t in [(2, 2), (1, 3), (4, 3), (3, 4)]:
-        count = sum(1 for _ in rv.enumerate_rcb(n, t))
+        count = sum(1 for _ in exact_stream("rcb", n, t))
         rcb_ok &= count == math.factorial(t) ** n
-    ls_counts = [sum(1 for _ in rv.enumerate_latin_squares(k)) for k in (1, 2, 3, 4)]
+    ls_counts = [sum(1 for _ in exact_stream("ls", k, k)) for k in (1, 2, 3, 4)]
     start = time.perf_counter()
-    order5 = sum(1 for _ in rv.enumerate_latin_squares(5))
+    order5 = sum(1 for _ in exact_stream("ls", 5, 5))
     elapsed = time.perf_counter() - start
     ok = (
         rcb_ok

@@ -18,6 +18,7 @@ from randova.inference import _label_chunks
 from helpers import (
     all_assignments,
     batch_kernel,
+    exact_stream,
     first_occurrence_stage_rows,
     fsum_anova,
     label_grid_anova,
@@ -53,13 +54,13 @@ class TestObserve:
 
     def test_constant_table_observes_constant(self):
         table = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.full((3, 3, 3), 6.5))
-        for assignment in rv.enumerate_latin_squares(3):
+        for assignment in exact_stream("ls", 3, 3):
             experiment = rv.observe(table, assignment)
             assert np.all(experiment.observed == 6.5)
 
     def test_table4_totals_depend_on_marked_cells(self, tables):
         table = tables["table4"]
-        squares = list(rv.enumerate_latin_squares(4))
+        squares = list(exact_stream("ls", 4, 4))
         same = next(s for s in squares if s.grid[0, 0] == s.grid[1, 1])
         diff = next(s for s in squares if s.grid[0, 0] != s.grid[1, 1])
         totals_same = sorted(treatment_means(rv.observe(table, same)).tolist())
@@ -67,7 +68,7 @@ class TestObserve:
         assert totals_same != totals_diff
 
     def test_design_mismatch_raises(self, tables):
-        square = next(iter(rv.enumerate_latin_squares(3)))
+        square = next(iter(exact_stream("ls", 3, 3)))
         with pytest.raises(rv.ShapeMismatch):
             rv.observe(tables["table1"], square)
 
@@ -96,7 +97,7 @@ class TestAnova:
     def test_table2_enumeration_mean_matches_reference(self, tables):
         table = tables["table2"]
         s0s = []
-        for assignment in rv.enumerate_latin_squares(3):
+        for assignment in exact_stream("ls", 3, 3):
             s0s.append(rv.anova(rv.observe(table, assignment)).s0_sq)
         assert math.fsum(s0s) / 12 == pytest.approx(252.07, abs=0.005)
 
@@ -109,7 +110,7 @@ class TestAnova:
         if design is rv.DesignKind.RCB:
             assignment = identity_rcb_assignment(3, 3)
         else:
-            assignment = next(iter(rv.enumerate_latin_squares(3)))
+            assignment = next(iter(exact_stream("ls", 3, 3)))
         summary = rv.anova(rv.observe(table, assignment))
         assert summary.s0_sq == 0.0
         assert summary.s1_sq == 0.0
@@ -150,7 +151,7 @@ class TestAnova:
 
     def test_table4_f_takes_two_values(self, tables):
         values = set()
-        for assignment in rv.enumerate_latin_squares(4):
+        for assignment in exact_stream("ls", 4, 4):
             summary = rv.anova(rv.observe(tables["table4"], assignment))
             values.add(round(summary.f_stat, 9))
         assert values == {0.5, 3.0}
@@ -158,7 +159,7 @@ class TestAnova:
     def test_degrees_of_freedom(self, tables):
         rcb = rv.anova(rv.observe(tables["table1"], identity_rcb_assignment(2, 2)))
         assert (rcb.df_treatment, rcb.df_residual) == (1, 1)
-        square = next(iter(rv.enumerate_latin_squares(3)))
+        square = next(iter(exact_stream("ls", 3, 3)))
         ls = rv.anova(rv.observe(tables["table2"], square))
         assert (ls.df_treatment, ls.df_residual) == (2, 2)
 

@@ -14,8 +14,10 @@ from randova.enumeration import _latin_square_rows, _permutation_table, assignme
 from helpers import (
     count_latin_squares_bruteforce,
     cube_latin_squares,
+    exact_stream,
     grid_key,
     latin_square_grids,
+    zero_table,
 )
 
 
@@ -32,7 +34,7 @@ def intercalate_counts(squares):
 
 class TestEnumerateRcb:
     def test_two_blocks_two_treatments(self):
-        assignments = list(rv.enumerate_rcb(2, 2))
+        assignments = list(exact_stream("rcb", 2, 2))
         assert len(assignments) == 4
         keys = [grid_key(a) for a in assignments]
         assert keys == [
@@ -43,22 +45,22 @@ class TestEnumerateRcb:
         ]
 
     def test_single_block_starts_at_identity(self):
-        assignments = list(rv.enumerate_rcb(1, 3))
+        assignments = list(exact_stream("rcb", 1, 3))
         assert len(assignments) == 6
         assert grid_key(assignments[0]) == ((0, 1, 2),)
 
     def test_four_blocks_three_treatments_all_distinct(self):
-        keys = {grid_key(a) for a in rv.enumerate_rcb(4, 3)}
+        keys = {grid_key(a) for a in exact_stream("rcb", 4, 3)}
         assert len(keys) == 6**4 == rv.space_cardinality(rv.DesignKind.RCB, 4, 3)
 
     def test_every_assignment_is_a_per_block_bijection(self):
-        for assignment in rv.enumerate_rcb(3, 3):
+        for assignment in exact_stream("rcb", 3, 3):
             assert assignment.is_valid()
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_rcb(3, 3)
+            exact_stream("rcb", 3, 3)
 
     @pytest.mark.parametrize("sizes", [(300, 20), (100000, 30)])
     def test_huge_space_refused_without_building_its_size(self, sizes):
@@ -66,32 +68,32 @@ class TestEnumerateRcb:
         # (30!)^100000 took seconds to build
         start = time.perf_counter()
         with pytest.raises(rv.SpaceTooLarge, match=r"\(\d+!\)\^\d+ assignments, above the cap"):
-            rv.enumerate_rcb(*sizes)
+            exact_stream("rcb", *sizes)
         with pytest.raises(rv.SpaceTooLarge, match="more than 4300 digits"):
             rv.space_cardinality(rv.DesignKind.RCB, *sizes)
         assert time.perf_counter() - start < 1.0
 
     def test_space_at_the_cap_is_enumerated(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "1296")
-        assert len(list(rv.enumerate_rcb(4, 3))) == 1296
+        assert len(list(exact_stream("rcb", 4, 3))) == 1296
         with pytest.raises(rv.SpaceTooLarge, match=r"\(3!\)\^5 assignments"):
-            rv.enumerate_rcb(5, 3)
+            exact_stream("rcb", 5, 3)
 
     @pytest.mark.parametrize("blocks,treatments", [(2, 3), (3, 3), (1, 4)])
     def test_itertools_product_order(self, blocks, treatments):
         want = list(
             itertools.product(itertools.permutations(range(treatments)), repeat=blocks)
         )
-        got = [grid_key(a) for a in rv.enumerate_rcb(blocks, treatments)]
+        got = [grid_key(a) for a in exact_stream("rcb", blocks, treatments)]
         assert got == want
 
     def test_grids_are_read_only_int64(self):
-        for a in rv.enumerate_rcb(2, 3):
+        for a in exact_stream("rcb", 2, 3):
             assert a.grid.dtype == np.int64
             assert not a.grid.flags.writeable
 
     def test_enumerated_assignments_are_what_the_constructor_builds(self):
-        stream = itertools.chain(rv.enumerate_rcb(2, 3), rv.enumerate_latin_squares(3))
+        stream = itertools.chain(exact_stream("rcb", 2, 3), exact_stream("ls", 3, 3))
         for a in stream:
             built = rv.Assignment(a.design, a.grid)
             assert vars(a).keys() == vars(built).keys()
@@ -102,22 +104,22 @@ class TestEnumerateRcb:
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "5")
-        assert len(list(rv.enumerate_rcb(2, 2))) == 4
+        assert len(list(exact_stream("rcb", 2, 2))) == 4
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_rcb(3, 2)
+            exact_stream("rcb", 3, 2)
 
 
 class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order,count", [(1, 1), (2, 2), (3, 12), (4, 576)])
     def test_counts(self, order, count):
-        squares = list(rv.enumerate_latin_squares(order))
+        squares = list(exact_stream("ls", order, order))
         assert len(squares) == count
         assert len({grid_key(a) for a in squares}) == count
         assert all(a.is_valid() for a in squares)
 
     def test_every_order_five_square_is_valid(self):
         count = 0
-        for square in rv.enumerate_latin_squares(5):
+        for square in exact_stream("ls", 5, 5):
             assert square.is_valid()
             count += 1
         assert count == 161280
@@ -131,17 +133,21 @@ class TestEnumerateLatinSquares:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_matches_the_backtracking_oracle_in_order(self, order):
         want = np.array(list(latin_square_grids(order)))
-        got = np.array([a.grid.ravel() for a in rv.enumerate_latin_squares(order)])
+        got = np.array([a.grid.ravel() for a in exact_stream("ls", order, order)])
         count = rv.space_cardinality(rv.DesignKind.LS, order, order)
         assert got.shape == want.shape == (count, order * order)
         assert (got == want).all()
 
     def test_import_does_not_build_the_table(self):
         code = (
+            "import numpy as np\n"
             "import randova\n"
-            "from randova.enumeration import _latin_square_rows\n"
+            "from randova.enumeration import _latin_square_rows, assignment_stream\n"
             "assert _latin_square_rows.cache_info().currsize == 0\n"
-            "next(randova.enumerate_latin_squares(3))\n"
+            "table = randova.PotentialOutcomeTable('ls', np.zeros((3, 3, 3)))\n"
+            "stream, _, _ = assignment_stream(table, randova.RandomizationSpace.exact())\n"
+            "assert _latin_square_rows.cache_info().currsize == 0\n"
+            "next(stream)\n"
             "assert _latin_square_rows.cache_info().currsize == 1\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -157,21 +163,21 @@ class TestEnumerateLatinSquares:
     def test_rows_index_the_enumerated_squares(self, order):
         rows = _latin_square_rows(order)
         assert len(rows) == rv.space_cardinality(rv.DesignKind.LS, order, order)
-        got = np.array([a.grid for a in rv.enumerate_latin_squares(order)])
+        got = np.array([a.grid for a in exact_stream("ls", order, order)])
         assert (got == _permutation_table(order)[rows]).all()
 
     def test_row_major_lexicographic_order(self):
-        flats = [sum(grid_key(a), ()) for a in rv.enumerate_latin_squares(3)]
+        flats = [sum(grid_key(a), ()) for a in exact_stream("ls", 3, 3)]
         assert flats == sorted(flats)
 
     def test_order_above_five_requires_sampling(self):
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_latin_squares(6)
+            exact_stream("ls", 6, 6)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
         with pytest.raises(rv.SpaceTooLarge):
-            rv.enumerate_latin_squares(4)
+            exact_stream("ls", 4, 4)
 
     def test_cardinality_helpers(self):
         assert rv.space_cardinality(rv.DesignKind.RCB, 3, 4) == 24**3
@@ -200,7 +206,7 @@ class TestSampling:
         counts: dict = {}
         for a in rv.sample_rcb(2, 2, 4000, seed=2024):
             counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
-        exact = {grid_key(a) for a in rv.enumerate_rcb(2, 2)}
+        exact = {grid_key(a) for a in exact_stream("rcb", 2, 2)}
         assert set(counts) == exact
         for key in exact:
             assert counts[key] / 4000 == pytest.approx(0.25, abs=0.02)
@@ -217,20 +223,20 @@ class TestSampling:
         counts: dict = {}
         for a in rv.sample_latin_squares(3, 12000, seed=7):
             counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
-        exact = {grid_key(a) for a in rv.enumerate_latin_squares(3)}
+        exact = {grid_key(a) for a in exact_stream("ls", 3, 3)}
         assert set(counts) == exact
         for key in exact:
             assert counts[key] / 12000 == pytest.approx(1 / 12, abs=0.01)
 
     def test_ls_order2_draws_both_squares(self):
         draws = [grid_key(a) for a in rv.sample_latin_squares(2, 2000, seed=2)]
-        for square in {grid_key(a) for a in rv.enumerate_latin_squares(2)}:
+        for square in {grid_key(a) for a in exact_stream("ls", 2, 2)}:
             assert draws.count(square) / 2000 == pytest.approx(0.5, abs=0.05)
 
     def test_ls_order4_chi_square_over_all_squares(self):
         # 20 expected draws per square; chi^2(575) has mean 575, sd 34 and
         # 0.9999 quantile about 710
-        index = {grid_key(a): k for k, a in enumerate(rv.enumerate_latin_squares(4))}
+        index = {grid_key(a): k for k, a in enumerate(exact_stream("ls", 4, 4))}
         draws = 576 * 20
         counts = np.bincount(
             [index[grid_key(a)] for a in rv.sample_latin_squares(4, draws, seed=4)],
@@ -242,7 +248,7 @@ class TestSampling:
         # of the 161,280 squares 10.71% have no intercalate and the rest 4;
         # chi^2(1) has 0.9999 quantile 15.1
         exact = np.bincount(intercalate_counts(
-            np.array([a.grid for a in rv.enumerate_latin_squares(5)])
+            np.array([a.grid for a in exact_stream("ls", 5, 5)])
         ))
         assert np.flatnonzero(exact).tolist() == [0, 4]
         draws = 8000
@@ -256,7 +262,7 @@ class TestSampling:
     def test_rcb_two_blocks_joint_chi_square(self):
         # 36 equally likely (block 0, block 1) permutation pairs of 3
         # treatments; chi^2(35) has 0.9999 quantile about 75
-        index = {grid_key(a): k for k, a in enumerate(rv.enumerate_rcb(2, 3))}
+        index = {grid_key(a): k for k, a in enumerate(exact_stream("rcb", 2, 3))}
         draws = 36 * 200
         counts = np.bincount(
             [index[grid_key(a)] for a in rv.sample_rcb(2, 3, draws, seed=6)], minlength=36
@@ -402,12 +408,12 @@ class TestSubgroupMeasure:
 
     def test_order3_orbit_covers_all_squares(self):
         orbit = self._transformation_orbit(3)
-        exact = {grid_key(a) for a in rv.enumerate_latin_squares(3)}
+        exact = {grid_key(a) for a in exact_stream("ls", 3, 3)}
         assert orbit == exact
 
     def test_order4_orbit_is_a_proper_subset(self):
         orbit = self._transformation_orbit(4)
-        exact = {grid_key(a) for a in rv.enumerate_latin_squares(4)}
+        exact = {grid_key(a) for a in exact_stream("ls", 4, 4)}
         assert orbit < exact
         # the Klein-group table is in the complementary class
         klein = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -459,6 +465,25 @@ class TestRandomizationSpace:
             table, rv.RandomizationSpace.sample(30, seed=5, ls_measure="all")
         )
         assert [grid_key(a) for a in stream] == [grid_key(a) for a in given]
+
+    def test_exact_count_is_the_space_size(self, monkeypatch):
+        exact = rv.RandomizationSpace.exact()
+        sizes = [("rcb", n, t) for n in range(1, 5) for t in range(1, 4)]
+        sizes += [("ls", t, t) for t in range(1, 6)]
+        for design, blocks, treatments in sizes:
+            stream, count, is_exact = assignment_stream(
+                zero_table(design, blocks, treatments), exact
+            )
+            assert is_exact
+            assert count == rv.space_cardinality(design, blocks, treatments)
+            assert sum(1 for _ in stream) == count, (design, blocks, treatments)
+        # refused at the call, before any next()
+        with pytest.raises(rv.SpaceTooLarge, match="up to order 5; order 6 must be sampled"):
+            assignment_stream(zero_table("ls", 6, 6), exact)
+        monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, "100")
+        with pytest.raises(rv.SpaceTooLarge, match=r"\(3!\)\^3 assignments, above the cap 100"):
+            assignment_stream(zero_table("rcb", 3, 3), exact)
+        assert assignment_stream(zero_table("rcb", 2, 3), exact)[1] == 36
 
     def test_rcb_space_size_formula(self):
         assert rv.space_cardinality(rv.DesignKind.RCB, 2, 2) == 4

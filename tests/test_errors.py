@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import randova as rv
+from randova.potential_outcomes import fisher_sharp_null_holds
+from helpers import exact_stream
 
 ZEROS = np.zeros((2, 2, 2))
 
@@ -126,7 +128,7 @@ BAD_SETTINGS = {
     "no table for type1": lambda: rv.type1_error(None),
     "no table for expected mean squares": lambda: rv.expected_ms(None),
     "no table for the LS difference decomposition": lambda: rv.ls_difference_decomposition(None),
-    "no table for the sharp null": lambda: rv.fisher_sharp_null_holds(None),
+    "no table for the sharp null": lambda: fisher_sharp_null_holds(None),
     "str space of an exact distribution": lambda: rv.exact_distribution(
         rv.load_bundled_table("table2"), "exact"
     ),
@@ -171,21 +173,20 @@ def test_bad_seed_is_named(case):
 def test_enum_cap_must_be_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv(rv.enumeration.ENUM_CAP_ENV_VAR, raw)
     with pytest.raises(rv.InvalidArgument):
-        rv.enumerate_rcb(2, 2)
+        exact_stream("rcb", 2, 2)
 
 
 BAD_SIZES = {
     "RCB space with no blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, 0, 3),
     "RCB space with negative blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, -1, 3),
     "RCB space with negative treatments": lambda: rv.space_cardinality(rv.DesignKind.RCB, 2, -1),
-    "RCB enumeration with no treatments": lambda: rv.enumerate_rcb(2, 0),
-    "RCB enumeration with fractional blocks": lambda: rv.enumerate_rcb(2.0, 2),
+    "RCB space with no treatments": lambda: rv.space_cardinality(rv.DesignKind.RCB, 2, 0),
+    "RCB space with fractional blocks": lambda: rv.space_cardinality(rv.DesignKind.RCB, 2.0, 2),
     "fractional treatment index": lambda: rv.mean_difference_variance(
         rv.load_bundled_table("table2"), 0.5, 1
     ),
     "RCB sampler with no blocks": lambda: rv.sample_rcb(0, 3, 5, seed=1),
     "RCB sampler with no treatments": lambda: rv.sample_rcb(3, 0, 5, seed=1),
-    "Latin-square enumeration of order 0": lambda: rv.enumerate_latin_squares(0),
     "Latin-square sampler of order 0": lambda: rv.sample_latin_squares(0, 3, seed=1),
     "Latin-square count of order 0": lambda: rv.space_cardinality("ls", 1, 0),
     "Latin-square count of negative order": lambda: rv.space_cardinality("ls", -3, -3),

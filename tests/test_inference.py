@@ -13,10 +13,12 @@ import randova.enumeration as enumeration
 import randova.inference as inference
 from randova.anova import design_dfs, f_from_sums, row_tables
 from randova.enumeration import assignment_stream
+from randova.potential_outcomes import fisher_sharp_null_holds, neyman_null_holds
 from helpers import (
     additive_table,
     all_assignments,
     batch_kernel,
+    exact_stream,
     fsum_anova,
     label_grid_anova,
     observed_by_loops,
@@ -280,7 +282,7 @@ class TestType1Error:
         report = rv.type1_error(table, alpha=0.05)
         cutoff = rv.f_quantile(rv.FReference(2, 2), 0.95)
         rejected = 0
-        for assignment in rv.enumerate_latin_squares(3):
+        for assignment in exact_stream("ls", 3, 3):
             _, _, f_stat = fsum_anova(table, assignment)
             if f_stat > cutoff:
                 rejected += 1
@@ -372,8 +374,8 @@ class TestCentralClaim:
         table = two_value_witness(rng)
         ems = rv.expected_ms(table)
         scale = max(1.0, abs(ems.e_s0))
-        assert rv.neyman_null_holds(table)
-        assert rv.fisher_sharp_null_holds(table)
+        assert neyman_null_holds(table)
+        assert fisher_sharp_null_holds(table)
         assert ems.interaction_term <= 1e-12 * scale
         assert abs(ems.e_s0 - ems.e_s1) <= 1e-9 * scale
         summary = rv.exact_distribution(table)
@@ -502,6 +504,22 @@ class TestMonteCarlo:
         noisy = rv.validate(_noisy(tables["table4"], 1e143))
         with pytest.raises(rv.NonFiniteEntry, match="technical errors too large"):
             rv.monte_carlo_with_errors(noisy, replications=2)
+
+    @pytest.mark.parametrize("name", ["table4", "rcb3x4"])
+    def test_kernel_batch_does_not_change_the_report(self, monkeypatch, tables, name):
+        # table4 (576 squares) in groups of 28 noise draws and a float RCB
+        # 3x4 (13,824 assignments) in groups of one, each over two groups,
+        # scored a kernel call per evaluation and a call per group
+        if name == "table4":
+            table, replications = _noisy(tables["table4"], 0.5), 29
+        else:
+            x = np.random.default_rng(34).normal(20.0, 15.0, size=(3, 4, 4))
+            table, replications = rv.PotentialOutcomeTable("rcb", x, technical_error_sd=2.0), 2
+        kwargs = dict(replications=replications, seed=5, keep_replications=True)
+        want = rv.monte_carlo_with_errors(table, **kwargs)
+        for batch in (1, inference._MC_ROWS):
+            monkeypatch.setattr(inference, "_MC_BATCH", batch)
+            assert rv.monte_carlo_with_errors(table, **kwargs) == want, batch
 
     def test_standard_error_formula(self, tables):
         report = rv.monte_carlo_with_errors(

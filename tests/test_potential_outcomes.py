@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import randova as rv
+from randova.potential_outcomes import fisher_sharp_null_holds, neyman_null_holds
 from helpers import (
     additive_table,
     decomposition_moments_by_loops,
@@ -241,20 +242,20 @@ class TestAdditivity:
 
 class TestNullPredicates:
     def test_bundled_tables(self, tables):
-        assert rv.neyman_null_holds(tables["table1"])
-        assert not rv.fisher_sharp_null_holds(tables["table1"])
-        assert rv.neyman_null_holds(tables["table2"])
-        assert rv.neyman_null_holds(tables["table3"])
-        assert rv.fisher_sharp_null_holds(tables["table4"])
-        assert rv.neyman_null_holds(tables["table4"])
+        assert neyman_null_holds(tables["table1"])
+        assert not fisher_sharp_null_holds(tables["table1"])
+        assert neyman_null_holds(tables["table2"])
+        assert neyman_null_holds(tables["table3"])
+        assert fisher_sharp_null_holds(tables["table4"])
+        assert neyman_null_holds(tables["table4"])
 
     def test_sharp_null_implies_neyman_null(self):
         rng = np.random.default_rng(5)
         table = sharp_null_table(rng, rv.DesignKind.LS)
-        assert rv.fisher_sharp_null_holds(table)
-        assert rv.neyman_null_holds(table)
+        assert fisher_sharp_null_holds(table)
+        assert neyman_null_holds(table)
 
     def test_generic_table_satisfies_neither(self):
         rng = np.random.default_rng(6)
-        assert not rv.neyman_null_holds(random_rcb_table(rng))
-        assert not rv.fisher_sharp_null_holds(random_ls_table(rng))
+        assert not neyman_null_holds(random_rcb_table(rng))
+        assert not fisher_sharp_null_holds(random_ls_table(rng))
