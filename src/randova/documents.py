@@ -48,6 +48,8 @@ def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError:  # arrays or objects nested past the interpreter's stack
+            raise ParseError(f"{path} is nested too deeply to read as JSON") from None
     if not isinstance(doc, dict):
         raise ParseError("table document must be a JSON object")
     return _table_from_document(doc)

@@ -2,14 +2,15 @@
 
 RCB randomizations are independent per-block permutations of the treatment
 labels; the space has (T!)^N elements and is streamed in lexicographic order
-of the concatenated permutations, gathered chunk by chunk from the table of
-the T! permutations by mixed-radix index.  LS randomizations are Latin
-squares of order T, streamed in row-major lexicographic order.  Every square
-of the order is kept as the index of each of its rows in that table (0.8 MB
-of uint8 at order 5, against 31 MB of int64 grids), built row by row on
-first use; the last row of a square is forced by the others.  Each chunk of
-grids is gathered from those indices when the stream reaches it.  Exact
-enumeration is capped (default 10^7 assignments, override with the
+of the concatenated permutations.  LS randomizations are Latin squares of
+order T, streamed in row-major lexicographic order.  Every square of the
+order is kept as the index of each of its rows in the table of the T!
+permutations (0.8 MB of uint8 at order 5, against 31 MB of int64 grids),
+built on first use from those with an identity first row (1,344 at order
+5) by renaming their symbols.  `_exact_index` alone yields an exact space's
+chunks as indices into that table, an RCB position's mixed-radix digits or
+a slice of the square table, and `assignment_stream` gathers their grids.
+Exact enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
 A sampled run is held to the same cap on its number of draws, since it
 stages and scores every draw; the lazy public samplers are not capped.
@@ -44,6 +45,7 @@ orbit unless T <= 3; up to order 3 both measures draw from it).
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -87,6 +89,14 @@ def enumeration_cap() -> int:
     except ValueError:
         pass
     raise InvalidArgument(f"{ENUM_CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
+
+
+def _check_cap(count: int, what: str, fewer: str = "ask for fewer") -> None:
+    """InvalidArgument naming the cap and its variable when count, the size
+    of what a run would hold, is above enumeration_cap()."""
+    cap = enumeration_cap()
+    if count > cap:
+        raise InvalidArgument(f"{what} is above the cap {cap}; {fewer} or raise {ENUM_CAP_ENV_VAR}")
 
 
 class LsMeasure(str, Enum):
@@ -308,18 +318,6 @@ def _exact_space_size(design: DesignKind, num_blocks: int, num_treatments: int) 
     return size
 
 
-def _rcb_chunks(num_blocks: int, num_treatments: int, size: int) -> Iterator[np.ndarray]:
-    perms = _permutation_table(num_treatments)
-    radix = len(perms)
-    for lo in range(0, size, _CHUNK):
-        # block 0 is the most significant digit, as in itertools.product
-        index = np.arange(lo, min(lo + _CHUNK, size))
-        digits = np.empty((len(index), num_blocks), dtype=np.int64)
-        for block in range(num_blocks - 1, -1, -1):
-            index, digits[:, block] = np.divmod(index, radix)
-        yield perms[digits].astype(np.int64)
-
-
 @functools.lru_cache(maxsize=1)
 def _permutation_table(num_treatments: int) -> np.ndarray:
     """All permutations of 0..T-1 in lexicographic order, (T!, T) int8, read-only.
@@ -361,47 +359,54 @@ def _latin_square_rows(order: int) -> np.ndarray:
     _permutation_table(order), read-only, in the smallest unsigned dtype
     (uint8 up to order 5), in row-major lexicographic order of the squares.
 
-    The first T - 1 rows are grown one row at a time by every permutation
-    that clashes with no earlier row in any column, _CHUNK rectangles at a
-    time, so the (rectangles, T!) mask of allowed rows is never held for a
-    whole level.  The last row is forced: each column misses one symbol,
-    T(T - 1)/2 minus the column's sum, so every (T - 1)-row Latin rectangle
-    completes in exactly one way.  Its index is a bisection of the
-    permutations' keys (`_row_keys`), which the lexicographic table already
-    sorts, also _CHUNK rectangles at a time.
+    Only the squares whose first row is the identity are grown, a row at a
+    time by every permutation that clashes with no earlier row in any
+    column, and their last row is forced: each column misses one symbol,
+    T(T - 1)/2 minus its sum, found by bisecting the permutations' keys
+    (`_row_keys`), which the lexicographic table sorts.  Renaming symbols by
+    a permutation p maps them one to one onto the squares whose first row
+    is p, row q to p o q (relabel[p, q]); each of the T! blocks, in the
+    table's order, is then sorted back into lexicographic order.
     """
     perms = _permutation_table(order)
     dtype = np.min_scalar_type(len(perms) - 1)
-    rows = np.arange(len(perms), dtype=dtype)[:, None]
-    if order == 1:
-        rows.setflags(write=False)
-        return rows
-    disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
-    for _ in range(order - 2):
-        grown = []
-        for lo in range(0, len(rows), _CHUNK):
-            block = rows[lo : lo + _CHUNK]
-            allowed = disjoint[block[:, 0]]
-            for k in range(1, block.shape[1]):
-                allowed &= disjoint[block[:, k]]
-            rectangle, nxt = np.nonzero(allowed)
-            grown.append(np.column_stack([block[rectangle], nxt.astype(dtype)]))
-        rows = np.concatenate(grown)
-        del grown
     keys = _row_keys(perms)
-    last = np.empty(len(rows), dtype=dtype)
-    for lo in range(0, len(rows), _CHUNK):
-        missing = order * (order - 1) // 2 - perms[rows[lo : lo + _CHUNK]].sum(axis=1)
-        last[lo : lo + _CHUNK] = np.searchsorted(keys, _row_keys(missing))
-    rows = np.column_stack([rows, last])
-    rows.setflags(write=False)
-    return rows
+    rows = np.zeros((1, 1), dtype=dtype)
+    if order > 1:
+        disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
+        for _ in range(order - 2):
+            rectangle, nxt = np.nonzero(disjoint[rows].all(axis=1))
+            rows = np.column_stack([rows[rectangle], nxt.astype(dtype)])
+        missing = order * (order - 1) // 2 - perms[rows].sum(axis=1)
+        last = np.searchsorted(keys, _row_keys(missing)).astype(dtype)
+        rows = np.column_stack([rows, last])
+    relabel = np.searchsorted(keys, _row_keys(perms[:, perms])).astype(dtype)
+    squares = np.take(relabel, rows, axis=1)  # (T!, squares per first row, T)
+    for block in squares:
+        block[...] = block[np.lexsort(block.T[::-1])]
+    squares = squares.reshape(-1, order)
+    squares.setflags(write=False)
+    return squares
 
 
-def _latin_square_chunks(order: int) -> Iterator[np.ndarray]:
-    perms, rows = _permutation_table(order), _latin_square_rows(order)
-    for lo in range(0, len(rows), _CHUNK):
-        yield perms[rows[lo : lo + _CHUNK]].astype(np.int64)
+def _exact_index(
+    design: DesignKind, num_blocks: int, num_treatments: int, size: int
+) -> Iterator[np.ndarray]:
+    """The exact space's assignments in stream order, _CHUNK at a time, as
+    (S, rows) indices into _permutation_table(T): for RCB the mixed-radix
+    digits of each position, block 0 the most significant as in
+    itertools.product; for LS slices of `_latin_square_rows`."""
+    if design is DesignKind.LS:
+        rows = _latin_square_rows(num_treatments)
+        for lo in range(0, size, _CHUNK):
+            yield rows[lo : lo + _CHUNK]
+        return
+    radix = math.factorial(num_treatments)
+    # int64 place values, so one past it raises; np.unravel_index would refuse
+    # the more than 64 blocks that one treatment allows
+    places = np.array([radix**k for k in range(num_blocks - 1, -1, -1)], dtype=np.int64)
+    for lo in range(0, size, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, size))[:, None] // places % radix
 
 
 def sample_rcb(
@@ -477,7 +482,8 @@ def _jacobson_matthews_squares(
     on a (3, T, T) stack of line tables (see _jacobson_matthews_moves).
     After burn_in moves, and then every m = _JM_CHECK_SPACING_FACTOR * T
     moves, every running chain is checked; a proper one stops and emits its
-    symbol table as its square, the others run on.
+    symbol table as its square, the others run on.  The squares keep the
+    tables' narrow dtype until the chunk is yielded as int64.
 
     The chain is uniform over proper squares at stationarity, so its square
     at a time fixed in advance is.  The first proper state after an improper
@@ -507,7 +513,7 @@ def _jacobson_matthews_squares(
         tables = np.tile(start, (chains, 1, 1, 1))
         hole = np.full((3, 3, chains), -1)
         running = np.arange(chains)
-        squares = np.empty((chains, t, t), dtype=np.int64)
+        squares = np.empty((chains, t, t), dtype=tables.dtype)
         moves = burn_in
         while running.size:
             hole = _jacobson_matthews_moves(tables, hole, moves, rng)
@@ -515,7 +521,7 @@ def _jacobson_matthews_squares(
             squares[running[proper]] = tables[proper, 0]
             running, tables, hole = running[~proper], tables[~proper], hole[..., ~proper]
             moves = spacing
-        yield squares
+        yield squares.astype(np.int64)
 
 
 def _jacobson_matthews_moves(
@@ -622,17 +628,10 @@ def assignment_stream(
     t = table.num_treatments
     if space.sample_size is None:
         size = _exact_space_size(table.design, table.num_blocks, t)
-        if table.design is DesignKind.RCB:
-            chunks = _rcb_chunks(table.num_blocks, t, size)
-        else:
-            chunks = _latin_square_chunks(t)
+        index = _exact_index(table.design, table.num_blocks, t, size)
+        chunks = (_permutation_table(t)[rows].astype(np.int64) for rows in index)
         return Assignment._of_rows(table.design, chunks), size, True
-    cap = enumeration_cap()
-    if space.sample_size > cap:
-        raise InvalidArgument(
-            f"a sample of {space.sample_size} draws is above the cap {cap};"
-            f" draw fewer or raise {ENUM_CAP_ENV_VAR}"
-        )
+    _check_cap(space.sample_size, f"a sample of {space.sample_size} draws", "draw fewer")
     if table.design is DesignKind.RCB:
         settings = {"burn_in": space.burn_in, "ls_measure": space.ls_measure}
         given = [name for name, value in settings.items() if value is not None]

@@ -69,11 +69,10 @@ from .anova import (
 from .enumeration import (
     _CHUNK,
     _LABEL_BUDGET,
-    ENUM_CAP_ENV_VAR,
     Assignment,
     RandomizationSpace,
+    _check_cap,
     assignment_stream,
-    enumeration_cap,
 )
 from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, RandovaError
 from .errors import TechnicalErrorsPresent, _check_int, _number
@@ -129,7 +128,8 @@ class RandomizationSummary(_Value):
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        cumulative = np.concatenate([[0], np.cumsum(self.counts)])
+        cumulative = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=cumulative[1:])
         cumulative.setflags(write=False)
         return cumulative
 
@@ -456,12 +456,7 @@ def survival_curve(
     """
     if cutoff_grid is None:
         _check_int(grid_points, 2, "grid_points")
-        cap = enumeration_cap()
-        if grid_points > cap:
-            raise InvalidArgument(
-                f"a grid of {grid_points} points is above the cap {cap};"
-                f" ask for fewer or raise {ENUM_CAP_ENV_VAR}"
-            )
+        _check_cap(grid_points, f"a grid of {grid_points} points")
     if cutoff_grid is not None:
         try:
             grid = np.asarray(cutoff_grid, dtype=float)
@@ -520,10 +515,12 @@ def monte_carlo_with_errors(
     staged index, `replicate_index`), _CHUNK evaluations a kernel call, so
     the kernel's per-evaluation arrays stay small.  Each group's noisy
     outcomes must keep within the magnitude bound of `validate`
-    (NonFiniteEntry).
+    (NonFiniteEntry).  Every replication's probability is kept, so
+    replications above the enumeration cap are refused (InvalidArgument).
     """
     validate(table)
     _check_int(replications, 1, "replications")
+    _check_cap(replications, f"a study of {replications} replications")
     _check_alpha(alpha)
     _check_int(seed, 0, "seed")
     sigma_eps = table.technical_error_sd

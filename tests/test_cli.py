@@ -378,6 +378,23 @@ class TestArgumentErrors:
             " ask for fewer or raise RANDOVA_ENUM_CAP\n"
         )
 
+    def test_replications_above_the_cap_exit_2_without_traceback(self, table_paths):
+        code, out, err = run_module(
+            "mc", table_paths["table4"], "--reps", "5000", RANDOVA_ENUM_CAP="1000"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a study of 5000 replications is above the cap 1000;"
+            " ask for fewer or raise RANDOVA_ENUM_CAP\n"
+        )
+
+    def test_deeply_nested_table_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_module("type1", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is nested too deeply to read as JSON\n"
+
     @pytest.mark.parametrize("command", ["expected-ms", "type1", "curve", "mc"])
     @pytest.mark.parametrize("field", ["outcome", "technical_error_sd"])
     def test_integer_beyond_float_range_exits_2_without_traceback(

@@ -38,6 +38,18 @@ class TestLoadTable:
         with pytest.raises(rv.ParseError, match="not valid JSON"):
             rv.load_table(path)
 
+    # json's decoder raises RecursionError past the interpreter's stack
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"outcomes": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["array", "outcomes"],
+    )
+    def test_deeply_nested_json(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(rv.ParseError, match="nested too deeply to read as JSON"):
+            rv.load_table(path)
+
     def test_document_must_be_object(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2, 3]")

@@ -87,6 +87,16 @@ class TestEnumerateRcb:
         got = [grid_key(a) for a in exact_stream("rcb", blocks, treatments)]
         assert got == want
 
+    def test_itertools_product_order_over_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(rv.enumeration, "_CHUNK", 7)
+        want = list(itertools.product(itertools.permutations(range(3)), repeat=3))
+        assert [grid_key(a) for a in exact_stream("rcb", 3, 3)] == want
+
+    def test_one_treatment_in_more_blocks_than_numpy_dimensions(self):
+        # a single assignment, each block's one digit 0, in 100 blocks
+        (assignment,) = exact_stream("rcb", 100, 1)
+        assert assignment.grid.shape == (100, 1) and not assignment.grid.any()
+
     def test_grids_are_read_only_int64(self):
         for a in exact_stream("rcb", 2, 3):
             assert a.grid.dtype == np.int64
@@ -163,6 +173,7 @@ class TestEnumerateLatinSquares:
     def test_rows_index_the_enumerated_squares(self, order):
         rows = _latin_square_rows(order)
         assert len(rows) == rv.space_cardinality(rv.DesignKind.LS, order, order)
+        assert rows.dtype == np.uint8 and not rows.flags.writeable
         got = np.array([a.grid for a in exact_stream("ls", order, order)])
         assert (got == _permutation_table(order)[rows]).all()
 

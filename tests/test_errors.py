@@ -75,6 +75,10 @@ BAD_SETTINGS = {
     ),
     "negative sample size": lambda: rv.RandomizationSpace.sample(-1, seed=0),
     "empty sample": lambda: rv.RandomizationSpace.sample(0, seed=1),
+    # refused before any replication runs: each one's probability is kept
+    "mc replications above the enumeration cap": lambda: rv.monte_carlo_with_errors(
+        rv.load_bundled_table("table4"), replications=10_000_001
+    ),
     "mc over an empty sample": lambda: rv.monte_carlo_with_errors(
         rv.load_bundled_table("table4"), space=rv.RandomizationSpace.sample(0, seed=1)
     ),

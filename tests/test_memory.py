@@ -34,10 +34,12 @@ def traced_peak(call, setup=""):
 
 
 def test_order_five_latin_square_table_build():
-    # measured 2.0 MB (numpy 2.4), against 0.8 MB kept; bound = measured +
-    # 30%.  Growing each rectangle level in one piece peaked at 17.2 MB, and
-    # keeping every square as int64 grids at 64.7 MB.
-    assert traced_peak("_latin_square_rows(5)") < 1.3 * 2.0e6
+    # the 1,344 squares with an identity first row, renamed by each of the
+    # 120 permutations: measured 0.98 MB (numpy 2.4), against 0.8 MB kept;
+    # bound = measured + 30%.  Growing every square four rows deep, 4,096
+    # rectangles at a time, peaked at 2.0 MB, each rectangle level in one
+    # piece at 17.2 MB, and keeping every square as int64 grids at 64.7 MB.
+    assert traced_peak("_latin_square_rows(5)") < 1.3 * 0.98e6
 
 
 def test_exact_rcb_4x4_aggregation_per_assignment():
@@ -54,9 +56,22 @@ def test_exact_rcb_4x4_aggregation_per_assignment():
     assert peak / 331_776 < 1.3 * 47.7
 
 
+def test_first_query_of_an_exact_rcb_4x4_summary():
+    # the first probability_f_above on the integer RCB 4x4's summary builds
+    # the cumulative counts (329,263 int64) in one array: measured 7.9 bytes
+    # per assignment (numpy 2.4), on top of the summary's columns; bound =
+    # measured + 30%.  A cumsum concatenated after a zero peaked at 15.9.
+    setup = (
+        "x = np.round(np.random.default_rng(5).normal(20.0, 15.0, size=(4, 4, 4)))\n"
+        "summary = rv.exact_distribution(rv.PotentialOutcomeTable(rv.DesignKind.RCB, x))\n"
+    )
+    peak = traced_peak("summary.probability_f_above(3.0)", setup)
+    assert peak / 331_776 < 1.3 * 7.9
+
+
 def test_exact_ls_5_distribution_per_assignment():
     # a float LS of order 5 (161,280 squares), building the square table in
-    # the call: measured 53.2 bytes per assignment (numpy 2.4); bound =
+    # the call: measured 53.1 bytes per assignment (numpy 2.4); bound =
     # measured + 30%.  Before the table was grown in blocks and the
     # aggregation sorted once per column, it took 106.9.
     setup = (
@@ -64,7 +79,7 @@ def test_exact_ls_5_distribution_per_assignment():
         "table = rv.PotentialOutcomeTable(rv.DesignKind.LS, x)\n"
     )
     peak = traced_peak("rv.exact_distribution(table)", setup)
-    assert peak / 161_280 < 1.3 * 53.2
+    assert peak / 161_280 < 1.3 * 53.1
 
 
 def test_sampled_rcb_3x10_distribution():
@@ -147,8 +162,9 @@ def test_sampled_rcb_20x5_distribution():
 
 def test_latin_square_8_sampler_chunk():
     # one chunk of 4,096 Jacobson-Matthews chains of order 8, run to the end,
-    # drawing the integers of 16 moves per generator call: measured 10.1 MB
-    # (numpy 2.4); bound = measured + 30%.  Drawing 64 moves per call peaked
-    # at 24.8 MB.
+    # drawing the integers of 16 moves per generator call, the squares kept
+    # in the tables' int8 until the chunk is yielded: measured 8.25 MB
+    # (numpy 2.4); bound = measured + 30%.  Keeping them as int64 peaked at
+    # 10.1 MB, and drawing 64 moves per call at 24.8 MB.
     peak = traced_peak("sum(1 for _ in rv.sample_latin_squares(8, 4096, seed=1))")
-    assert peak < 1.3 * 10.1e6
+    assert peak < 1.3 * 8.25e6
