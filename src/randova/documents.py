@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +34,10 @@ from .potential_outcomes import DesignKind, PotentialOutcomeTable, validate
 
 _FLOAT_FORMAT = ".17g"
 _FIELDS = ("design", "treatments", "blocks", "outcomes", "technical_error_sd", "name")
+_SHOWN = 200  # characters of an offending value a diagnostic echoes at most
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel, _BRIEF.maxlist, _BRIEF.maxdict = 3, 8, 8
+_BRIEF.maxstring = _BRIEF.maxlong = _BRIEF.maxother = 60
 
 
 def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
@@ -64,11 +69,19 @@ def _require(doc: dict, field: str, kind: type, optional: bool = False) -> Any:
     if kind in (int, float):
         if _number(value, integral=kind is int) is not value:
             expected = "an integer" if kind is int else "a number"
-            raise ParseError(f"{field}: expected {expected}, got {value!r}")
+            raise ParseError(f"{field}: expected {expected}, got {_brief(value)}")
         return _float(value, field) if kind is float else int(value)
     if not isinstance(value, kind):
-        raise ParseError(f"{field}: expected {kind.__name__}, got {value!r}")
+        raise ParseError(f"{field}: expected {kind.__name__}, got {_brief(value)}")
     return value
+
+
+def _brief(value: Any) -> str:
+    """repr(value) as a diagnostic echoes it: a short value in full, a long
+    one cut to its first items (reprlib) and to _SHOWN characters, so that
+    one bad row of a large document prints one short line."""
+    text = _BRIEF.repr(value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
 
 
 def _float(value, field: str) -> float:
@@ -80,7 +93,7 @@ def _float(value, field: str) -> float:
 
 
 def _table_from_document(doc: dict) -> PotentialOutcomeTable:
-    unknown = [repr(field) for field in doc if field not in _FIELDS]
+    unknown = [_brief(field) for field in doc if field not in _FIELDS]
     if unknown:
         raise ParseError(
             f"unknown field(s) {', '.join(unknown)}; a table document has {', '.join(_FIELDS)}"
@@ -89,7 +102,7 @@ def _table_from_document(doc: dict) -> PotentialOutcomeTable:
     try:
         design = DesignKind(design_raw)
     except ValueError:
-        raise ParseError(f'design: must be "rcb" or "ls", got {design_raw!r}') from None
+        raise ParseError(f'design: must be "rcb" or "ls", got {_brief(design_raw)}') from None
 
     treatments = _require(doc, "treatments", int)
     if treatments < 2:
@@ -101,7 +114,7 @@ def _table_from_document(doc: dict) -> PotentialOutcomeTable:
     else:
         if "blocks" in doc and doc["blocks"] != treatments:
             raise ParseError(
-                f"blocks: a LS has no separate block count (got {doc['blocks']})"
+                f"blocks: a LS has no separate block count (got {_brief(doc['blocks'])})"
             )
         blocks = treatments
 
@@ -114,20 +127,20 @@ def _table_from_document(doc: dict) -> PotentialOutcomeTable:
         if not isinstance(row, list) or len(row) != treatments:
             raise ParseError(
                 f"outcomes, block/row {i + 1}: expected {treatments} "
-                f"plots/columns, got {row!r}"
+                f"plots/columns, got {_brief(row)}"
             )
         parsed_row = []
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != treatments:
                 raise ParseError(
                     f"outcomes, block/row {i + 1}, plot/column {j + 1}: expected "
-                    f"{treatments} potential outcomes, got {cell!r}"
+                    f"{treatments} potential outcomes, got {_brief(cell)}"
                 )
             values = []
             for k, value in enumerate(cell):
                 field = f"outcomes, block/row {i + 1}, plot/column {j + 1}, treatment {k + 1}"
                 if _number(value) is not value:
-                    raise ParseError(f"{field}: expected a number, got {value!r}")
+                    raise ParseError(f"{field}: expected a number, got {_brief(value)}")
                 value = _float(value, field)
                 if not math.isfinite(value):
                     raise ParseError(f"{field}: value must be finite")

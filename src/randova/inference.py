@@ -41,9 +41,12 @@ stable lexsort of the atoms takes about ten times as long); so the order
 of equal keys is fixed only where it matters, by taking the smallest
 stream position of each run and re-sorting only the runs of equal F.  The
 atom ranks and the ties of F are marked on sorted neighbours a slice at a
-time, because a full-length scan holds more full-length arrays at once
-and raises the call's peak, about 48 traced bytes per assignment on an
-integer RCB 4x4 (331,776 assignments, 329,262 atoms).
+time, because a full-length scan holds more full-length arrays at once;
+the atom keys are sorted in place, and the columns are put into the
+support's order one at a time, F last, computed again from the ordered
+S0^2 and S1^2.  No step then holds more than the four kept columns and
+about one more: the call's peak is about 41 traced bytes per assignment on
+an integer RCB 4x4 (331,776 assignments, 329,262 atoms).
 """
 
 from __future__ import annotations
@@ -376,7 +379,7 @@ def exact_distribution(
     key += rank1
     del rank1
     order = np.argsort(key)
-    key = key[order]
+    key.sort()  # in place: the sorted keys are key[order], without a copy
     run_starts = np.concatenate([[True], key[1:] != key[:-1], [True]])
     del key
     first = np.minimum.reduceat(order, np.flatnonzero(run_starts[:-1]))
@@ -385,20 +388,22 @@ def exact_distribution(
     del s0
     atom_s1 = s1[first]
     del s1
-    f = f_from_sums(atom_s0, atom_s1)
-    order = _support_order(f, atom_s0, first)
+    order = _support_order(f_from_sums(atom_s0, atom_s1), atom_s0, first)
     del first
     # the counts only now, so that the tie scan above runs beside the run
-    # starts' bytes, not a count per atom
+    # starts' bytes, not a count per atom; each column is gathered into the
+    # support's order and its old copy freed before the next, and F is
+    # computed again from the ordered columns, element by element, so its
+    # bits are those it was sorted by
     starts = np.flatnonzero(run_starts)
     del run_starts
     counts = np.diff(starts)
     del starts
-    f = f[order]
+    counts = counts[order]
     atom_s0 = atom_s0[order]
     atom_s1 = atom_s1[order]
-    counts = counts[order]
     del order
+    f = f_from_sums(atom_s0, atom_s1)
     for column in (f, atom_s0, atom_s1, counts):
         column.setflags(write=False)  # the summary keeps them without a copy
 

@@ -395,6 +395,17 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {path} is nested too deeply to read as JSON\n"
 
+    def test_a_long_bad_row_prints_one_short_error_line(self, tmp_path, tables):
+        doc = rv.table_to_document(tables["table1"])
+        doc["outcomes"][0] = list(range(10**6))
+        path = tmp_path / "long_row.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_module("type1", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: outcomes, block/row 1: expected 2 plots/columns, got [0, 1,")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize("command", ["expected-ms", "type1", "curve", "mc"])
     @pytest.mark.parametrize("field", ["outcome", "technical_error_sd"])
     def test_integer_beyond_float_range_exits_2_without_traceback(

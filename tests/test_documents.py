@@ -104,6 +104,26 @@ class TestLoadTable:
         with pytest.raises(rv.ParseError, match="'technical_error_SD', 'note'"):
             rv.load_table(doc)
 
+    def test_a_long_bad_row_is_echoed_short(self, tables):
+        # a row of a million numbers in place of two cells: the diagnostic
+        # names the row and echoes its first items, not megabytes
+        doc = rv.table_to_document(tables["table1"])
+        doc["outcomes"][1] = list(range(10**6))
+        with pytest.raises(rv.ParseError) as raised:
+            rv.load_table(doc)
+        message = str(raised.value)
+        assert message.startswith("outcomes, block/row 2: expected 2 plots/columns, got [0, 1, 2,")
+        assert len(message) < 300
+
+    def test_a_short_bad_cell_is_echoed_in_full(self, tables):
+        doc = rv.table_to_document(tables["table1"])
+        doc["outcomes"][1][0] = [1.5, 2.5, 3.5]
+        with pytest.raises(rv.ParseError) as raised:
+            rv.load_table(doc)
+        assert str(raised.value) == (
+            "outcomes, block/row 2, plot/column 1: expected 2 potential outcomes, got [1.5, 2.5, 3.5]"
+        )
+
     def test_ls_blocks_field_must_agree(self, tables):
         doc = rv.table_to_document(tables["table2"])
         doc["blocks"] = 4

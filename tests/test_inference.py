@@ -110,6 +110,43 @@ class TestExactDistribution:
         assert summary.s0_sq.tolist() == [0.0]
         assert summary.s1_sq[0] > 0.0
 
+    @pytest.mark.parametrize(
+        "name", ["table1", "table2", "table3", "table4", "additive", "integer-rcb-4x4"]
+    )
+    def test_columns_are_ordered_and_f_is_recomputed_from_them(self, tables, name):
+        # the support's F column is f_from_sums of its own S0^2 and S1^2
+        # columns, bit for bit, and the columns are ordered by F (NaN last),
+        # then by S0^2
+        if name == "additive":  # S0^2 = 0 everywhere: one infinite atom
+            x = np.zeros((3, 3, 3)) + np.array([1.0, 4.0, -2.0])[:, None, None] + [0.3, 0.1, 0.7]
+            table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
+        elif name == "integer-rcb-4x4":  # the integer RCB 4x4 of the exact benchmark, seed 1
+            rng = np.random.default_rng(1)
+            rng.normal(20.0, 15.0, size=(5, 5, 5))  # its LS of order 5 is drawn first
+            x = np.rint(rng.normal(20.0, 15.0, size=(4, 4, 4)))
+            table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
+        else:
+            table = tables[name]
+        summary = rv.exact_distribution(table)
+        f, s0 = summary.f_stat, summary.s0_sq
+        recomputed = f_from_sums(s0, summary.s1_sq)
+        assert f.dtype == recomputed.dtype == np.float64
+        assert f.view(np.uint64).tolist() == recomputed.view(np.uint64).tolist()
+        by = np.lexsort((s0, f))  # stable, NaN last
+        assert np.array_equal(f[by], f, equal_nan=True) and np.array_equal(s0[by], s0)
+        if name == "additive":
+            assert f.tolist() == [math.inf]
+        if name == "table4":
+            assert len(f) == 2
+        if name == "integer-rcb-4x4":
+            # 24 assignments, one per atom, have F = 3 in exact arithmetic:
+            # 19 atoms round to 3.0 and sit by S0^2, the rest one ulp off
+            near = np.flatnonzero(np.abs(f - 3.0) <= 1e-15 * 3.0)
+            assert summary.counts[near].sum() == 24
+            assert np.array_equal(near, np.arange(near[0], near[0] + 24))
+            assert np.count_nonzero(f[near] == 3.0) == 19
+            assert np.all(np.diff(s0[near][f[near] == 3.0]) > 0)
+
     def test_closed_forms_match_distribution_means(self, tables):
         for name in ("table1", "table2", "table3", "table4"):
             summary = rv.exact_distribution(tables[name])

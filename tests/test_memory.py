@@ -43,17 +43,20 @@ def test_order_five_latin_square_table_build():
 
 
 def test_exact_rcb_4x4_aggregation_per_assignment():
-    # an integer RCB 4x4 (331,776 assignments, 329,262 atoms): measured 47.7
-    # bytes per assignment (numpy 2.4), the four kept columns (32 per atom)
-    # with their sort order and a copy of one column as it is gathered; bound =
-    # measured + 30%.  np.unique atom ranks and a second copy of the
-    # columns took about 82, holding every full-length array to the end 154.
+    # an integer RCB 4x4 (331,776 assignments, 329,262 atoms): measured 41.4
+    # bytes per assignment (numpy 2.4), no step holding more than the four
+    # kept columns (32 per atom) and about one more, as each column is
+    # gathered into the support's order on its own; bound = 42, so that one
+    # more column at any step fails it.  Gathering F, S0^2, S1^2 and the
+    # counts each next to its old copy and the sort order took 47.7,
+    # np.unique atom ranks and a second copy of the columns about 82, and
+    # holding every full-length array to the end 154.
     setup = (
         "x = np.round(np.random.default_rng(5).normal(20.0, 15.0, size=(4, 4, 4)))\n"
         "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
     )
     peak = traced_peak("rv.exact_distribution(table)", setup)
-    assert peak / 331_776 < 1.3 * 47.7
+    assert peak / 331_776 < 42.0
 
 
 def test_first_query_of_an_exact_rcb_4x4_summary():
@@ -71,23 +74,28 @@ def test_first_query_of_an_exact_rcb_4x4_summary():
 
 def test_exact_ls_5_distribution_per_assignment():
     # a float LS of order 5 (161,280 squares), building the square table in
-    # the call: measured 53.1 bytes per assignment (numpy 2.4); bound =
-    # measured + 30%.  Before the table was grown in blocks and the
-    # aggregation sorted once per column, it took 106.9.
+    # the call: measured 47.0 bytes per assignment (numpy 2.4), the square
+    # table beside an aggregation that holds the four kept columns and about
+    # one more; bound = 47.5, so that one more column at any step fails it.
+    # Gathering the columns into the support's order next to their old
+    # copies took 53.1, and before the table was grown in blocks and the
+    # aggregation sorted once per column, 106.9.
     setup = (
         "x = np.random.default_rng(6).normal(20.0, 15.0, size=(5, 5, 5))\n"
         "table = rv.PotentialOutcomeTable(rv.DesignKind.LS, x)\n"
     )
     peak = traced_peak("rv.exact_distribution(table)", setup)
-    assert peak / 161_280 < 1.3 * 53.1
+    assert peak / 161_280 < 47.5
 
 
 def test_sampled_rcb_3x10_distribution():
     # a float RCB 3x10 over 200,000 seeded draws, each chunk of the stream
-    # staged, tabled and scored on its own, its rows keyed one at a time:
-    # measured 9.62 MB (numpy 2.4); bound = measured + 30%.  Keying every
-    # row at once peaked at 10.8 MB, and staging the whole stream and tabling
-    # every distinct row permutation at once at 145.2 MB.
+    # staged, tabled and scored on its own, its rows keyed one at a time,
+    # then aggregated as the exact spaces are: measured 8.36 MB (numpy 2.4);
+    # bound = measured + 30%.  Gathering the support's columns next to their
+    # old copies peaked at 9.62 MB, keying every row at once at 10.8 MB, and
+    # staging the whole stream and tabling every distinct row permutation at
+    # once at 145.2 MB.
     setup = (
         "x = np.random.default_rng(1).normal(20.0, 15.0, size=(3, 10, 10))\n"
         "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
@@ -95,7 +103,7 @@ def test_sampled_rcb_3x10_distribution():
     peak = traced_peak(
         "rv.exact_distribution(table, rv.RandomizationSpace.sample(200_000, seed=1))", setup
     )
-    assert peak < 1.3 * 9.62e6
+    assert peak < 1.3 * 8.36e6
 
 
 def test_sampled_rcb_3x7_monte_carlo():
