@@ -93,11 +93,12 @@ def _float(value, field: str) -> float:
 
 
 def _table_from_document(doc: dict) -> PotentialOutcomeTable:
-    unknown = [_brief(field) for field in doc if field not in _FIELDS]
+    unknown = [field for field in doc if field not in _FIELDS]
     if unknown:
-        raise ParseError(
-            f"unknown field(s) {', '.join(unknown)}; a table document has {', '.join(_FIELDS)}"
-        )
+        named = ", ".join(map(_brief, unknown[:8]))
+        if len(unknown) > 8:
+            named += f" and {len(unknown) - 8} more"
+        raise ParseError(f"unknown field(s) {named}; a table document has {', '.join(_FIELDS)}")
     design_raw = _require(doc, "design", str)
     try:
         design = DesignKind(design_raw)

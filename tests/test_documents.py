@@ -115,13 +115,24 @@ class TestLoadTable:
         assert message.startswith("outcomes, block/row 2: expected 2 plots/columns, got [0, 1, 2,")
         assert len(message) < 300
 
+    def test_many_unknown_fields_are_named_short(self, tables):
+        doc = rv.table_to_document(tables["table4"])
+        doc.update({f"extra{i}": 0 for i in range(100_000)})
+        with pytest.raises(rv.ParseError) as raised:
+            rv.load_table(doc)
+        message = str(raised.value)
+        assert message.startswith("unknown field(s) 'extra0', 'extra1',")
+        assert "'extra7' and 99992 more; a table document has design," in message
+        assert len(message) < 300
+
     def test_a_short_bad_cell_is_echoed_in_full(self, tables):
         doc = rv.table_to_document(tables["table1"])
         doc["outcomes"][1][0] = [1.5, 2.5, 3.5]
         with pytest.raises(rv.ParseError) as raised:
             rv.load_table(doc)
         assert str(raised.value) == (
-            "outcomes, block/row 2, plot/column 1: expected 2 potential outcomes, got [1.5, 2.5, 3.5]"
+            "outcomes, block/row 2, plot/column 1: expected 2 potential outcomes,"
+            " got [1.5, 2.5, 3.5]"
         )
 
     def test_ls_blocks_field_must_agree(self, tables):
