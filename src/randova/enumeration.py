@@ -9,7 +9,8 @@ permutations (0.8 MB of uint8 at order 5, against 31 MB of int64 grids),
 built on first use from those with an identity first row (1,344 at order
 5) by renaming their symbols.  `_exact_index` alone yields an exact space's
 chunks as indices into that table, an RCB position's mixed-radix digits or
-a slice of the square table, and `assignment_stream` gathers their grids.
+a slice of the square table, and `assignment_stream` gathers their grids
+from an int64 copy of the permutation table, one np.take a chunk.
 Exact enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
 A sampled run is held to the same cap on its number of draws, since it
@@ -629,7 +630,8 @@ def assignment_stream(
     if space.sample_size is None:
         size = _exact_space_size(table.design, table.num_blocks, t)
         index = _exact_index(table.design, table.num_blocks, t, size)
-        chunks = (_permutation_table(t)[rows].astype(np.int64) for rows in index)
+        every = _permutation_table(t).astype(np.int64)
+        chunks = (np.take(every, rows, axis=0) for rows in index)
         return Assignment._of_rows(table.design, chunks), size, True
     _check_cap(space.sample_size, f"a sample of {space.sample_size} draws", "draw fewer")
     if table.design is DesignKind.RCB:

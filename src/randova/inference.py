@@ -17,17 +17,22 @@ at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
 kernel's zero rule, so 0.0 is an atom of its own.
 
 Every run reads its space's stream once, a chunk of label grids at a time
-in the smallest unsigned dtype (`_label_chunks`), and stages each chunk on
-its own: per row, the chunk's distinct permutations and each assignment's
-index into them (`_staged`, `stage_rows`).  They are scored by the one
+in the smallest unsigned dtype (`_label_chunks`), and stages each chunk
+(`_staged`) as an index into per-row permutations.  A sample's chunk is
+staged on its own: per row, the chunk's distinct permutations and each
+assignment's index into them (`stage_rows`).  In an exact space every row
+takes every permutation, so its chunks are staged against the one table of
+all T! permutations, which every row of every chunk shares, each label row
+indexed by its rank in it (`_table_staging`).  They are scored by the one
 ANOVA kernel of each design (`randova.anova`) over per-row tables of the
 responses, shifted by the noiseless table's mean potential outcome of each
 treatment, which leaves S0^2 unchanged and keeps it from cancelling when
-treatment effects dwarf the residual.  The exact and
-sampled distributions table and score each chunk as it arrives, with
-compensated partial sums, one per chunk, for bit-reproducible means.  The
-Monte Carlo study, which rescores every assignment under each noise draw,
-joins the chunks' stagings without their repeats (`_side_by_side`).
+treatment effects dwarf the residual.  The exact and sampled distributions
+score each chunk as it arrives; an exact space's shared table is tabled
+once, a sample's chunk on its own.  Compensated partial sums, one per
+chunk, make the means bit-reproducible.  The Monte Carlo study, which rescores every assignment
+under each noise draw, joins the chunks' stagings without their repeats
+(`_side_by_side`).
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -55,7 +60,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -75,6 +80,8 @@ from .enumeration import (
     Assignment,
     RandomizationSpace,
     _check_cap,
+    _permutation_table,
+    _row_keys,
     assignment_stream,
 )
 from .errors import InvalidAlpha, InvalidArgument, NegativeErrorSd, RandovaError
@@ -214,8 +221,8 @@ def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
     """The assignments' label grids, _CHUNK at a time, in one (S, rows, T)
-    array of the narrow dtype `stage_rows` keys, the smallest unsigned one
-    that holds T - 1.  The grids are concatenated into it max(1,
+    array of the narrow dtype the staging keys (`_row_keys`), the smallest
+    unsigned one that holds T - 1.  The grids are concatenated into it max(1,
     _LABEL_BUDGET // (rows * T)) at a time (np.array over a list takes half
     as long again) and dropped, so no int64 copy of a chunk is made and the
     samplers' int64 blocks are freed as they are read.  Only the grids are
@@ -302,18 +309,47 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
 
 
+def _table_staging(
+    table: PotentialOutcomeTable,
+) -> Callable[[np.ndarray], tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """The staging of an exact space's label chunks: every row's
+    permutations are _permutation_table(T), one tuple shared by every chunk,
+    and the (S, rows) index, column-major in the table's smallest unsigned
+    dtype, is each label row's rank in it, found by bisecting the table's
+    keys (`_row_keys`), which its lexicographic order sorts.  In an exact
+    space every row takes every permutation (LS: renaming symbols maps any
+    row onto any other), so the table is the rows' distinct permutations
+    over the whole stream."""
+    every = _permutation_table(table.num_treatments)
+    keys = _row_keys(every)
+    perms = (every,) * table.outcomes.shape[0]
+    dtype = np.min_scalar_type(len(every) - 1)
+
+    def stage(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        index = np.empty((labels.shape[1], len(labels)), dtype=dtype)
+        for row, ranks in enumerate(index):
+            ranks[:] = np.searchsorted(keys, _row_keys(labels[:, row]))
+        return perms, index.T
+
+    return stage
+
+
 def _staged(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], int, bool]:
     """(chunks, count, is_exact): the space's count assignments streamed
-    once and staged a chunk at a time (`stage_rows`, one (perms, index) per
-    chunk); the chunks raise RandovaError unless they add up to count."""
+    once and staged a chunk at a time, one (perms, index) per chunk: an
+    exact space's against the one permutation table, whose perms every
+    chunk shares (`_table_staging`), a sample's against each row's distinct
+    permutations in the chunk (`stage_rows`).  The chunks raise
+    RandovaError unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
+    stage = _table_staging(table) if is_exact else stage_rows
 
     def chunks():
         seen = 0
         # through map, no label chunk outlives its staging
-        for perms, index in map(stage_rows, _label_chunks(stream)):
+        for perms, index in map(stage, _label_chunks(stream)):
             seen += len(index)
             yield perms, index
         if seen != count:
@@ -328,7 +364,9 @@ def _side_by_side(
     """Staged chunks as one (perms, index): each row's chunk permutations
     side by side, staged again (`stage_rows`) so that the tables hold no
     repeats across chunks, and each chunk's index mapped through that staging,
-    column-major in the smallest unsigned dtype that holds it."""
+    column-major in the smallest unsigned dtype that holds it.  An exact
+    space's chunks share the permutation table, so each row's staging is
+    that table again and the index is the chunks' indices joined."""
     chunks = list(chunks)
     sides = [stage_rows(np.concatenate(side)[:, None]) for side in zip(*(p for p, _ in chunks))]
     perms = tuple(distinct for (distinct,), _ in sides)
@@ -361,14 +399,20 @@ def exact_distribution(
     s0_partials: list[float] = []
     s1_partials: list[float] = []
     lo = 0
+    tables = None
     for perms, index in chunks:
-        tables = row_tables(design, outcomes[None], perms, shift)
+        if tables is None:  # an exact space's chunks share their perms, tabled once
+            tables = row_tables(design, outcomes[None], perms, shift)
         part0, part1 = _batch_sums(tables, index)
         s0_partials.append(math.fsum(part0.tolist()))
         s1_partials.append(math.fsum(part1.tolist()))
         s0[lo : lo + len(index)], s1[lo : lo + len(index)] = part0, part1
         lo += len(index)
-        del perms, index, tables, part0, part1  # not held while the next chunk is staged
+        # not held while the next chunk is staged, nor a sample's tables
+        del perms, index, part0, part1
+        if not is_exact:
+            tables = None
+    del tables
 
     # one atom per distinct pair of ranks, a run of equal keys in their
     # sorted order; the run's smallest stream position, the first

@@ -13,7 +13,9 @@ assignment's responses and forms the residuals directly, so it shares no
 arithmetic with the row tables, and it serves as their reference where the
 two must agree bit for bit in the decision F > cutoff or in inf and NaN.
 `batch_kernel` runs the package's kernel on a stack of label grids the way
-the exact path does.
+the sampled path does, each chunk staged (`stage_rows`) and tabled on its
+own; the exact path, which stages against the one permutation table and
+tables it once, must give the same bits.
 `latin_square_grids` is the Latin-square oracle: plain backtracking over the
 cells, which the package's table-built enumerator must match square for
 square and in order.
@@ -273,7 +275,7 @@ def label_grid_anova(design, x, labels):
 
 def batch_kernel(table, labels, chunk=None):
     """(S0^2, S1^2) of an (S, rows, T) stack of label grids by the package's
-    batch kernel, as the exact path runs it: each chunk of the given size
+    batch kernel, as the sampled path runs it: each chunk of the given size
     staged and tabled on its own, with the table's treatment shift."""
     chunk = chunk or len(labels)
     x = table.outcomes

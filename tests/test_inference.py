@@ -120,11 +120,8 @@ class TestExactDistribution:
         if name == "additive":  # S0^2 = 0 everywhere: one infinite atom
             x = np.zeros((3, 3, 3)) + np.array([1.0, 4.0, -2.0])[:, None, None] + [0.3, 0.1, 0.7]
             table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
-        elif name == "integer-rcb-4x4":  # the integer RCB 4x4 of the exact benchmark, seed 1
-            rng = np.random.default_rng(1)
-            rng.normal(20.0, 15.0, size=(5, 5, 5))  # its LS of order 5 is drawn first
-            x = np.rint(rng.normal(20.0, 15.0, size=(4, 4, 4)))
-            table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
+        elif name == "integer-rcb-4x4":
+            table = _benchmark_rcb_4x4()
         else:
             table = tables[name]
         summary = rv.exact_distribution(table)
@@ -154,11 +151,8 @@ class TestExactDistribution:
             assert summary.mean_s0 == pytest.approx(ems.e_s0, rel=1e-9, abs=1e-12)
             assert summary.mean_s1 == pytest.approx(ems.e_s1, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("design,shape", [("rcb", (3, 3, 3)), ("ls", (4, 4, 4))])
-    def test_stages_and_tables_the_stream_once(self, monkeypatch, design, shape):
-        # 216 RCB / 576 LS assignments, streamed once and staged, tabled and
-        # scored 50 at a time
-        monkeypatch.setattr(inference, "_CHUNK", 50)
+    @staticmethod
+    def _counted_calls(monkeypatch):
         calls = Counter()
         for name in (
             "assignment_stream", "stage_rows", "row_tables", "batch_anova_rcb", "batch_anova_ls"
@@ -168,32 +162,86 @@ class TestExactDistribution:
                 return _call(*args, **kwargs)
 
             monkeypatch.setattr(inference, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("design,shape", [("rcb", (3, 3, 3)), ("ls", (4, 4, 4))])
+    def test_tables_an_exact_space_once(self, monkeypatch, design, shape):
+        # 216 RCB / 576 LS assignments, streamed once and scored 50 at a
+        # time against one table of every permutation, staged by rank
+        # without stage_rows
+        monkeypatch.setattr(inference, "_CHUNK", 50)
+        calls = self._counted_calls(monkeypatch)
         x = np.random.default_rng(4).normal(20.0, 15.0, size=shape)
         summary = rv.exact_distribution(rv.PotentialOutcomeTable(design, x))
         chunks = -(-summary.assignment_count // 50)
+        assert chunks > 1
+        assert calls == {"assignment_stream": 1, "row_tables": 1, f"batch_anova_{design}": chunks}
+
+    @pytest.mark.parametrize("design,shape", [("rcb", (3, 3, 3)), ("ls", (4, 4, 4))])
+    def test_stages_and_tables_each_sampled_chunk_once(self, monkeypatch, design, shape):
+        # 300 draws, streamed once and staged, tabled and scored 50 at a time
+        monkeypatch.setattr(inference, "_CHUNK", 50)
+        calls = self._counted_calls(monkeypatch)
+        x = np.random.default_rng(4).normal(20.0, 15.0, size=shape)
+        table = rv.PotentialOutcomeTable(design, x)
+        rv.exact_distribution(table, rv.RandomizationSpace.sample(300, seed=2))
         assert calls == {
-            "assignment_stream": 1, "stage_rows": chunks, "row_tables": chunks,
-            f"batch_anova_{design}": chunks,
+            "assignment_stream": 1, "stage_rows": 6, "row_tables": 6, f"batch_anova_{design}": 6,
         }
 
     @pytest.mark.parametrize(
         "name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"]
     )
-    def test_exact_chunks_stage_the_enumerators_labels(self, monkeypatch, tables, name):
-        # each chunk's permutations are its distinct rows in lexicographic
-        # order, and its index rebuilds the enumerators' label grids
+    def test_exact_chunks_stage_against_the_permutation_table(self, monkeypatch, tables, name):
+        # every chunk shares one perms, each row's the permutation table
+        # itself, and its index is the enumerators' chunk of indices into
+        # that table, so it rebuilds their label grids
         monkeypatch.setattr(inference, "_CHUNK", 50)
+        monkeypatch.setattr(enumeration, "_CHUNK", 50)
         table = _staging_table(tables, name)
+        n, _, t = table.outcomes.shape
+        every = enumeration._permutation_table(t)
         chunks, count, is_exact = inference._staged(table, rv.RandomizationSpace.exact())
+        indices = enumeration._exact_index(table.design, n, t, count)
         labels = _enumerators_labels(table)
-        lo = 0
-        for perms, index in chunks:
-            part = labels[lo : lo + len(index)]
-            for row, distinct in enumerate(perms):
-                np.testing.assert_array_equal(distinct, np.unique(part[:, row], axis=0))
-                np.testing.assert_array_equal(distinct[index[:, row]], part[:, row])
+        shared, lo = None, 0
+        for (perms, index), want in itertools.zip_longest(chunks, indices):
+            shared = shared or perms
+            assert perms is shared and len(perms) == n
+            assert all(p is every for p in perms)
+            assert index.dtype == np.min_scalar_type(len(every) - 1) and index.flags.f_contiguous
+            np.testing.assert_array_equal(index, want)
+            np.testing.assert_array_equal(every[index], labels[lo : lo + len(index)])
             lo += len(index)
         assert is_exact and lo == count == len(labels)
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "table2", "table3", "table4", "integer-rcb-4x4", "ls5"]
+    )
+    def test_table_staging_scores_each_chunk_as_chunk_staging(self, tables, name):
+        # bit for bit, each exact chunk scored against the one permutation
+        # table gives the S0^2 and S1^2 of the chunk staged and tabled on
+        # its own, as the chunk's labels through `stage_rows` give them
+        if name == "integer-rcb-4x4":  # 24 assignments with F = 3 exactly
+            table = _benchmark_rcb_4x4()
+        elif name == "ls5":
+            table = random_ls_table(np.random.default_rng(8), 5)
+        else:
+            table = tables[name]
+        x = table.outcomes
+        exact = rv.RandomizationSpace.exact()
+        chunks, count, _ = inference._staged(table, exact)
+        stream, _, _ = assignment_stream(table, exact)
+        tables_once = None
+        seen = 0
+        for (perms, index), labels in itertools.zip_longest(chunks, inference._label_chunks(stream)):
+            if tables_once is None:
+                tables_once = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
+            s0, s1 = inference._batch_sums(tables_once, index)
+            want0, want1 = batch_kernel(table, labels)
+            assert s0.tobytes() == want0.tobytes() and s1.tobytes() == want1.tobytes()
+            seen += len(index)
+        assert seen == count
 
     @pytest.mark.parametrize(
         "name", ["table1", "table2", "table3", "table4", "ls5", "rcb3x4"]
@@ -793,6 +841,15 @@ def _stream_mean_squares(table, space):
         for perms, index in chunks
     ]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _benchmark_rcb_4x4():
+    """The integer RCB 4x4 of the exact benchmark at seed 1, whose 24
+    assignments have F = 3 in exact arithmetic."""
+    rng = np.random.default_rng(1)
+    rng.normal(20.0, 15.0, size=(5, 5, 5))  # its LS of order 5 is drawn first
+    x = np.rint(rng.normal(20.0, 15.0, size=(4, 4, 4)))
+    return rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)
 
 
 def _staging_table(tables, name):

@@ -1,17 +1,28 @@
-"""Check that two source trees give the same CLI output on the benchmark jobs.
+"""Check that two source trees give the same outputs on the benchmark jobs
+and the default gate's library results.
 
     python tools/same_outputs.py PARENT_DIR CHANGE_DIR
 
 Writes the tables of both perfbench workloads at seeds 1 and 2 with
 `perfbench.workloads.make_jobs` (full size, into a temporary directory), runs
 each of the six jobs once with each tree's `src/` and compares stdout, stderr
-and the exit code.  Prints one line per job and exits 1 when any of the three
-differ, 2 when a directory holds no `src/randova`.  Run it from any
-directory; the tables are written once and read by both trees.
+and the exit code.  Then each tree, in its own interpreter, computes:
+
+- the `RandomizationSummary` of table1-4 and of every perfbench table, over
+  the exact space and over 3,000 draws at seed 1: columns by their bytes and
+  dtypes, the means in hex, and the other fields (an exact space above the
+  cap gives its error line instead);
+- the `MonteCarloReport(keep_replications=True)` of table4, and of each
+  perfbench Monte Carlo RCB table, with every probability in hex.
+
+Prints one line per job and per result and exits 1 when any differ, 2 when
+a directory holds no `src/randova`.  Run it from any directory; the tables
+are written once and read by both trees.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,16 +35,75 @@ from perfbench.workloads import FULL, WORKLOADS, make_jobs  # noqa: E402
 
 SEEDS = (1, 2)
 
+# run in each tree's interpreter: argv is a JSON list of [label, table path
+# or bundled name, Monte Carlo study or not]; prints one JSON object of
+# label -> what the tree computed
+RESULTS = """
+import hashlib, json, sys
+from dataclasses import asdict, replace
+import randova as rv
+
+def table(source):
+    if source.endswith(".json"):
+        return rv.load_table(source)
+    return rv.load_bundled_table(source)
+
+def summary(table, space):
+    try:
+        s = rv.exact_distribution(replace(table, technical_error_sd=0.0), space)
+    except rv.RandovaError as error:
+        return f"{type(error).__name__}: {error}"
+    columns = {
+        name: [column.dtype.str, hashlib.sha256(column.tobytes()).hexdigest()]
+        for name, column in [("f_stat", s.f_stat), ("s0_sq", s.s0_sq), ("s1_sq", s.s1_sq),
+                             ("counts", s.counts), ("cumulative", s.cumulative)]
+    }
+    return [columns, s.design.value, s.mean_s0.hex(), s.mean_s1.hex(), s.is_exact,
+            s.assignment_count, s.df_treatment, s.df_residual]
+
+def study(table):
+    noisy = replace(table, technical_error_sd=0.5)
+    report = rv.monte_carlo_with_errors(noisy, replications=50, seed=3, keep_replications=True)
+    return {key: value.hex() if isinstance(value, float) else
+            [p.hex() for p in value] if isinstance(value, tuple) else value
+            for key, value in asdict(report).items()}
+
+results = {}
+for label, source, mc in json.loads(sys.argv[1]):
+    t = table(source)
+    if mc:
+        results[f"MonteCarloReport {label}"] = study(t)
+    else:
+        results[f"summary {label} exact"] = summary(t, rv.RandomizationSpace.exact())
+        results[f"summary {label} sampled"] = summary(
+            t, rv.RandomizationSpace.sample(3000, seed=1)
+        )
+print(json.dumps(results))
+"""
+
+
+def _env(src: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("RANDOVA_ENUM_CAP", None)
+    return env
+
 
 def run_job(src: Path, argv: tuple[str, ...], cwd: Path) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `python -m randova *argv` on the tree's src."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("RANDOVA_ENUM_CAP", None)
     result = subprocess.run(
         [sys.executable, "-m", "randova", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=_env(src), cwd=cwd,
     )
     return result.returncode, result.stdout, result.stderr
+
+
+def library_results(src: Path, cases: list[tuple[str, str, bool]], cwd: Path) -> dict:
+    """What the tree's library computes for each case (`RESULTS`)."""
+    result = subprocess.run(
+        [sys.executable, "-c", RESULTS, json.dumps(cases)],
+        capture_output=True, text=True, env=_env(src), cwd=cwd, check=True,
+    )
+    return json.loads(result.stdout)
 
 
 def main(argv: list[str]) -> int:
@@ -45,7 +115,17 @@ def main(argv: list[str]) -> int:
         if not (src / "randova").is_dir():
             print(f"error: no src/randova in {src.parent}", file=sys.stderr)
             return 2
-    jobs = differ = 0
+    checks = differ = 0
+
+    def report(label: str, diffs: list[str]) -> None:
+        nonlocal checks, differ
+        print(f"{'differ' if diffs else 'same'}  {label}"
+              + (f" ({', '.join(diffs)})" if diffs else ""), flush=True)
+        checks += 1
+        differ += bool(diffs)
+
+    cases = [(name, name, False) for name in ("table1", "table2", "table3", "table4")]
+    cases.append(("table4", "table4", True))
     with tempfile.TemporaryDirectory() as work:
         for workload in WORKLOADS:
             for seed in SEEDS:
@@ -54,18 +134,22 @@ def main(argv: list[str]) -> int:
                 for job in make_jobs(workload, seed, FULL, table_dir, change):
                     before = run_job(parent, job.argv, Path(work))
                     after = run_job(change, job.argv, Path(work))
-                    diffs = [
-                        what
-                        for what, a, b in zip(("exit code", "stdout", "stderr"), before, after)
-                        if a != b
-                    ]
-                    label = f"{workload} seed {seed}: {job.argv[0]} {Path(job.table).name}"
-                    print(f"{'differ' if diffs else 'same'}  {label}"
-                          + (f" ({', '.join(diffs)})" if diffs else ""), flush=True)
-                    jobs += 1
-                    differ += bool(diffs)
-    print(f"{differ} of {jobs} jobs differ" if differ
-          else f"all {jobs} jobs gave the same exit code, stdout and stderr")
+                    report(
+                        f"{workload} seed {seed}: {job.argv[0]} {Path(job.table).name}",
+                        [what for what, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                         if a != b],
+                    )
+                    label = f"{workload} seed {seed} {Path(job.table).name}"
+                    if Path(job.table).name != "table4.json":
+                        cases.append((label, job.table, False))
+                    if job.kind == "mc" and job.design == "rcb":
+                        cases.append((label, job.table, True))
+        before = library_results(parent, cases, Path(work))
+        after = library_results(change, cases, Path(work))
+        for label in sorted(before.keys() | after.keys()):
+            report(label, [] if before.get(label) == after.get(label) else ["result"])
+    print(f"{differ} of {checks} checks differ" if differ
+          else f"all {checks} checks gave the same results")
     return 1 if differ else 0
 
 
