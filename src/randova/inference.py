@@ -17,22 +17,21 @@ at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
 kernel's zero rule, so 0.0 is an atom of its own.
 
 Every run reads its space's stream once, a chunk of label grids at a time
-in the smallest unsigned dtype (`_label_chunks`), and stages each chunk
-(`_staged`) as an index into per-row permutations.  A sample's chunk is
-staged on its own: per row, the chunk's distinct permutations and each
-assignment's index into them (`stage_rows`).  In an exact space every row
-takes every permutation, so its chunks are staged against the one table of
-all T! permutations, which every row of every chunk shares, each label row
-indexed by its rank in it (`_table_staging`).  They are scored by the one
+in the smallest unsigned dtype (`_label_chunks`), and stages each chunk as
+an index into per-row permutations (`_staged`).  A sample's chunk is staged
+on its own, per row the chunk's distinct permutations (`stage_rows`); in an
+exact space every row takes every permutation, so every row of every chunk
+shares the one table of all T! permutations, indexed by each label row's
+rank in it (`_table_staging`).  They are scored by the one
 ANOVA kernel of each design (`randova.anova`) over per-row tables of the
 responses, shifted by the noiseless table's mean potential outcome of each
 treatment, which leaves S0^2 unchanged and keeps it from cancelling when
 treatment effects dwarf the residual.  The exact and sampled distributions
-score each chunk as it arrives; an exact space's shared table is tabled
-once, a sample's chunk on its own.  Compensated partial sums, one per
-chunk, make the means bit-reproducible.  The Monte Carlo study, which rescores every assignment
-under each noise draw, joins the chunks' stagings without their repeats
-(`_side_by_side`).
+score each chunk as it arrives, tabling an exact space once and a sample
+chunk by chunk, with compensated partial sums, one per chunk, for
+bit-reproducible means.  The Monte Carlo study, which rescores every
+assignment under each noise draw, joins the chunks' stagings without their
+repeats (`_side_by_side`).
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -312,14 +311,14 @@ def _check_alpha(alpha: float) -> None:
 def _table_staging(
     table: PotentialOutcomeTable,
 ) -> Callable[[np.ndarray], tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """The staging of an exact space's label chunks: every row's
-    permutations are _permutation_table(T), one tuple shared by every chunk,
-    and the (S, rows) index, column-major in the table's smallest unsigned
-    dtype, is each label row's rank in it, found by bisecting the table's
-    keys (`_row_keys`), which its lexicographic order sorts.  In an exact
-    space every row takes every permutation (LS: renaming symbols maps any
-    row onto any other), so the table is the rows' distinct permutations
-    over the whole stream."""
+    """Staging of an exact space's label chunks against _permutation_table(T):
+    every row of every chunk shares one perms tuple of that table, and the
+    (S, rows) index, column-major in the table's smallest unsigned dtype, is
+    each label row's rank in it, found by bisecting the table's keys
+    (`_row_keys`), which its lexicographic order sorts.  In an exact space
+    every row takes every permutation (LS: renaming symbols maps any row
+    onto any other), so the table holds each row's distinct permutations
+    over the stream."""
     every = _permutation_table(table.num_treatments)
     keys = _row_keys(every)
     perms = (every,) * table.outcomes.shape[0]
