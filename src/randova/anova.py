@@ -19,12 +19,10 @@ for every caller: the exact and sampled distributions, the Monte Carlo study
 and `anova`, which scores one assignment as a batch of one and so gets the
 same bits as that assignment's row of any batch.  A row is an RCB block or
 an LS row; under every assignment its labels are a permutation, and a row
-contributes additively.  `stage_rows` keeps, per row, the distinct
-permutations in one chunk of label grids and each assignment's index into
-them (the Monte Carlo study joins the chunks' stagings); an exact space's
-chunks are indexed into the table of every permutation instead
-(`inference._table_staging`).  `replicate_index` extends an index over G
-stacked outcome arrays.
+contributes additively.  The kernels score stagings, per row the
+permutations of a stream and each evaluation's index into them, which
+`randova.inference` makes (`inference._staged`); `anova` needs none, since
+its grid's rows are their own permutations, each at index 0.
 `row_tables` gives, per row, outcome array and permutation, the row's
 responses shifted by the table's mean potential outcome of their
 treatment, y' = y - c(t), and centred on the row mean: w by treatment (LS:
@@ -63,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import Assignment, _row_keys
+from .enumeration import Assignment
 from .errors import DegenerateDesign, InvalidArgument, ShapeMismatch
 from .potential_outcomes import DesignKind, PotentialOutcomeTable, _array, _Value, validate
 
@@ -134,58 +132,16 @@ def design_dfs(design: DesignKind, num_blocks: int, num_treatments: int) -> tupl
 
 def batch_anova_rcb(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) arrays, each (S,), for S RCB evaluations: the RowTables
-    of an RCB design and the (S, N) staged index (`stage_rows`,
-    `replicate_index`) of their per-block table columns."""
+    of an RCB design and the (S, N) staged index of their per-block table
+    columns (`inference._staged`)."""
     return _mean_squares(tables, index, DesignKind.RCB)
 
 
 def batch_anova_ls(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S0^2, S1^2) arrays, each (S,), for S LS evaluations: the RowTables
-    of an LS design and the (S, T) staged index (`stage_rows`,
-    `replicate_index`) of their per-row table columns."""
+    of an LS design and the (S, T) staged index of their per-row table
+    columns (`inference._staged`)."""
     return _mean_squares(tables, index, DesignKind.LS)
-
-
-def stage_rows(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Per row of one (S, rows, T) chunk of label grids, the (P_r, T)
-    distinct label rows in lexicographic order (by `_row_keys`), in the
-    labels' dtype, and the (S, rows) index into them, column-major, in the
-    smallest unsigned dtype that holds min(T!, S) - 1.  The streams' chunks
-    come in the smallest unsigned dtype that holds T - 1
-    (`inference._label_chunks`).  The keys are injective, so any occurrence
-    of a key supplies its label row; np.unique then needs no first
-    occurrences, and sorts with numpy's default (unstable) argsort."""
-    s, rows, t = labels.shape
-    index = np.empty((rows, s), dtype=np.min_scalar_type(min(math.factorial(t), s) - 1))
-    perms = []
-    for row in range(rows):
-        # keyed a row at a time, so no (S, rows) array of keys is made
-        distinct, index[row] = np.unique(_row_keys(labels[:, row]), return_inverse=True)
-        perms.append(labels[_occurrences(index[row], len(distinct)), row])
-    return tuple(perms), index.T
-
-
-def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
-    """A position in inverse of each value 0..size - 1, for the inverse of
-    np.unique over size distinct values (so each value occurs)."""
-    found = np.empty(size, dtype=np.intp)
-    found[inverse] = np.arange(len(inverse))
-    return found
-
-
-def replicate_index(
-    index: np.ndarray, perms: tuple[np.ndarray, ...], copies: int
-) -> np.ndarray:
-    """A staged (S, rows) index into perms repeated for a stack of `copies`
-    outcome arrays: evaluation g * S + s is assignment s under array g.
-
-    Row r's table column for array g and permutation p is g * P_r + p
-    (`row_tables`).  The (copies * S, rows) result is column-major intp.
-    """
-    sizes = np.array([len(p) for p in perms], dtype=np.intp)
-    offsets = np.arange(copies, dtype=np.intp)[None, :, None] * sizes[:, None, None]
-    stacked = index.T.astype(np.intp)[:, None, :] + offsets  # (rows, copies, S)
-    return stacked.reshape(len(perms), copies * len(index)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +166,10 @@ def row_tables(
     design: DesignKind, x: np.ndarray, perms: tuple[np.ndarray, ...], shift: np.ndarray
 ) -> RowTables:
     """Tables of a (G, rows, T, T) stack of outcome arrays for the row
-    permutations perms (`stage_rows`).  shift is the (T,) vector c
-    subtracted from every response to treatment t before centring, the
-    noiseless table's mean potential outcome of each treatment,
-    outcomes.mean(axis=(0, 1)), for every array of the stack."""
+    permutations perms of a staging (`inference._staged`).  shift is the
+    (T,) vector c subtracted from every response to treatment t before
+    centring, the noiseless table's mean potential outcome of each
+    treatment, outcomes.mean(axis=(0, 1)), for every array of the stack."""
     design = DesignKind(design)
     t = x.shape[-1]
     cols = np.arange(t)
@@ -296,13 +252,9 @@ def _mean_squares(
     return s0, s1
 
 
-def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExperiment:
-    """Reveal the assigned potential outcomes.
-
-    Raises ShapeMismatch when the assignment does not fit the table, and
-    InvalidArgument when the label grid is not a per-block permutation (RCB)
-    or a Latin square (LS), or when assignment is not an Assignment.
-    """
+def _fitted_grid(table: PotentialOutcomeTable, assignment: Assignment) -> np.ndarray:
+    """The assignment's label grid once it fits the table: the one check
+    of `observe` and `anova`, which raises as `observe` says."""
     validate(table)
     if not isinstance(assignment, Assignment):
         raise InvalidArgument(f"expected an Assignment, got {type(assignment).__name__}")
@@ -318,6 +270,17 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
     if not assignment.is_valid():
         kind = "a permutation per block" if table.design is DesignKind.RCB else "a Latin square"
         raise InvalidArgument(f"assignment labels are not {kind}: {grid.tolist()}")
+    return grid
+
+
+def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExperiment:
+    """Reveal the assigned potential outcomes.
+
+    Raises ShapeMismatch when the assignment does not fit the table, and
+    InvalidArgument when the label grid is not a per-block permutation (RCB)
+    or a Latin square (LS), or when assignment is not an Assignment.
+    """
+    grid = _fitted_grid(table, assignment)
     # the response of each plot (RCB) or cell (LS) to its assigned treatment
     y = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[:, :, 0]
     if table.design is DesignKind.RCB:
@@ -327,13 +290,15 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
 
 def anova(experiment: ObservedExperiment) -> AnovaSummary:
     """ANOVA summary of one observed experiment, by the batch kernel on a
-    batch of one."""
+    batch of one: each row's one permutation is its own labels, at index 0.
+    Refuses an experiment, which may be built by hand, whose assignment
+    does not fit its table, as `observe` does."""
     table = experiment.table
-    perms, index = stage_rows(experiment.assignment.grid[None])
+    grid = _fitted_grid(table, experiment.assignment)
     x = table.outcomes
-    tables = row_tables(table.design, x[None], perms, x.mean(axis=(0, 1)))
+    tables = row_tables(table.design, x[None], tuple(grid[:, None]), x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls
-    s0, s1 = kernel(tables, index)
+    s0, s1 = kernel(tables, np.zeros((1, len(grid)), dtype=np.uint8))
     df1, df0 = design_dfs(table.design, table.num_blocks, table.num_treatments)
     return AnovaSummary(
         s0_sq=float(s0[0]),

@@ -203,8 +203,11 @@ class Assignment(_Value):
         return self.grid
 
     def is_valid(self) -> bool:
-        """Bijection check per block (RCB) or Latin property (LS)."""
+        """Bijection check per block (RCB) or Latin property (LS); False for
+        a grid that is not 2-d."""
         grid = self.grid
+        if grid.ndim != 2:
+            return False
         want = np.arange(grid.shape[1])
         rows_ok = bool((np.sort(grid, axis=1) == want).all())
         if self.design is DesignKind.RCB:
@@ -243,8 +246,8 @@ def ls_sampler_settings(
 def _check_sizes(**sizes: int) -> None:
     """DimensionMismatch unless every named size is an int >= 1."""
     if not all(_number(size, integral=True) >= 1 for size in sizes.values()):
-        got = ", ".join(f"{name}={size}" for name, size in sizes.items())
-        raise DimensionMismatch(f"sizes must be >= 1, got {got}")
+        got = ", ".join(f"{name}={size!r}" for name, size in sizes.items())
+        raise DimensionMismatch(f"sizes must be integers >= 1, got {got}")
 
 
 def _rcb_space_size(num_blocks: int, num_treatments: int, limit: int) -> int | None:

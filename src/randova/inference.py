@@ -16,22 +16,24 @@ distinct values apart; since gaps chain, an atom of m distinct values spans
 at most (m - 1) * 1e-12 relative.  Exact zeros come from the ANOVA
 kernel's zero rule, so 0.0 is an atom of its own.
 
+Staging, which turns a stream of assignments into per-row permutations
+and each assignment's index into them, is done here and nowhere else.
 Every run reads its space's stream once, a chunk of label grids at a time
-in the smallest unsigned dtype (`_label_chunks`), and stages each chunk as
-an index into per-row permutations (`_staged`).  A sample's chunk is staged
-on its own, per row the chunk's distinct permutations (`stage_rows`); in an
-exact space every row takes every permutation, so every row of every chunk
-shares the one table of all T! permutations, indexed by each label row's
-rank in it (`_table_staging`).  They are scored by the one
-ANOVA kernel of each design (`randova.anova`) over per-row tables of the
-responses, shifted by the noiseless table's mean potential outcome of each
-treatment, which leaves S0^2 unchanged and keeps it from cancelling when
-treatment effects dwarf the residual.  The exact and sampled distributions
+in the smallest unsigned dtype (`_label_chunks`), and stages each chunk
+(`_staged`).  A sample's chunk is staged on its own, per row the chunk's
+distinct permutations (`stage_rows`); in an exact space every row takes
+every permutation, so every row of every chunk shares the one table of all
+T! permutations, indexed by each label row's rank in it.  The stagings
+are scored by the one ANOVA kernel of each design (`randova.anova`) over
+per-row tables of the responses, shifted by the noiseless table's mean
+potential outcome of each treatment, which leaves S0^2 unchanged and keeps
+it from cancelling when treatment effects dwarf the residual.  The exact and sampled distributions
 score each chunk as it arrives, tabling an exact space once and a sample
 chunk by chunk, with compensated partial sums, one per chunk, for
 bit-reproducible means.  The Monte Carlo study, which rescores every
 assignment under each noise draw, joins the chunks' stagings without their
-repeats (`_side_by_side`).
+repeats (`_side_by_side`) and repeats the index over a group of noise
+draws (`replicate_index`).
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -59,20 +61,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .anova import (
-    RowTables,
-    batch_anova_ls,
-    batch_anova_rcb,
-    design_dfs,
-    f_from_sums,
-    replicate_index,
-    row_tables,
-    stage_rows,
-)
+from .anova import RowTables, batch_anova_ls, batch_anova_rcb, design_dfs, f_from_sums, row_tables
 from .enumeration import (
     _CHUNK,
     _LABEL_BUDGET,
@@ -308,42 +301,59 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
 
 
-def _table_staging(
-    table: PotentialOutcomeTable,
-) -> Callable[[np.ndarray], tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """Staging of an exact space's label chunks against _permutation_table(T):
-    every row of every chunk shares one perms tuple of that table, and the
-    (S, rows) index, column-major in the table's smallest unsigned dtype, is
-    each label row's rank in it, found by bisecting the table's keys
-    (`_row_keys`), which its lexicographic order sorts.  In an exact space
-    every row takes every permutation (LS: renaming symbols maps any row
-    onto any other), so the table holds each row's distinct permutations
-    over the stream."""
-    every = _permutation_table(table.num_treatments)
-    keys = _row_keys(every)
-    perms = (every,) * table.outcomes.shape[0]
-    dtype = np.min_scalar_type(len(every) - 1)
+def stage_rows(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per row of one (S, rows, T) chunk of label grids, the (P_r, T)
+    distinct label rows in lexicographic order (by `_row_keys`), in the
+    labels' dtype, and the (S, rows) index into them, column-major, in the
+    smallest unsigned dtype that holds min(T!, S) - 1.  The keys are
+    injective, so any occurrence of a key supplies its label row; np.unique
+    then needs no first occurrences, and sorts with numpy's default
+    (unstable) argsort."""
+    s, rows, t = labels.shape
+    index = np.empty((rows, s), dtype=np.min_scalar_type(min(math.factorial(t), s) - 1))
+    perms = []
+    for row in range(rows):
+        # keyed a row at a time, so no (S, rows) array of keys is made
+        distinct, index[row] = np.unique(_row_keys(labels[:, row]), return_inverse=True)
+        perms.append(labels[_occurrences(index[row], len(distinct)), row])
+    return tuple(perms), index.T
 
-    def stage(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        index = np.empty((labels.shape[1], len(labels)), dtype=dtype)
-        for row, ranks in enumerate(index):
-            ranks[:] = np.searchsorted(keys, _row_keys(labels[:, row]))
-        return perms, index.T
 
-    return stage
+def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
+    """A position in inverse of each value 0..size - 1, for the inverse of
+    np.unique over size distinct values (so each value occurs)."""
+    found = np.empty(size, dtype=np.intp)
+    found[inverse] = np.arange(len(inverse))
+    return found
 
 
 def _staged(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], int, bool]:
     """(chunks, count, is_exact): the space's count assignments streamed
-    once and staged a chunk at a time, one (perms, index) per chunk: an
-    exact space's against the one permutation table, whose perms every
-    chunk shares (`_table_staging`), a sample's against each row's distinct
-    permutations in the chunk (`stage_rows`).  The chunks raise
-    RandovaError unless they add up to count."""
+    once and staged a chunk at a time, one (perms, index) per chunk.  A
+    sample's chunk is staged against each row's distinct permutations in
+    it (`stage_rows`).  In an exact space every row takes every
+    permutation (LS: renaming symbols maps any row onto any other), so
+    every chunk shares one perms tuple, each row's the table of all T!
+    permutations (`_permutation_table`), and the (S, rows) index,
+    column-major in the table's smallest unsigned dtype, is each label
+    row's rank in it, found by bisecting the table's keys (`_row_keys`),
+    which its lexicographic order sorts.  The chunks raise RandovaError
+    unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
-    stage = _table_staging(table) if is_exact else stage_rows
+    stage = stage_rows
+    if is_exact:
+        every = _permutation_table(table.num_treatments)
+        keys = _row_keys(every)
+        shared = (every,) * table.outcomes.shape[0]
+        dtype = np.min_scalar_type(len(every) - 1)
+
+        def stage(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+            index = np.empty((labels.shape[1], len(labels)), dtype=dtype)
+            for row, ranks in enumerate(index):
+                ranks[:] = np.searchsorted(keys, _row_keys(labels[:, row]))
+            return shared, index.T
 
     def chunks():
         seen = 0
@@ -375,6 +385,21 @@ def _side_by_side(
         starts = itertools.accumulate((len(p[row]) for p, _ in chunks), initial=0)
         placed[:] = np.concatenate([remap[s:, 0][i[:, row]] for s, (_, i) in zip(starts, chunks)])
     return perms, index.T
+
+
+def replicate_index(
+    index: np.ndarray, perms: tuple[np.ndarray, ...], copies: int
+) -> np.ndarray:
+    """A staged (S, rows) index into perms repeated for a stack of `copies`
+    outcome arrays: evaluation g * S + s is assignment s under array g.
+
+    Row r's table column for array g and permutation p is g * P_r + p
+    (`row_tables`).  The (copies * S, rows) result is column-major intp.
+    """
+    sizes = np.array([len(p) for p in perms], dtype=np.intp)
+    offsets = np.arange(copies, dtype=np.intp)[None, :, None] * sizes[:, None, None]
+    stacked = index.T.astype(np.intp)[:, None, :] + offsets  # (rows, copies, S)
+    return stacked.reshape(len(perms), copies * len(index)).T
 
 
 def exact_distribution(

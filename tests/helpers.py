@@ -12,10 +12,11 @@ before it scored every assignment from shifted row tables: it gathers each
 assignment's responses and forms the residuals directly, so it shares no
 arithmetic with the row tables, and it serves as their reference where the
 two must agree bit for bit in the decision F > cutoff or in inf and NaN.
-`batch_kernel` runs the package's kernel on a stack of label grids the way
-the sampled path does, each chunk staged (`stage_rows`) and tabled on its
-own; the exact path, which stages against the one permutation table and
-tables it once, must give the same bits.
+`batch_kernel` runs the package's kernel (`randova.anova`) on a stack of
+label grids the way the sampled path does, each chunk staged by
+`randova.inference`, the one module that stages (`stage_rows`), and tabled
+on its own; the exact path, which stages against the one permutation table
+and tables it once, must give the same bits.
 `latin_square_grids` is the Latin-square oracle: plain backtracking over the
 cells, which the package's table-built enumerator must match square for
 square and in order.
@@ -32,7 +33,8 @@ pairs, so each atom's first assignment leads its run, and ordered by
 `np.lexsort`; `exact_distribution` must give the same columns.
 `first_occurrence_stage_rows` is label staging as the package ran it, with
 each distinct key's label row taken from its first occurrence
-(`np.unique(return_index=True)`); `stage_rows` must give the same arrays.
+(`np.unique(return_index=True)`); `inference.stage_rows` must give the same
+arrays.
 """
 
 from __future__ import annotations
@@ -43,14 +45,9 @@ import math
 import numpy as np
 
 import randova as rv
-from randova.anova import (
-    batch_anova_ls,
-    batch_anova_rcb,
-    f_from_sums,
-    row_tables,
-    stage_rows,
-)
+from randova.anova import batch_anova_ls, batch_anova_rcb, f_from_sums, row_tables
 from randova.enumeration import _row_keys, assignment_stream
+from randova.inference import stage_rows
 
 
 def random_rcb_table(rng, num_blocks=None, num_treatments=None, sd=0.0):

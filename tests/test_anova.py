@@ -1,20 +1,14 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import randova as rv
-from randova.anova import (
-    batch_anova_ls,
-    batch_anova_rcb,
-    f_from_sums,
-    replicate_index,
-    row_tables,
-    stage_rows,
-)
+from randova.anova import batch_anova_ls, batch_anova_rcb, f_from_sums, row_tables
 from randova.enumeration import assignment_stream
-from randova.inference import _label_chunks
+from randova.inference import _label_chunks, replicate_index, stage_rows
 from helpers import (
     all_assignments,
     batch_kernel,
@@ -92,8 +86,39 @@ class TestObserve:
         with pytest.raises(rv.ShapeMismatch):
             rv.observe(tables["table1"], bad)
 
+    @pytest.mark.parametrize("design", ["rcb", "ls"])
+    @pytest.mark.parametrize("grid", [3, [0, 1, 2], []], ids=["0-d", "1-d", "empty"])
+    def test_grid_that_is_not_2d_is_not_valid(self, design, grid):
+        assert rv.Assignment(design, grid).is_valid() is False
+
+
+# assignments that observe refuses: (table or bundled name, design, grid, error)
+_RCB = rv.PotentialOutcomeTable("rcb", np.random.default_rng(1).normal(20, 15, (3, 3, 3)))
+_LS_4 = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+_UNFIT = {
+    "rcb label out of range": (_RCB, "rcb", [[0, 1, 3], [0, 1, 2], [2, 1, 0]], rv.InvalidArgument),
+    "rcb label repeated": (_RCB, "rcb", [[0, 0, 1], [0, 1, 2], [2, 1, 0]], rv.InvalidArgument),
+    "rcb grid of two blocks": (_RCB, "rcb", [[0, 1, 2], [2, 1, 0]], rv.ShapeMismatch),
+    "ls grid on an rcb table": (_RCB, "ls", [[0, 1, 2], [1, 2, 0], [2, 0, 1]], rv.ShapeMismatch),
+    "ls grid of equal rows": ("table4", "ls", [_LS_4[0]] * 4, rv.InvalidArgument),
+    "ls label out of range": ("table4", "ls", _LS_4[:3] + [[3, 0, 1, 5]], rv.InvalidArgument),
+}
+
 
 class TestAnova:
+    @pytest.mark.parametrize("case", _UNFIT)
+    def test_refuses_what_observe_refuses(self, tables, case):
+        # an ObservedExperiment built by hand around an assignment that
+        # observe refuses: anova raises observe's error, not numbers
+        table, design, grid, error = _UNFIT[case]
+        table = tables.get(table, table)
+        assignment = rv.Assignment(design, grid)
+        with pytest.raises(error) as refused:
+            rv.observe(table, assignment)
+        experiment = rv.ObservedExperiment(table, assignment, np.zeros(np.shape(grid)))
+        with pytest.raises(error, match=re.escape(str(refused.value))):
+            rv.anova(experiment)
+
     def test_table2_enumeration_mean_matches_reference(self, tables):
         table = tables["table2"]
         s0s = []

@@ -206,3 +206,12 @@ BAD_SIZES = {
 def test_bad_size_raises_dimension_mismatch(case):
     with pytest.raises(rv.DimensionMismatch):
         BAD_SIZES[case]()
+
+
+def test_bad_size_message_says_integers_and_shows_each_value():
+    # a numpy integer is refused, and its repr shows why
+    with pytest.raises(rv.DimensionMismatch) as refused:
+        rv.space_cardinality("rcb", np.int64(3), 3)
+    assert str(refused.value) == (
+        "sizes must be integers >= 1, got num_blocks=np.int64(3), num_treatments=3"
+    )

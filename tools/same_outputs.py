@@ -13,7 +13,10 @@ and the exit code.  Then each tree, in its own interpreter, computes:
   dtypes, the means in hex, and the other fields (an exact space above the
   cap gives its error line instead);
 - the `MonteCarloReport(keep_replications=True)` of table4, and of each
-  perfbench Monte Carlo RCB table, with every probability in hex.
+  perfbench Monte Carlo RCB table, with every probability in hex;
+- `anova(observe(table, a))` of table1-4 and of every perfbench table for
+  each of the 20 draws a of `RandomizationSpace.sample(20, seed=1)`: S0^2,
+  S1^2 and F in hex.
 
 Prints one line per job and per result and exits 1 when any differ, 2 when
 a directory holds no `src/randova`.  Run it from any directory; the tables
@@ -42,6 +45,7 @@ RESULTS = """
 import hashlib, json, sys
 from dataclasses import asdict, replace
 import randova as rv
+from randova.enumeration import assignment_stream
 
 def table(source):
     if source.endswith(".json"):
@@ -68,6 +72,11 @@ def study(table):
             [p.hex() for p in value] if isinstance(value, tuple) else value
             for key, value in asdict(report).items()}
 
+def single(table):
+    stream, _, _ = assignment_stream(table, rv.RandomizationSpace.sample(20, seed=1))
+    return [[a.s0_sq.hex(), a.s1_sq.hex(), a.f_stat.hex()]
+            for a in (rv.anova(rv.observe(table, draw)) for draw in stream)]
+
 results = {}
 for label, source, mc in json.loads(sys.argv[1]):
     t = table(source)
@@ -78,6 +87,7 @@ for label, source, mc in json.loads(sys.argv[1]):
         results[f"summary {label} sampled"] = summary(
             t, rv.RandomizationSpace.sample(3000, seed=1)
         )
+        results[f"anova {label}"] = single(t)
 print(json.dumps(results))
 """
 
