@@ -169,7 +169,7 @@ class Assignment(_Value):
     RCB: grid[i][j] is the treatment given to plot j of block i; each row is
     a permutation of 0..T-1.  LS: grid[i][j] is the treatment in cell (i, j);
     each symbol occurs once per row and column.  Construction does not check
-    this; is_valid() does, and observe() calls it.
+    this; is_valid() does, and observe() and anova() call it.
     """
 
     design: DesignKind = _converted(DesignKind)

@@ -27,13 +27,13 @@ T! permutations, indexed by each label row's rank in it.  The stagings
 are scored by the one ANOVA kernel of each design (`randova.anova`) over
 per-row tables of the responses, shifted by the noiseless table's mean
 potential outcome of each treatment, which leaves S0^2 unchanged and keeps
-it from cancelling when treatment effects dwarf the residual.  The exact and sampled distributions
-score each chunk as it arrives, tabling an exact space once and a sample
-chunk by chunk, with compensated partial sums, one per chunk, for
-bit-reproducible means.  The Monte Carlo study, which rescores every
-assignment under each noise draw, joins the chunks' stagings without their
-repeats (`_side_by_side`) and repeats the index over a group of noise
-draws (`replicate_index`).
+it from cancelling when treatment effects dwarf the residual.  The exact
+and sampled distributions score each chunk as it arrives, tabling an
+exact space once and a sample chunk by chunk, with compensated partial
+sums, one per chunk, for bit-reproducible means.  The Monte Carlo study,
+which rescores every assignment under each noise draw, joins the chunks'
+stagings without their repeats (`_side_by_side`) and repeats the index
+over a group of noise draws (`replicate_index`).
 
 The support is stored as sorted columns (F, S0^2, S1^2, per-atom counts and
 their cumulative sums), not as one object per atom: atoms are grouped with
@@ -342,7 +342,6 @@ def _staged(
     which its lexicographic order sorts.  The chunks raise RandovaError
     unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
-    stage = stage_rows
     if is_exact:
         every = _permutation_table(table.num_treatments)
         keys = _row_keys(every)
@@ -354,6 +353,8 @@ def _staged(
             for row, ranks in enumerate(index):
                 ranks[:] = np.searchsorted(keys, _row_keys(labels[:, row]))
             return shared, index.T
+    else:
+        stage = stage_rows
 
     def chunks():
         seen = 0
