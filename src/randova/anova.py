@@ -252,9 +252,13 @@ def _mean_squares(
     return s0, s1
 
 
-def _fitted_grid(table: PotentialOutcomeTable, assignment: Assignment) -> np.ndarray:
+def _fitted_grid(
+    table: PotentialOutcomeTable, assignment: Assignment, observed: np.ndarray | None = None
+) -> np.ndarray:
     """The assignment's label grid once it fits the table: the one check
-    of `observe` and `anova`, which raises as `observe` says."""
+    of `observe` and `anova`, which raises as `observe` says.  Given an
+    experiment's observed responses, InvalidArgument unless they are the
+    table's responses to the grid, in shape and value."""
     validate(table)
     if not isinstance(assignment, Assignment):
         raise InvalidArgument(f"expected an Assignment, got {type(assignment).__name__}")
@@ -270,7 +274,27 @@ def _fitted_grid(table: PotentialOutcomeTable, assignment: Assignment) -> np.nda
     if not assignment.is_valid():
         kind = "a permutation per block" if table.design is DesignKind.RCB else "a Latin square"
         raise InvalidArgument(f"assignment labels are not {kind}: {grid.tolist()}")
+    if observed is not None:
+        responses = _responses(table, grid)
+        if observed.shape != responses.shape:
+            raise InvalidArgument(
+                f"observed responses have shape {observed.shape}, the assignment gives"
+                f" {responses.shape}"
+            )
+        if not (observed == responses).all():
+            raise InvalidArgument(
+                "observed responses are not the table's responses to the assignment"
+            )
     return grid
+
+
+def _responses(table: PotentialOutcomeTable, grid: np.ndarray) -> np.ndarray:
+    """The response of each plot (RCB, ordered by treatment within its
+    block) or cell (LS) to its assigned treatment."""
+    y = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[:, :, 0]
+    if table.design is DesignKind.RCB:
+        y = np.take_along_axis(y, np.argsort(grid, axis=1), axis=1)
+    return y
 
 
 def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExperiment:
@@ -280,11 +304,7 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
     InvalidArgument when the label grid is not a per-block permutation (RCB)
     or a Latin square (LS), or when assignment is not an Assignment.
     """
-    grid = _fitted_grid(table, assignment)
-    # the response of each plot (RCB) or cell (LS) to its assigned treatment
-    y = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[:, :, 0]
-    if table.design is DesignKind.RCB:
-        y = np.take_along_axis(y, np.argsort(grid, axis=1), axis=1)  # by treatment
+    y = _responses(table, _fitted_grid(table, assignment))
     return ObservedExperiment(table=table, assignment=assignment, observed=y)
 
 
@@ -292,9 +312,10 @@ def anova(experiment: ObservedExperiment) -> AnovaSummary:
     """ANOVA summary of one observed experiment, by the batch kernel on a
     batch of one: each row's one permutation is its own labels, at index 0.
     Refuses an experiment, which may be built by hand, whose assignment
-    does not fit its table, as `observe` does."""
+    does not fit its table, as `observe` does, or whose observed responses
+    are not what `observe` gives (InvalidArgument)."""
     table = experiment.table
-    grid = _fitted_grid(table, experiment.assignment)
+    grid = _fitted_grid(table, experiment.assignment, experiment.observed)
     x = table.outcomes
     tables = row_tables(table.design, x[None], tuple(grid[:, None]), x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls

@@ -69,7 +69,7 @@ MAX_EXACT_LS_ORDER = 5
 _MAX_COUNT = 10**4300 - 1  # 4300 digits: Python's default limit on int -> str
 
 _CHUNK = 4096  # assignments built per step of the enumerators and samplers
-# labels (rows * T per assignment) staged, or drawn by the RCB sampler, per step
+# per step: bytes of int64 label grids the staging joins, keys the RCB sampler draws
 _LABEL_BUDGET = 2**16
 
 _JM_BURN_IN_FACTOR = 2  # burn-in moves of each chain = factor * T^3
@@ -400,18 +400,21 @@ def _exact_index(
     """The exact space's assignments in stream order, _CHUNK at a time, as
     (S, rows) indices into _permutation_table(T): for RCB the mixed-radix
     digits of each position, block 0 the most significant as in
-    itertools.product; for LS slices of `_latin_square_rows`."""
+    itertools.product, int64 and C-contiguous, peeled off the (S,) positions
+    by one np.divmod per block, the last block first; for LS slices of
+    `_latin_square_rows`."""
     if design is DesignKind.LS:
         rows = _latin_square_rows(num_treatments)
         for lo in range(0, size, _CHUNK):
             yield rows[lo : lo + _CHUNK]
         return
     radix = math.factorial(num_treatments)
-    # int64 place values, so one past it raises; np.unravel_index would refuse
-    # the more than 64 blocks that one treatment allows
-    places = np.array([radix**k for k in range(num_blocks - 1, -1, -1)], dtype=np.int64)
     for lo in range(0, size, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, size))[:, None] // places % radix
+        position = np.arange(lo, min(lo + _CHUNK, size))
+        digits = np.empty((len(position), num_blocks), dtype=np.int64)
+        for block in range(num_blocks - 1, -1, -1):  # least significant first
+            np.divmod(position, radix, out=(position, digits[:, block]))
+        yield digits
 
 
 def sample_rcb(

@@ -19,11 +19,13 @@ kernel's zero rule, so 0.0 is an atom of its own.
 Staging, which turns a stream of assignments into per-row permutations
 and each assignment's index into them, is done here and nowhere else.
 Every run reads its space's stream once, a chunk of label grids at a time
-in the smallest unsigned dtype (`_label_chunks`), and stages each chunk
-(`_staged`).  A sample's chunk is staged on its own, per row the chunk's
-distinct permutations (`stage_rows`); in an exact space every row takes
-every permutation, so every row of every chunk shares the one table of all
-T! permutations, indexed by each label row's rank in it.  The stagings
+in the smallest unsigned dtype, each slice of grids joined by its bytes
+(`_label_chunks`), and stages each chunk (`_staged`).  A sample's chunk is
+staged on its own, per row the chunk's distinct permutations
+(`stage_rows`); in an exact space every row takes every permutation, so
+every row of every chunk shares the one table of all T! permutations,
+indexed by each label row's rank in it, which a lookup by the row's key
+gives (`_permutation_ranks`).  The stagings
 are scored by the one ANOVA kernel of each design (`randova.anova`) over
 per-row tables of the responses, shifted by the noiseless table's mean
 potential outcome of each treatment, which leaves S0^2 unchanged and keeps
@@ -61,6 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -214,25 +217,29 @@ def _batch_sums(tables: RowTables, index: np.ndarray) -> tuple[np.ndarray, np.nd
 def _label_chunks(assignments: Iterable[Assignment]) -> Iterator[np.ndarray]:
     """The assignments' label grids, _CHUNK at a time, in one (S, rows, T)
     array of the narrow dtype the staging keys (`_row_keys`), the smallest
-    unsigned one that holds T - 1.  The grids are concatenated into it max(1,
-    _LABEL_BUDGET // (rows * T)) at a time (np.array over a list takes half
-    as long again) and dropped, so no int64 copy of a chunk is made and the
-    samplers' int64 blocks are freed as they are read.  Only the grids are
-    collected, so each Assignment is freed once it is read and no garbage
-    collection is set off by a chunk of live objects."""
+    unsigned one that holds T - 1.  The grids, C-contiguous int64 as the
+    enumerators and samplers make them, are read a slice of at most
+    _LABEL_BUDGET bytes at a time (one grid if it is larger), joined by
+    their bytes into one buffer and cast into the chunk (np.concatenate
+    over the slice's row views takes about four times as long), so no int64
+    copy of a chunk is made.  Only the grids are collected, so each
+    Assignment, and each of the samplers' int64 blocks, is freed once it is
+    read, and no garbage collection is set off by a chunk of live objects."""
     stream = iter(assignments)
+    grid_of = attrgetter("grid")
     for first in stream:  # each chunk starts at the first grid not yet read
         rows, t = first.grid.shape
-        step = min(_CHUNK, max(1, _LABEL_BUDGET // (rows * t)))
+        step = min(_CHUNK, max(1, _LABEL_BUDGET // first.grid.nbytes))
         labels = np.empty((_CHUNK, rows, t), dtype=np.min_scalar_type(t - 1))
-        grids = [first.grid] + [a.grid for a in itertools.islice(stream, step - 1)]
+        grids = [first.grid, *map(grid_of, itertools.islice(stream, step - 1))]
         del first
         filled = 0
         while grids:
-            part = labels[filled : filled + len(grids)].reshape(-1, t)
-            np.concatenate(grids, out=part, casting="unsafe")
+            joined = np.frombuffer(b"".join(grids), np.int64).reshape(-1, rows, t)
+            labels[filled : filled + len(grids)] = joined
+            del joined  # not held while the next slice is joined
             filled += len(grids)
-            grids = [a.grid for a in itertools.islice(stream, min(step, _CHUNK - filled))]
+            grids = list(map(grid_of, itertools.islice(stream, min(step, _CHUNK - filled))))
         yield labels[:filled]
 
 
@@ -327,6 +334,18 @@ def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
     return found
 
 
+def _permutation_ranks(every: np.ndarray) -> np.ndarray:
+    """The rank of each label row in every, the (T!, T) table of all
+    permutations in lexicographic order, as a lookup by the row's key
+    (`_row_keys`): entry k is the rank of the permutation whose key is k, in
+    the smallest unsigned dtype that holds T! - 1.  The lookup spans the
+    keys' range: 229 B at T = 4, 18 KB at T = 5, 364 KB at T = 6."""
+    keys = _row_keys(every)
+    ranks = np.zeros(int(keys[-1]) + 1, dtype=np.min_scalar_type(len(every) - 1))
+    ranks[keys] = np.arange(len(every))
+    return ranks
+
+
 def _staged(
     table: PotentialOutcomeTable, space: RandomizationSpace
 ) -> tuple[Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], int, bool]:
@@ -338,20 +357,19 @@ def _staged(
     every chunk shares one perms tuple, each row's the table of all T!
     permutations (`_permutation_table`), and the (S, rows) index,
     column-major in the table's smallest unsigned dtype, is each label
-    row's rank in it, found by bisecting the table's keys (`_row_keys`),
-    which its lexicographic order sorts.  The chunks raise RandovaError
-    unless they add up to count."""
+    row's rank in it, looked up by the row's key (`_row_keys`) in an array
+    built once per run (`_permutation_ranks`).  The chunks raise
+    RandovaError unless they add up to count."""
     stream, count, is_exact = assignment_stream(table, space)
     if is_exact:
         every = _permutation_table(table.num_treatments)
-        keys = _row_keys(every)
+        ranks = _permutation_ranks(every)
         shared = (every,) * table.outcomes.shape[0]
-        dtype = np.min_scalar_type(len(every) - 1)
 
         def stage(labels: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-            index = np.empty((labels.shape[1], len(labels)), dtype=dtype)
-            for row, ranks in enumerate(index):
-                ranks[:] = np.searchsorted(keys, _row_keys(labels[:, row]))
+            index = np.empty((labels.shape[1], len(labels)), dtype=ranks.dtype)
+            for row, placed in enumerate(index):
+                np.take(ranks, _row_keys(labels[:, row]), out=placed)
             return shared, index.T
     else:
         stage = stage_rows

@@ -35,6 +35,10 @@ pairs, so each atom's first assignment leads its run, and ordered by
 each distinct key's label row taken from its first occurrence
 (`np.unique(return_index=True)`); `inference.stage_rows` must give the same
 arrays.
+`concatenate_label_chunks` is the label chunking as the package ran it,
+np.concatenate over slices of row views cast into each chunk;
+`inference._label_chunks`, which joins each slice's bytes, must give the
+same chunks.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import math
 import numpy as np
 
 import randova as rv
+import randova.inference as inference
 from randova.anova import batch_anova_ls, batch_anova_rcb, f_from_sums, row_tables
 from randova.enumeration import _row_keys, assignment_stream
 from randova.inference import stage_rows
@@ -510,3 +515,24 @@ def first_occurrence_stage_rows(labels):
         perms.append(labels[first, row])
         index[:, row] = inverse
     return tuple(perms), index
+
+
+def concatenate_label_chunks(assignments):
+    """The assignments' label grids, `inference._CHUNK` at a time, in (S,
+    rows, T) arrays of the smallest unsigned dtype that holds T - 1, each
+    filled by np.concatenate over slices of max(1, _LABEL_BUDGET // (rows *
+    T)) grids, cast on the way in."""
+    stream = iter(assignments)
+    for first in stream:
+        rows, t = first.grid.shape
+        chunk = inference._CHUNK
+        step = min(chunk, max(1, inference._LABEL_BUDGET // (rows * t)))
+        labels = np.empty((chunk, rows, t), dtype=np.min_scalar_type(t - 1))
+        grids = [first.grid] + [a.grid for a in itertools.islice(stream, step - 1)]
+        filled = 0
+        while grids:
+            part = labels[filled : filled + len(grids)].reshape(-1, t)
+            np.concatenate(grids, out=part, casting="unsafe")
+            filled += len(grids)
+            grids = [a.grid for a in itertools.islice(stream, min(step, chunk - filled))]
+        yield labels[:filled]

@@ -119,6 +119,35 @@ class TestAnova:
         with pytest.raises(error, match=re.escape(str(refused.value))):
             rv.anova(experiment)
 
+    @pytest.mark.parametrize(
+        "case", ["seven zeros", "zeros", "one value off", "rcb in plot order"]
+    )
+    def test_refuses_observed_responses_that_observe_does_not_give(self, tables, case):
+        # a fitting assignment, but the experiment's observed field is not
+        # what observe gives: anova refuses it instead of scoring the table
+        if case == "rcb in plot order":
+            table, grid = _RCB, np.array([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+        else:
+            table, grid = tables["table4"], np.array(_LS_4)
+        assignment = rv.Assignment(table.design, grid)
+        observed = rv.observe(table, assignment).observed
+        by_plot = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[..., 0]
+        off = observed.copy()
+        off[1, 2] += 1.0
+        wrong = {
+            "seven zeros": np.zeros(7),
+            "zeros": np.zeros_like(observed),
+            "one value off": off,
+            # each block's responses by plot, not by treatment
+            "rcb in plot order": by_plot,
+        }[case]
+        assert not np.array_equal(wrong, observed)
+        with pytest.raises(rv.InvalidArgument, match="observed responses"):
+            rv.anova(rv.ObservedExperiment(table, assignment, wrong))
+        # the same responses built by hand score as observe's
+        by_hand = rv.ObservedExperiment(table, assignment, observed.tolist())
+        assert rv.anova(by_hand) == rv.anova(rv.observe(table, assignment))
+
     def test_table2_enumeration_mean_matches_reference(self, tables):
         table = tables["table2"]
         s0s = []

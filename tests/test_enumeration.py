@@ -328,6 +328,25 @@ class TestSampling:
         assert all(a.grid.shape == (1, 1) for a in squares)
 
 
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: exact_stream("rcb", 3, 4),
+        lambda: exact_stream("ls", 5, 5),
+        lambda: rv.sample_rcb(20, 5, 5000, seed=1),
+        lambda: rv.sample_latin_squares(3, 300, seed=1),
+        lambda: rv.sample_latin_squares(6, 300, seed=1),
+        lambda: rv.sample_latin_squares(6, 300, seed=1, measure="subgroup"),
+    ],
+    ids=["exact-rcb", "exact-ls", "rcb", "ls-orbit", "ls-jacobson-matthews", "ls-subgroup"],
+)
+def test_every_stream_yields_c_contiguous_int64_grids(stream):
+    # the label staging joins the grids by their bytes as int64
+    for a in stream():
+        assert a.grid.dtype == np.int64 and a.grid.flags.c_contiguous
+        assert not a.grid.flags.writeable
+
+
 class TestLineTableSampler:
     """The Jacobson-Matthews sampler keeps only the position of each line's
     1, in three tables; it must draw the incidence-cube sampler's squares

@@ -18,6 +18,7 @@ from helpers import (
     additive_table,
     all_assignments,
     batch_kernel,
+    concatenate_label_chunks,
     exact_stream,
     fsum_anova,
     label_grid_anova,
@@ -876,6 +877,55 @@ def _identical_blocks_rcb():
     return rv.PotentialOutcomeTable(
         rv.DesignKind.RCB, np.zeros((3, 3, 3)) + np.array([0.0, 1.0, 3.0])[:, None] + [0.1, 0.7, 2.9]
     )
+
+
+class TestLabelChunks:
+    """Label chunks joined by their bytes against the np.concatenate
+    staging, and exact ranks by lookup against bisection."""
+
+    @pytest.mark.parametrize(
+        "name, space",
+        [
+            ("table1", None), ("table2", None), ("table3", None), ("table4", None),
+            ("ls5", None), ("rcb3x4", None),
+            # 81 grids a slice, 50 slices and a short one a chunk; 5,000
+            # draws end a second chunk inside its twelfth slice
+            ("rcb20x5", rv.RandomizationSpace.sample(5000, seed=1)),
+            ("rcb3x4", rv.RandomizationSpace.sample(3000, seed=1)),
+            ("ls8", rv.RandomizationSpace.sample(1000, seed=1)),
+            ("ls3", rv.RandomizationSpace.sample(300, seed=1)),
+            ("ls5", rv.RandomizationSpace.sample(300, seed=1, ls_measure="subgroup")),
+            # T = 17: 408 bytes a grid, labels still uint8
+            ("rcb3x17", rv.RandomizationSpace.sample(700, seed=1)),
+        ],
+    )
+    def test_chunks_equal_the_concatenate_staging(self, tables, name, space):
+        rng = np.random.default_rng(9)
+        if name in tables:
+            table = tables[name]
+        elif name.startswith("ls"):
+            table = random_ls_table(rng, int(name[2:]))
+        else:
+            table = random_rcb_table(rng, *map(int, name[3:].split("x")))
+        space = space or rv.RandomizationSpace.exact()
+        stream, count, _ = assignment_stream(table, space)
+        got = inference._label_chunks(stream)
+        want = concatenate_label_chunks(assignment_stream(table, space)[0])
+        seen = 0
+        for labels, reference in itertools.zip_longest(got, want):
+            assert labels.dtype == reference.dtype and labels.shape == reference.shape
+            assert labels.tobytes() == reference.tobytes()
+            seen += len(labels)
+        assert seen == count
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_rank_lookup_equals_bisection(self, t):
+        # every permutation of T is a row of the table, so this is every key
+        every = enumeration._permutation_table(t)
+        keys = enumeration._row_keys(every)
+        ranks = inference._permutation_ranks(every)
+        assert ranks.dtype == np.min_scalar_type(len(every) - 1)
+        np.testing.assert_array_equal(ranks[keys], np.searchsorted(keys, keys))
 
 
 class TestSupportOrder:

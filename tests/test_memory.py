@@ -155,9 +155,12 @@ def test_monte_carlo_table4():
 def test_sampled_rcb_20x5_distribution():
     # a float RCB 20x5 over 20,000 seeded draws: the sampler draws its keys
     # 655 draws at a time and the staging fills each chunk's uint8 labels
-    # from them, a row keyed at a time: measured 3.12 MB (numpy 2.4); bound
-    # = measured + 30%.  Keying every row at once peaked at 3.33 MB, and
-    # drawing, argsorting and copying whole chunks as int64 at 11.0 MB.
+    # from them 81 grids (64 KB of int64) a slice, a row keyed at a time:
+    # measured 2.45 MB (numpy 2.4); bound = measured + 30%.  Slices of 655
+    # grids, which straddle two of the sampler's blocks and so held both
+    # while a third was drawn, peaked at 3.12 MB, keying every row at once
+    # at 3.33 MB, and drawing, argsorting and copying whole chunks as int64
+    # at 11.0 MB.
     setup = (
         "x = np.random.default_rng(1).normal(20.0, 15.0, size=(20, 5, 5))\n"
         "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
@@ -165,7 +168,29 @@ def test_sampled_rcb_20x5_distribution():
     peak = traced_peak(
         "rv.exact_distribution(table, rv.RandomizationSpace.sample(20_000, seed=1))", setup
     )
-    assert peak < 1.3 * 3.12e6
+    assert peak < 1.3 * 2.45e6
+
+
+def test_label_chunk_of_a_sampled_rcb_20x5():
+    # one chunk of 4,096 seeded RCB 20x5 draws, drawn before the trace and
+    # each dropped once it is read: the uint8 chunk (409,600 bytes) and one
+    # slice of 81 grids joined by their bytes (64,800 <= 64 KB of int64),
+    # with the buffer views the join takes of its grids (about 190 bytes a
+    # grid): measured 489,953 (numpy 2.4); bound = the chunk plus 1.3 times
+    # one 64 KB slice.  Holding the last slice's bytes while the next was
+    # joined peaked at 554,882, and slices of 512 KB at 1,039,617.
+    setup = (
+        "from collections import deque\n"
+        "from randova.enumeration import assignment_stream\n"
+        "from randova.inference import _label_chunks\n"
+        "x = np.random.default_rng(1).normal(20.0, 15.0, size=(20, 5, 5))\n"
+        "table = rv.PotentialOutcomeTable(rv.DesignKind.RCB, x)\n"
+        "space = rv.RandomizationSpace.sample(4096, seed=1)\n"
+        "drawn = deque(assignment_stream(table, space)[0])\n"
+        "stream = (drawn.popleft() for _ in range(len(drawn)))\n"
+    )
+    peak = traced_peak("next(_label_chunks(stream))", setup)
+    assert peak < 4096 * 20 * 5 + 1.3 * 2**16
 
 
 def test_latin_square_8_sampler_chunk():

@@ -16,7 +16,12 @@ and the exit code.  Then each tree, in its own interpreter, computes:
   perfbench Monte Carlo RCB table, with every probability in hex;
 - `anova(observe(table, a))` of table1-4 and of every perfbench table for
   each of the 20 draws a of `RandomizationSpace.sample(20, seed=1)`: S0^2,
-  S1^2 and F in hex.
+  S1^2 and F in hex;
+- the staging (`randova.inference._staged`) of table1-4 and of every
+  perfbench table, over the exact space and over 3,000 draws at seed 1:
+  each chunk's perms and index by their bytes, dtypes and shapes, hashed
+  in stream order, with the count and is_exact (a space above the cap
+  gives its error line).
 
 Prints one line per job and per result and exits 1 when any differ, 2 when
 a directory holds no `src/randova`.  Run it from any directory; the tables
@@ -46,6 +51,7 @@ import hashlib, json, sys
 from dataclasses import asdict, replace
 import randova as rv
 from randova.enumeration import assignment_stream
+from randova.inference import _staged
 
 def table(source):
     if source.endswith(".json"):
@@ -64,6 +70,18 @@ def summary(table, space):
     }
     return [columns, s.design.value, s.mean_s0.hex(), s.mean_s1.hex(), s.is_exact,
             s.assignment_count, s.df_treatment, s.df_residual]
+
+def staging(table, space):
+    try:
+        chunks, count, is_exact = _staged(table, space)
+    except rv.RandovaError as error:
+        return f"{type(error).__name__}: {error}"
+    digest = hashlib.sha256()
+    for perms, index in chunks:
+        for array in (*perms, index):
+            digest.update(f"{array.dtype.str} {array.shape}".encode())
+            digest.update(array.tobytes())
+    return [digest.hexdigest(), count, is_exact]
 
 def study(table):
     noisy = replace(table, technical_error_sd=0.5)
@@ -88,6 +106,10 @@ for label, source, mc in json.loads(sys.argv[1]):
             t, rv.RandomizationSpace.sample(3000, seed=1)
         )
         results[f"anova {label}"] = single(t)
+        results[f"staging {label} exact"] = staging(t, rv.RandomizationSpace.exact())
+        results[f"staging {label} sampled"] = staging(
+            t, rv.RandomizationSpace.sample(3000, seed=1)
+        )
 print(json.dumps(results))
 """
 
