@@ -19,14 +19,7 @@ concurrently.
 
 from .anova import ObservedExperiment, anova, observe
 from .documents import dumps_report, load_table, report_document, table_to_document
-from .enumeration import (
-    Assignment,
-    LsMeasure,
-    RandomizationSpace,
-    sample_latin_squares,
-    sample_rcb,
-    space_cardinality,
-)
+from .enumeration import Assignment, LsMeasure, RandomizationSpace, space_cardinality
 from .errors import (
     DegenerateDesign,
     DimensionMismatch,
@@ -131,8 +124,6 @@ __all__ = [
     "observe",
     "report_document",
     "run_reproduction",
-    "sample_latin_squares",
-    "sample_rcb",
     "space_cardinality",
     "survival_curve",
     "table_to_document",

@@ -160,6 +160,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate_count(args: argparse.Namespace) -> int:
     design = DesignKind(args.design)
+    # a flag the design does not read is refused, not dropped from the count unseen
+    if design is DesignKind.RCB:
+        unread, takes = ["--order"], "--blocks and --treatments"
+    else:
+        unread, takes = ["--blocks"], "--order, or --treatments alone"
+        if args.order is not None:
+            unread.append("--treatments")
+    given = [flag for flag in unread if getattr(args, flag[2:]) is not None]
+    if given:
+        raise RandovaError(f"{design.value} counts take {takes}; drop {' and '.join(given)}")
     if design is DesignKind.RCB:
         if args.blocks is None or args.treatments is None:
             raise RandovaError("rcb counts need --blocks and --treatments")

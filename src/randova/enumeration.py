@@ -14,13 +14,13 @@ from an int64 copy of the permutation table, one np.take a chunk.
 Exact enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
 A sampled run is held to the same cap on its number of draws, since it
-stages and scores every draw; the lazy public samplers are not capped.
-The enumerators and samplers build only valid assignments, so they do not
-check them one by one; `observe` checks the grids that callers build.
-Enumerated and sampled assignments are read-only row views of their chunk.
-`assignment_stream` is the one way into an exact space: it checks the
-space's size against the cap when called, as each public sampler checks its
-arguments.
+stages and scores every draw.
+`assignment_stream` is the one way into every space, exact or sampled: it
+checks its arguments and the space's size when called, resolves the space
+to one private generator of int64 (S, rows, T) label chunks, and wraps
+their rows as Assignments, read-only row views of their chunk.  The
+enumerators and samplers build only valid assignments, so they are not
+checked one by one; `observe` checks the grids that callers build.
 
 Uniform sampling builds a chunk of draws at a time.  RCB draws independent
 uniform permutations per block, as the argsort of uniform keys, in blocks of
@@ -358,6 +358,18 @@ def _row_keys(labels: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _permutation_ranks(every: np.ndarray) -> np.ndarray:
+    """The rank of each label row in every, the (T!, T) table of all
+    permutations in lexicographic order, as a lookup by the row's key
+    (`_row_keys`): entry k is the rank of the permutation whose key is k, in
+    the smallest unsigned dtype that holds T! - 1.  The lookup spans the
+    keys' range: 229 B at T = 4, 18 KB at T = 5, 364 KB at T = 6."""
+    keys = _row_keys(every)
+    ranks = np.zeros(int(keys[-1]) + 1, dtype=np.min_scalar_type(len(every) - 1))
+    ranks[keys] = np.arange(len(every))
+    return ranks
+
+
 @functools.lru_cache(maxsize=None)
 def _latin_square_rows(order: int) -> np.ndarray:
     """Every Latin square of the order as (M, T) indices into
@@ -367,25 +379,23 @@ def _latin_square_rows(order: int) -> np.ndarray:
     Only the squares whose first row is the identity are grown, a row at a
     time by every permutation that clashes with no earlier row in any
     column, and their last row is forced: each column misses one symbol,
-    T(T - 1)/2 minus its sum, found by bisecting the permutations' keys
-    (`_row_keys`), which the lexicographic table sorts.  Renaming symbols by
-    a permutation p maps them one to one onto the squares whose first row
-    is p, row q to p o q (relabel[p, q]); each of the T! blocks, in the
-    table's order, is then sorted back into lexicographic order.
+    T(T - 1)/2 minus its sum, and the row's index is its rank
+    (`_permutation_ranks`).  Renaming symbols by a permutation p maps them
+    one to one onto the squares whose first row is p, row q to p o q
+    (relabel[p, q]); each of the T! blocks, in the table's order, is then
+    sorted back into lexicographic order.
     """
     perms = _permutation_table(order)
-    dtype = np.min_scalar_type(len(perms) - 1)
-    keys = _row_keys(perms)
-    rows = np.zeros((1, 1), dtype=dtype)
+    ranks = _permutation_ranks(perms)
+    rows = np.zeros((1, 1), dtype=ranks.dtype)
     if order > 1:
         disjoint = (perms[:, None, :] != perms[None, :, :]).all(axis=2)
         for _ in range(order - 2):
             rectangle, nxt = np.nonzero(disjoint[rows].all(axis=1))
-            rows = np.column_stack([rows[rectangle], nxt.astype(dtype)])
+            rows = np.column_stack([rows[rectangle], nxt.astype(ranks.dtype)])
         missing = order * (order - 1) // 2 - perms[rows].sum(axis=1)
-        last = np.searchsorted(keys, _row_keys(missing)).astype(dtype)
-        rows = np.column_stack([rows, last])
-    relabel = np.searchsorted(keys, _row_keys(perms[:, perms])).astype(dtype)
+        rows = np.column_stack([rows, ranks[_row_keys(missing)]])
+    relabel = ranks[_row_keys(perms[:, perms])]
     squares = np.take(relabel, rows, axis=1)  # (T!, squares per first row, T)
     for block in squares:
         block[...] = block[np.lexsort(block.T[::-1])]
@@ -417,59 +427,19 @@ def _exact_index(
         yield digits
 
 
-def sample_rcb(
-    num_blocks: int, num_treatments: int, count: int, seed: int
-) -> Iterator[Assignment]:
-    """Independent uniform per-block permutations; deterministic given seed.
+def _rcb_draws(
+    num_blocks: int, num_treatments: int, count: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Chunks of independent uniform per-block permutations.
 
-    Each block of S draws is the argsort of (S, N, T) uniform keys, with S
+    Each chunk of S draws is the argsort of (S, N, T) uniform keys, with S
     at most _CHUNK and S * N * T at most _LABEL_BUDGET unless S is 1.  The
-    generator fills its keys in order, so the blocks' size does not change
-    the draws.  Sizes and the draw count are checked at the call, not at
-    the first next().
+    generator fills its keys in order, so the chunks' size does not change
+    the draws.
     """
-    _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
-    _check_int(count, 1, "sample size")
-    _check_int(seed, 0, "seed")
-    rng = np.random.default_rng(seed)
     block = min(_CHUNK, max(1, _LABEL_BUDGET // (num_blocks * num_treatments)))
-    chunks = (
-        rng.random((min(block, count - lo), num_blocks, num_treatments)).argsort(axis=2)
-        for lo in range(0, count, block)
-    )
-    return Assignment._of_rows(DesignKind.RCB, chunks)
-
-
-def sample_latin_squares(
-    order: int,
-    count: int,
-    seed: int,
-    burn_in: int | None = None,
-    measure: LsMeasure | str | None = None,
-) -> Iterator[Assignment]:
-    """Uniform Latin squares; deterministic given seed.
-
-    measure="subgroup" permutes rows, columns and symbols of the cyclic
-    square, which is uniform on that transformation orbit.  measure="all"
-    targets all squares of the order.  Up to order 3 the orbit is every
-    square, so both measures draw from it exactly.  From order 4 on each
-    draw comes from its own Jacobson-Matthews chain started at the cyclic
-    square (see _jacobson_matthews_squares): the chain runs burn_in moves
-    (default 2*T^3), is then checked for a proper square every m = 4*T
-    moves, and emits the first proper square a check finds.  The measure
-    defaults to "all" (`ls_sampler_settings`).  Arguments are checked at the
-    call, not at the first next().
-    """
-    _check_sizes(order=order)
-    _check_int(count, 1, "sample size")
-    _check_int(seed, 0, "seed")
-    burn_in, measure = ls_sampler_settings(order, burn_in, measure)
-    rng = np.random.default_rng(seed)
-    if measure is LsMeasure.TRANSFORMATION_SUBGROUP or order <= 3:
-        chunks = _orbit_squares(order, count, rng)
-    else:
-        chunks = _jacobson_matthews_squares(order, count, rng, burn_in)
-    return Assignment._of_rows(DesignKind.LS, chunks)
+    for lo in range(0, count, block):
+        yield rng.random((min(block, count - lo), num_blocks, num_treatments)).argsort(axis=2)
 
 
 def _orbit_squares(order: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -620,38 +590,56 @@ def assignment_stream(
 ) -> tuple[Iterator[Assignment], int, bool]:
     """Resolve a space against a table: (stream, count, is_exact).
 
-    An exact stream visits the table's whole space in lexicographic order:
-    RCB by the concatenated per-block permutations, as itertools.product
-    gives them, LS row-major.  Its count is the space's size, checked
-    against the cap at the call, not at the first next(), and a size above
-    the cap is not built (SpaceTooLarge, `_exact_space_size`).
+    The one way into a randomization space.  An exact stream visits the
+    table's whole space in lexicographic order: RCB by the concatenated
+    per-block permutations, as itertools.product gives them, LS row-major;
+    its count is the space's size, and a size above the cap is not built
+    (SpaceTooLarge, `_exact_space_size`).  A sampled stream holds
+    sample_size draws, deterministic given the seed: RCB per-block
+    permutations (`_rcb_draws`); for LS, squares of the cyclic square's
+    orbit under the "subgroup" measure and up to order 3, where the orbit
+    is every square (`_orbit_squares`), else one Jacobson-Matthews chain
+    per square, run burn_in moves and then checked every 4*T
+    (`_jacobson_matthews_squares`, `ls_sampler_settings`).
 
-    Raises InvalidArgument when a sampled space for an RCB table carries
-    Latin-square sampler settings, which that sampler would ignore, when a
-    sample is above the enumeration cap, and when space is not a
-    RandomizationSpace.
+    Everything is checked at the call, not at the first next().  Raises
+    InvalidArgument when table is not a PotentialOutcomeTable or space not
+    a RandomizationSpace, when a sample is above the enumeration cap, and
+    when a sampled space for an RCB table carries Latin-square sampler
+    settings, which that sampler would ignore; DimensionMismatch unless
+    the table's sizes are integers >= 1.
     """
+    if not isinstance(table, PotentialOutcomeTable):
+        raise InvalidArgument(f"expected a PotentialOutcomeTable, got {type(table).__name__}")
     if not isinstance(space, RandomizationSpace):
         raise InvalidArgument(f"expected a RandomizationSpace, got {type(space).__name__}")
-    t = table.num_treatments
-    if space.sample_size is None:
-        size = _exact_space_size(table.design, table.num_blocks, t)
-        index = _exact_index(table.design, table.num_blocks, t, size)
-        every = _permutation_table(t).astype(np.int64)
-        chunks = (np.take(every, rows, axis=0) for rows in index)
-        return Assignment._of_rows(table.design, chunks), size, True
-    _check_cap(space.sample_size, f"a sample of {space.sample_size} draws", "draw fewer")
-    if table.design is DesignKind.RCB:
-        settings = {"burn_in": space.burn_in, "ls_measure": space.ls_measure}
-        given = [name for name, value in settings.items() if value is not None]
-        if given:
-            raise InvalidArgument(
-                f"{' and '.join(given)}: Latin-square sampler settings do not apply"
-                " to an RCB table"
-            )
-        stream = sample_rcb(table.num_blocks, t, space.sample_size, space.seed)
+    design, n, t = table.design, table.num_blocks, table.num_treatments
+    if design is DesignKind.LS:
+        _check_sizes(order=t)
     else:
-        stream = sample_latin_squares(
-            t, space.sample_size, space.seed, space.burn_in, space.ls_measure
-        )
-    return stream, space.sample_size, False
+        _check_sizes(num_blocks=n, num_treatments=t)
+    is_exact = space.sample_size is None
+    if is_exact:
+        count = _exact_space_size(design, n, t)
+        every = _permutation_table(t).astype(np.int64)
+        chunks = (np.take(every, rows, axis=0) for rows in _exact_index(design, n, t, count))
+    else:
+        count = space.sample_size
+        _check_cap(count, f"a sample of {count} draws", "draw fewer")
+        rng = np.random.default_rng(space.seed)
+        if design is DesignKind.RCB:
+            settings = ("burn_in", "ls_measure")
+            given = [name for name in settings if getattr(space, name) is not None]
+            if given:
+                raise InvalidArgument(
+                    f"{' and '.join(given)}: Latin-square sampler settings do not apply"
+                    " to an RCB table"
+                )
+            chunks = _rcb_draws(n, t, count, rng)
+        else:
+            burn_in, measure = ls_sampler_settings(t, space.burn_in, space.ls_measure)
+            if measure is LsMeasure.TRANSFORMATION_SUBGROUP or t <= 3:
+                chunks = _orbit_squares(t, count, rng)
+            else:
+                chunks = _jacobson_matthews_squares(t, count, rng, burn_in)
+    return Assignment._of_rows(design, chunks), count, is_exact

@@ -75,6 +75,7 @@ from .enumeration import (
     Assignment,
     RandomizationSpace,
     _check_cap,
+    _permutation_ranks,
     _permutation_table,
     _row_keys,
     assignment_stream,
@@ -332,18 +333,6 @@ def _occurrences(inverse: np.ndarray, size: int) -> np.ndarray:
     found = np.empty(size, dtype=np.intp)
     found[inverse] = np.arange(len(inverse))
     return found
-
-
-def _permutation_ranks(every: np.ndarray) -> np.ndarray:
-    """The rank of each label row in every, the (T!, T) table of all
-    permutations in lexicographic order, as a lookup by the row's key
-    (`_row_keys`): entry k is the rank of the permutation whose key is k, in
-    the smallest unsigned dtype that holds T! - 1.  The lookup spans the
-    keys' range: 229 B at T = 4, 18 KB at T = 5, 364 KB at T = 6."""
-    keys = _row_keys(every)
-    ranks = np.zeros(int(keys[-1]) + 1, dtype=np.min_scalar_type(len(every) - 1))
-    ranks[keys] = np.arange(len(every))
-    return ranks
 
 
 def _staged(

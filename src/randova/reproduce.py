@@ -76,8 +76,14 @@ def _close(name: str, observed: float, expected: float, tol: float) -> CheckResu
 def run_reproduction(
     tables: dict[str, PotentialOutcomeTable] | None = None,
 ) -> list[CheckResult]:
-    """Recompute every reference value; returns one CheckResult per value."""
+    """Recompute every reference value; returns one CheckResult per value.
+    InvalidArgument, naming them, when tables lacks any of table1..table4."""
     tables = tables if tables is not None else load_bundled_tables()
+    missing = [name for name in BUNDLED_TABLE_NAMES if name not in tables]
+    if missing:
+        raise InvalidArgument(
+            f"the reproduction needs table1..table4; missing {', '.join(missing)}"
+        )
     checks: list[CheckResult] = []
 
     # table1 (RCB): exact rationals.

@@ -172,6 +172,17 @@ def exact_stream(design, num_blocks, num_treatments):
     return stream
 
 
+def sampled_stream(design, num_blocks, num_treatments, count, seed, **settings):
+    """A sampled stream of count draws of a design's space, the way every
+    run enters it: `assignment_stream` on a `zero_table`, with the
+    Latin-square sampler settings (burn_in, ls_measure) given.  Arguments
+    and the cap are checked at the call."""
+    table = zero_table(design, num_blocks, num_treatments)
+    space = rv.RandomizationSpace.sample(count, seed, **settings)
+    stream, _, _ = assignment_stream(table, space)
+    return stream
+
+
 def all_assignments(table):
     return list(exact_stream(table.design, table.num_blocks, table.num_treatments))
 

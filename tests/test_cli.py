@@ -296,6 +296,24 @@ class TestEnumerateCount:
         assert (code, out) == (2, "")
         assert "more than 4300 digits" in err
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--design", "ls", "--order", "4", "--treatments", "5"], "--treatments"),
+            (["--design", "ls", "--order", "4", "--blocks", "9"], "--blocks"),
+            (["--design", "rcb", "--blocks", "2", "--treatments", "3", "--order", "7"], "--order"),
+        ],
+    )
+    def test_flag_the_design_does_not_read_exits_2(self, capsys, flags, unread):
+        code, out, err = run_cli(capsys, "enumerate-count", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"drop {unread}" in err
+
+    def test_ls_order_given_as_treatments(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate-count", "--design", "ls", "--treatments", "4")
+        assert code == 0
+        assert json.loads(out)["count"] == 576
+
     def test_unknown_ls_order_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate-count", "--design", "ls", "--order", "7"

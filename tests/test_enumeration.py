@@ -17,6 +17,7 @@ from helpers import (
     exact_stream,
     grid_key,
     latin_square_grids,
+    sampled_stream,
     zero_table,
 )
 
@@ -198,24 +199,24 @@ class TestEnumerateLatinSquares:
 
 class TestSampling:
     def test_rcb_deterministic_given_seed(self):
-        a = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=11)]
-        b = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=11)]
-        c = [grid_key(x) for x in rv.sample_rcb(3, 3, 50, seed=12)]
+        a = [grid_key(x) for x in sampled_stream("rcb", 3, 3, 50, 11)]
+        b = [grid_key(x) for x in sampled_stream("rcb", 3, 3, 50, 11)]
+        c = [grid_key(x) for x in sampled_stream("rcb", 3, 3, 50, 12)]
         assert a == b
         assert a != c
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_is_refused(self, count):
         # at the call, with the message of a sampled RandomizationSpace
-        for sample in (lambda: rv.sample_rcb(2, 2, count, seed=1),
-                       lambda: rv.sample_latin_squares(4, count, seed=1)):
+        for sample in (lambda: sampled_stream("rcb", 2, 2, count, 1),
+                       lambda: sampled_stream("ls", 4, 4, count, 1)):
             with pytest.raises(rv.InvalidArgument, match="sample size must be an integer >= 1"):
                 sample()
 
     def test_rcb_frequencies_match_exact_enumeration(self):
         # 4 equally likely assignments; 0.25 +- 0.02 with 4000 draws
         counts: dict = {}
-        for a in rv.sample_rcb(2, 2, 4000, seed=2024):
+        for a in sampled_stream("rcb", 2, 2, 4000, 2024):
             counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
         exact = {grid_key(a) for a in exact_stream("rcb", 2, 2)}
         assert set(counts) == exact
@@ -223,8 +224,8 @@ class TestSampling:
             assert counts[key] / 4000 == pytest.approx(0.25, abs=0.02)
 
     def test_ls_sampler_valid_and_deterministic(self):
-        a = [grid_key(x) for x in rv.sample_latin_squares(4, 25, seed=9)]
-        b = [grid_key(x) for x in rv.sample_latin_squares(4, 25, seed=9)]
+        a = [grid_key(x) for x in sampled_stream("ls", 4, 4, 25, 9)]
+        b = [grid_key(x) for x in sampled_stream("ls", 4, 4, 25, 9)]
         assert a == b
         for flat in a:
             assert rv.Assignment(rv.DesignKind.LS, np.array(flat)).is_valid()
@@ -232,7 +233,7 @@ class TestSampling:
     def test_ls_frequencies_match_exact_enumeration(self):
         # 12 squares of order 3; 1/12 +- 0.01 with 12000 draws
         counts: dict = {}
-        for a in rv.sample_latin_squares(3, 12000, seed=7):
+        for a in sampled_stream("ls", 3, 3, 12000, 7):
             counts[grid_key(a)] = counts.get(grid_key(a), 0) + 1
         exact = {grid_key(a) for a in exact_stream("ls", 3, 3)}
         assert set(counts) == exact
@@ -240,7 +241,7 @@ class TestSampling:
             assert counts[key] / 12000 == pytest.approx(1 / 12, abs=0.01)
 
     def test_ls_order2_draws_both_squares(self):
-        draws = [grid_key(a) for a in rv.sample_latin_squares(2, 2000, seed=2)]
+        draws = [grid_key(a) for a in sampled_stream("ls", 2, 2, 2000, 2)]
         for square in {grid_key(a) for a in exact_stream("ls", 2, 2)}:
             assert draws.count(square) / 2000 == pytest.approx(0.5, abs=0.05)
 
@@ -250,7 +251,7 @@ class TestSampling:
         index = {grid_key(a): k for k, a in enumerate(exact_stream("ls", 4, 4))}
         draws = 576 * 20
         counts = np.bincount(
-            [index[grid_key(a)] for a in rv.sample_latin_squares(4, draws, seed=4)],
+            [index[grid_key(a)] for a in sampled_stream("ls", 4, 4, draws, 4)],
             minlength=576,
         )
         assert ((counts - 20) ** 2 / 20).sum() < 710
@@ -264,7 +265,7 @@ class TestSampling:
         assert np.flatnonzero(exact).tolist() == [0, 4]
         draws = 8000
         got = np.bincount(intercalate_counts(
-            np.array([a.grid for a in rv.sample_latin_squares(5, draws, seed=5)])
+            np.array([a.grid for a in sampled_stream("ls", 5, 5, draws, 5)])
         ), minlength=5)
         assert got.sum() == got[0] + got[4] == draws
         want = exact[[0, 4]] / exact.sum() * draws
@@ -276,7 +277,7 @@ class TestSampling:
         index = {grid_key(a): k for k, a in enumerate(exact_stream("rcb", 2, 3))}
         draws = 36 * 200
         counts = np.bincount(
-            [index[grid_key(a)] for a in rv.sample_rcb(2, 3, draws, seed=6)], minlength=36
+            [index[grid_key(a)] for a in sampled_stream("rcb", 2, 3, draws, 6)], minlength=36
         )
         assert ((counts - 200) ** 2 / 200).sum() < 75
 
@@ -284,7 +285,7 @@ class TestSampling:
         # each treatment lands in each cell with probability 1/T
         order, draws = 4, 3000
         hits = np.zeros((order, order, order))
-        for a in rv.sample_latin_squares(order, draws, seed=13):
+        for a in sampled_stream("ls", order, order, draws, 13):
             square = a.grid
             for i in range(order):
                 for j in range(order):
@@ -297,19 +298,19 @@ class TestSampling:
         # the sampler draws its keys in blocks (655 draws of an RCB 20x5, a
         # chunk of an RCB 2x3), which must not change them
         want = np.random.default_rng(8).random((count, blocks, treatments)).argsort(axis=2)
-        got = np.stack([a.grid for a in rv.sample_rcb(blocks, treatments, count, seed=8)])
+        got = np.stack([a.grid for a in sampled_stream("rcb", blocks, treatments, count, 8)])
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
     def test_every_rcb_draw_is_valid(self):
-        draws = list(rv.sample_rcb(20, 5, 2000, seed=5))
+        draws = list(sampled_stream("rcb", 20, 5, 2000, 5))
         assert len(draws) == 2000
         assert all(a.grid.shape == (20, 5) and a.is_valid() for a in draws)
 
     @pytest.mark.parametrize("measure", ["all", "subgroup"])
     @pytest.mark.parametrize("order", [1, 5, 8])
     def test_every_ls_draw_is_valid(self, order, measure):
-        draws = list(rv.sample_latin_squares(order, 100, seed=order, measure=measure))
+        draws = list(sampled_stream("ls", order, order, 100, order, ls_measure=measure))
         assert len(draws) == 100
         assert all(
             a.grid.shape == (order, order) and a.is_valid() for a in draws
@@ -318,12 +319,12 @@ class TestSampling:
     @pytest.mark.parametrize("burn_in", [0, -5])
     def test_burn_in_below_one_rejected(self, burn_in):
         with pytest.raises(rv.InvalidArgument):
-            rv.sample_latin_squares(5, 100, 1, burn_in=burn_in)
+            sampled_stream("ls", 5, 5, 100, 1, burn_in=burn_in)
         with pytest.raises(rv.InvalidArgument):
             rv.RandomizationSpace.sample(100, seed=1, burn_in=burn_in)
 
     def test_order_one_sampling(self):
-        squares = list(rv.sample_latin_squares(1, 3, seed=0))
+        squares = list(sampled_stream("ls", 1, 1, 3, 0))
         assert len(squares) == 3
         assert all(a.grid.shape == (1, 1) for a in squares)
 
@@ -333,10 +334,10 @@ class TestSampling:
     [
         lambda: exact_stream("rcb", 3, 4),
         lambda: exact_stream("ls", 5, 5),
-        lambda: rv.sample_rcb(20, 5, 5000, seed=1),
-        lambda: rv.sample_latin_squares(3, 300, seed=1),
-        lambda: rv.sample_latin_squares(6, 300, seed=1),
-        lambda: rv.sample_latin_squares(6, 300, seed=1, measure="subgroup"),
+        lambda: sampled_stream("rcb", 20, 5, 5000, 1),
+        lambda: sampled_stream("ls", 3, 3, 300, 1),
+        lambda: sampled_stream("ls", 6, 6, 300, 1),
+        lambda: sampled_stream("ls", 6, 6, 300, 1, ls_measure="subgroup"),
     ],
     ids=["exact-rcb", "exact-ls", "rcb", "ls-orbit", "ls-jacobson-matthews", "ls-subgroup"],
 )
@@ -354,8 +355,10 @@ class TestLineTableSampler:
 
     @staticmethod
     def squares(order, count, seed, burn_in=None):
-        draws = rv.sample_latin_squares(order, count, seed, burn_in=burn_in)
-        return np.array([a.grid for a in draws]).reshape(count, order, order)
+        burn_in, _ = rv.enumeration.ls_sampler_settings(order, burn_in)
+        rng = np.random.default_rng(seed)
+        chunks = rv.enumeration._jacobson_matthews_squares(order, count, rng, burn_in)
+        return np.concatenate(list(chunks)).reshape(count, order, order)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("order", [4, 5, 6, 7, 8, 9])
@@ -452,11 +455,11 @@ class TestSubgroupMeasure:
 
         samples = [
             grid_key(a)
-            for a in rv.sample_latin_squares(4, 300, seed=3, measure="subgroup")
+            for a in sampled_stream("ls", 4, 4, 300, 3, ls_measure="subgroup")
         ]
         assert set(samples) <= orbit
         # the full-measure sampler escapes the orbit
-        full = [grid_key(a) for a in rv.sample_latin_squares(4, 300, seed=3)]
+        full = [grid_key(a) for a in sampled_stream("ls", 4, 4, 300, 3)]
         assert any(square not in orbit for square in full)
 
 

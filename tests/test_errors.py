@@ -5,9 +5,12 @@ import pytest
 
 import randova as rv
 from randova.potential_outcomes import fisher_sharp_null_holds
-from helpers import exact_stream
+from randova.enumeration import assignment_stream
+from helpers import exact_stream, zero_table
 
 ZEROS = np.zeros((2, 2, 2))
+EXACT = rv.RandomizationSpace.exact()
+SAMPLED = rv.RandomizationSpace.sample(5, seed=1)
 
 BAD_SEEDS = {
     "negative seed of a sampled space": lambda: rv.RandomizationSpace.sample(5, seed=-1),
@@ -19,10 +22,6 @@ BAD_SEEDS = {
     ),
     "bool mc seed": lambda: rv.monte_carlo_with_errors(
         rv.load_bundled_table("table4"), replications=2, seed=False
-    ),
-    "negative seed of the RCB sampler": lambda: rv.sample_rcb(2, 3, 5, seed=-1),
-    "negative seed of the Latin-square sampler": lambda: rv.sample_latin_squares(
-        4, 3, seed=-1
     ),
 }
 
@@ -124,9 +123,6 @@ BAD_SETTINGS = {
     "unknown measure of a sampled space": lambda: rv.RandomizationSpace.sample(
         10, seed=1, ls_measure="bogus"
     ),
-    "unknown measure of the Latin-square sampler": lambda: rv.sample_latin_squares(
-        4, 3, seed=1, measure="bogus"
-    ),
     "unknown design of a space": lambda: rv.space_cardinality("xx", 2, 2),
     # arguments of the wrong type, which would otherwise end in AttributeError
     "no table for type1": lambda: rv.type1_error(None),
@@ -138,6 +134,9 @@ BAD_SETTINGS = {
     ),
     "no space for type1": lambda: rv.type1_error(rv.load_bundled_table("table2"), space=None),
     "no assignment to observe": lambda: rv.observe(rv.load_bundled_table("table2"), None),
+    "str table of an exact stream": lambda: assignment_stream("table2", EXACT),
+    "str table of a sampled stream": lambda: assignment_stream("table2", SAMPLED),
+    "no space of a stream": lambda: assignment_stream(rv.load_bundled_table("table2"), None),
     "int name of a table": lambda: rv.PotentialOutcomeTable("rcb", ZEROS, name=5),
     "bool outcomes": lambda: rv.PotentialOutcomeTable("rcb", np.ones((2, 3, 3), bool)),
     "bool labels": lambda: rv.Assignment("rcb", [[True, False], [False, True]]),
@@ -189,9 +188,21 @@ BAD_SIZES = {
     "fractional treatment index": lambda: rv.mean_difference_variance(
         rv.load_bundled_table("table2"), 0.5, 1
     ),
-    "RCB sampler with no blocks": lambda: rv.sample_rcb(0, 3, 5, seed=1),
-    "RCB sampler with no treatments": lambda: rv.sample_rcb(3, 0, 5, seed=1),
-    "Latin-square sampler of order 0": lambda: rv.sample_latin_squares(0, 3, seed=1),
+    "exact stream of an RCB table with no blocks": lambda: assignment_stream(
+        zero_table("rcb", 0, 3), EXACT
+    ),
+    "sampled stream of an RCB table with no blocks": lambda: assignment_stream(
+        zero_table("rcb", 0, 3), SAMPLED
+    ),
+    "sampled stream of an RCB table with no treatments": lambda: assignment_stream(
+        zero_table("rcb", 3, 0), SAMPLED
+    ),
+    "exact stream of a Latin-square table of order 0": lambda: assignment_stream(
+        zero_table("ls", 0, 0), EXACT
+    ),
+    "sampled stream of a Latin-square table of order 0": lambda: assignment_stream(
+        zero_table("ls", 0, 0), SAMPLED
+    ),
     "Latin-square count of order 0": lambda: rv.space_cardinality("ls", 1, 0),
     "Latin-square count of negative order": lambda: rv.space_cardinality("ls", -3, -3),
     "Latin-square space of order 0": lambda: rv.space_cardinality(rv.DesignKind.LS, 0, 0),
@@ -215,3 +226,9 @@ def test_bad_size_message_says_integers_and_shows_each_value():
     assert str(refused.value) == (
         "sizes must be integers >= 1, got num_blocks=np.int64(3), num_treatments=3"
     )
+
+
+def test_reproduction_names_the_missing_tables():
+    # it ended in a bare KeyError on the first table it lacked
+    with pytest.raises(rv.InvalidArgument, match="missing table2, table3, table4$"):
+        rv.run_reproduction({"table1": rv.load_bundled_table("table1")})

@@ -680,11 +680,6 @@ class TestSampleCap:
         report = rv.monte_carlo_with_errors(_noisy(tables[name], 0.01), replications=2, space=at)
         assert 0.0 <= report.mean_rejection <= 1.0
 
-    def test_public_samplers_are_not_capped(self, monkeypatch):
-        monkeypatch.setenv(enumeration.ENUM_CAP_ENV_VAR, "100")
-        assert len(list(rv.sample_rcb(2, 3, 101, seed=1))) == 101
-        assert len(list(rv.sample_latin_squares(4, 101, seed=1))) == 101
-
 
 class TestMonteCarloAgainstBatchKernels:
     """Every replication's rejection equals that of the label-grid kernel
@@ -923,7 +918,7 @@ class TestLabelChunks:
         # every permutation of T is a row of the table, so this is every key
         every = enumeration._permutation_table(t)
         keys = enumeration._row_keys(every)
-        ranks = inference._permutation_ranks(every)
+        ranks = enumeration._permutation_ranks(every)
         assert ranks.dtype == np.min_scalar_type(len(every) - 1)
         np.testing.assert_array_equal(ranks[keys], np.searchsorted(keys, keys))
 

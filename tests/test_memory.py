@@ -194,10 +194,16 @@ def test_label_chunk_of_a_sampled_rcb_20x5():
 
 
 def test_latin_square_8_sampler_chunk():
-    # one chunk of 4,096 Jacobson-Matthews chains of order 8, run to the end,
-    # drawing the integers of 16 moves per generator call, the squares kept
-    # in the tables' int8 until the chunk is yielded: measured 8.25 MB
-    # (numpy 2.4); bound = measured + 30%.  Keeping them as int64 peaked at
-    # 10.1 MB, and drawing 64 moves per call at 24.8 MB.
-    peak = traced_peak("sum(1 for _ in rv.sample_latin_squares(8, 4096, seed=1))")
+    # one chunk of 4,096 Jacobson-Matthews chains of order 8, streamed by
+    # assignment_stream and run to the end, drawing the integers of 16 moves
+    # per generator call, the squares kept in the tables' int8 until the
+    # chunk is yielded: measured 8.24 MB (numpy 2.4); bound = 1.3 x 8.25 MB,
+    # the sampler's peak when it was called on its own.  Keeping them as
+    # int64 peaked at 10.1 MB, and drawing 64 moves per call at 24.8 MB.
+    setup = (
+        "from randova.enumeration import assignment_stream\n"
+        "table = rv.PotentialOutcomeTable(rv.DesignKind.LS, np.zeros((8, 8, 8)))\n"
+        "space = rv.RandomizationSpace.sample(4096, seed=1)\n"
+    )
+    peak = traced_peak("sum(1 for _ in assignment_stream(table, space)[0])", setup)
     assert peak < 1.3 * 8.25e6
