@@ -15,12 +15,14 @@ Exact enumeration is capped (default 10^7 assignments, override with the
 RANDOVA_ENUM_CAP environment variable); beyond the cap callers must sample.
 A sampled run is held to the same cap on its number of draws, since it
 stages and scores every draw.
-`assignment_stream` is the one way into every space, exact or sampled: it
-checks its arguments and the space's size when called, resolves the space
-to one private generator of int64 (S, rows, T) label chunks, and wraps
-their rows as Assignments, read-only row views of their chunk.  The
-enumerators and samplers build only valid assignments, so they are not
-checked one by one; `observe` checks the grids that callers build.
+`assignment_stream` is the one way into every space, exact or sampled: its
+entry checks a stream's arguments, sizes and count when it is called, and
+the code behind it reads them as checked (`space_cardinality` checks its
+own).  It resolves the space to one private generator of int64 (S, rows,
+T) label chunks and wraps their rows as Assignments, read-only row views
+of their chunk.  The enumerators and samplers build only valid
+assignments, so they are not checked one by one; `observe` checks the
+grids that callers build.
 
 Uniform sampling builds a chunk of draws at a time.  RCB draws independent
 uniform permutations per block, as the argsort of uniform keys, in blocks of
@@ -145,7 +147,13 @@ class RandomizationSpace:
         if self.burn_in is not None:
             _check_int(self.burn_in, 1, "burn_in")
         if self.ls_measure is not None:
-            object.__setattr__(self, "ls_measure", _ls_measure(self.ls_measure))
+            try:
+                object.__setattr__(self, "ls_measure", LsMeasure(self.ls_measure))
+            except ValueError:
+                choices = ", ".join(m.value for m in LsMeasure)
+                raise InvalidArgument(
+                    f"unknown Latin-square measure {self.ls_measure!r}; choose from {choices}"
+                ) from None
 
     @classmethod
     def exact(cls) -> "RandomizationSpace":
@@ -219,32 +227,25 @@ class Assignment(_Value):
         )
 
 
-def _ls_measure(measure: LsMeasure | str) -> LsMeasure:
-    try:
-        return LsMeasure(measure)
-    except ValueError:
-        choices = ", ".join(m.value for m in LsMeasure)
-        raise InvalidArgument(
-            f"unknown Latin-square measure {measure!r}; choose from {choices}"
-        ) from None
-
-
 def ls_sampler_settings(
-    order: int, burn_in: int | None = None, measure: LsMeasure | str | None = None
+    order: int, burn_in: int | None = None, measure: LsMeasure | None = None
 ) -> tuple[int, LsMeasure]:
     """The Latin-square sampler's (burn_in, measure) for the order, with the
     defaults filled in: 2*T^3 moves and "all" squares.  DimensionMismatch
-    unless the order is an int >= 1; InvalidArgument for burn_in < 1 or an
-    unknown measure."""
-    _check_sizes(order=order)
+    unless the order is an int >= 1; burn_in and measure are read as a
+    RandomizationSpace holds them, already checked and converted."""
+    _check_sizes(DesignKind.LS, order, order)
     if burn_in is None:
         burn_in = _JM_BURN_IN_FACTOR * order**3
-    _check_int(burn_in, 1, "burn_in")
-    return burn_in, _ls_measure(LsMeasure.ALL_SQUARES if measure is None else measure)
+    return burn_in, LsMeasure.ALL_SQUARES if measure is None else measure
 
 
-def _check_sizes(**sizes: int) -> None:
-    """DimensionMismatch unless every named size is an int >= 1."""
+def _check_sizes(design: DesignKind, num_blocks: int, num_treatments: int) -> None:
+    """DimensionMismatch unless the design's sizes are ints >= 1: an RCB's
+    N and T, an LS's order T (num_blocks unread)."""
+    sizes = {"num_blocks": num_blocks, "num_treatments": num_treatments}
+    if design is DesignKind.LS:
+        sizes = {"order": num_treatments}
     if not all(_number(size, integral=True) >= 1 for size in sizes.values()):
         got = ", ".join(f"{name}={size!r}" for name, size in sizes.items())
         raise DimensionMismatch(f"sizes must be integers >= 1, got {got}")
@@ -252,8 +253,7 @@ def _check_sizes(**sizes: int) -> None:
 
 def _rcb_space_size(num_blocks: int, num_treatments: int, limit: int) -> int | None:
     """(T!)^N when it is at most limit, else None, found without building a
-    number much larger than limit; DimensionMismatch unless N, T >= 1."""
-    _check_sizes(num_blocks=num_blocks, num_treatments=num_treatments)
+    number much larger than limit; N and T are checked by the caller."""
     factorial = 1
     for k in range(2, num_treatments + 1):
         factorial *= k
@@ -264,13 +264,6 @@ def _rcb_space_size(num_blocks: int, num_treatments: int, limit: int) -> int | N
         return None
     size = factorial**num_blocks
     return size if size <= limit else None
-
-
-def _latin_square_count(order: int) -> int | None:
-    """Total Latin squares of the order, or None when not tabulated (order > 5);
-    DimensionMismatch unless the order is >= 1."""
-    _check_sizes(order=order)
-    return LATIN_SQUARE_COUNTS.get(order)
 
 
 def space_cardinality(
@@ -286,39 +279,14 @@ def space_cardinality(
     except ValueError:
         choices = ", ".join(d.value for d in DesignKind)
         raise InvalidArgument(f"unknown design {design!r}; choose from {choices}") from None
+    _check_sizes(design, num_blocks, num_treatments)
     if design is DesignKind.LS:
-        return _latin_square_count(num_treatments)
+        return LATIN_SQUARE_COUNTS.get(num_treatments)
     size = _rcb_space_size(num_blocks, num_treatments, _MAX_COUNT)
     if size is None:
         raise SpaceTooLarge(
             f"the RCB space has ({num_treatments}!)^{num_blocks} assignments,"
             " a number of more than 4300 digits"
-        )
-    return size
-
-
-def _exact_space_size(design: DesignKind, num_blocks: int, num_treatments: int) -> int:
-    """The size of the design's exact space, (T!)^N for RCB and the number
-    of Latin squares of order T for LS, found without building a number
-    much larger than enumeration_cap().  SpaceTooLarge for an LS of order
-    above 5 or a size above the cap; DimensionMismatch unless the sizes are
-    integers >= 1."""
-    if design is DesignKind.LS:
-        size = _latin_square_count(num_treatments)
-        if size is None:
-            raise SpaceTooLarge(
-                f"exact Latin-square enumeration is supported up to order "
-                f"{MAX_EXACT_LS_ORDER}; order {num_treatments} must be sampled"
-            )
-        cap = enumeration_cap()
-        space, shown = "Latin-square space", size
-    else:
-        cap = enumeration_cap()
-        size = _rcb_space_size(num_blocks, num_treatments, cap)
-        space, shown = "RCB space", f"({num_treatments}!)^{num_blocks}"
-    if size is None or size > cap:
-        raise SpaceTooLarge(
-            f"{space} has {shown} assignments, above the cap {cap}; use uniform sampling instead"
         )
     return size
 
@@ -593,8 +561,8 @@ def assignment_stream(
     The one way into a randomization space.  An exact stream visits the
     table's whole space in lexicographic order: RCB by the concatenated
     per-block permutations, as itertools.product gives them, LS row-major;
-    its count is the space's size, and a size above the cap is not built
-    (SpaceTooLarge, `_exact_space_size`).  A sampled stream holds
+    its count is the space's size, and an LS above order 5 or a size above
+    the cap is not built (SpaceTooLarge).  A sampled stream holds
     sample_size draws, deterministic given the seed: RCB per-block
     permutations (`_rcb_draws`); for LS, squares of the cyclic square's
     orbit under the "subgroup" measure and up to order 3, where the orbit
@@ -614,13 +582,26 @@ def assignment_stream(
     if not isinstance(space, RandomizationSpace):
         raise InvalidArgument(f"expected a RandomizationSpace, got {type(space).__name__}")
     design, n, t = table.design, table.num_blocks, table.num_treatments
-    if design is DesignKind.LS:
-        _check_sizes(order=t)
-    else:
-        _check_sizes(num_blocks=n, num_treatments=t)
+    _check_sizes(design, n, t)
     is_exact = space.sample_size is None
     if is_exact:
-        count = _exact_space_size(design, n, t)
+        if design is DesignKind.LS:
+            count = LATIN_SQUARE_COUNTS.get(t)
+            if count is None:
+                raise SpaceTooLarge(
+                    f"exact Latin-square enumeration is supported up to order "
+                    f"{MAX_EXACT_LS_ORDER}; order {t} must be sampled"
+                )
+            cap = enumeration_cap()
+            what, shown = "Latin-square space", count
+        else:
+            cap = enumeration_cap()
+            count = _rcb_space_size(n, t, cap)
+            what, shown = "RCB space", f"({t}!)^{n}"
+        if count is None or count > cap:
+            raise SpaceTooLarge(
+                f"{what} has {shown} assignments, above the cap {cap}; use uniform sampling instead"
+            )
         every = _permutation_table(t).astype(np.int64)
         chunks = (np.take(every, rows, axis=0) for rows in _exact_index(design, n, t, count))
     else:

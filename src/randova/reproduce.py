@@ -10,6 +10,7 @@ rationals and checked at 1e-9).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -74,11 +75,16 @@ def _close(name: str, observed: float, expected: float, tol: float) -> CheckResu
 
 
 def run_reproduction(
-    tables: dict[str, PotentialOutcomeTable] | None = None,
+    tables: Mapping[str, PotentialOutcomeTable] | None = None,
 ) -> list[CheckResult]:
     """Recompute every reference value; returns one CheckResult per value.
-    InvalidArgument, naming them, when tables lacks any of table1..table4."""
+    InvalidArgument when tables is not a mapping, naming the type given, or
+    lacks any of table1..table4, naming them."""
     tables = tables if tables is not None else load_bundled_tables()
+    if not isinstance(tables, Mapping):
+        raise InvalidArgument(
+            f"expected a mapping of table names to tables, got {type(tables).__name__}"
+        )
     missing = [name for name in BUNDLED_TABLE_NAMES if name not in tables]
     if missing:
         raise InvalidArgument(

@@ -476,6 +476,15 @@ class TestRandomizationSpace:
         assert space.sample_size == 10
         assert space.burn_in == 17
 
+    @pytest.mark.parametrize("order", [1, 4, 8])
+    def test_ls_sampler_settings_fill_in_the_defaults(self, order):
+        settings = rv.enumeration.ls_sampler_settings
+        assert settings(order) == (2 * order**3, rv.LsMeasure.ALL_SQUARES)
+        assert settings(order, 7) == (7, rv.LsMeasure.ALL_SQUARES)
+        for measure in rv.LsMeasure:
+            assert settings(order, None, measure) == (2 * order**3, measure)
+            assert settings(order, 7, measure) == (7, measure)
+
     @pytest.mark.parametrize(
         "settings", [{"burn_in": 5}, {"ls_measure": "subgroup"}, {"ls_measure": "all"}]
     )

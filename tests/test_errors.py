@@ -232,3 +232,15 @@ def test_reproduction_names_the_missing_tables():
     # it ended in a bare KeyError on the first table it lacked
     with pytest.raises(rv.InvalidArgument, match="missing table2, table3, table4$"):
         rv.run_reproduction({"table1": rv.load_bundled_table("table1")})
+
+
+@pytest.mark.parametrize(
+    "tables, given",
+    [(5, "int"), (int, "type"), ("table1 table2 table3 table4", "str")],
+    ids=["int", "class", "str of the names"],
+)
+def test_reproduction_refuses_what_is_not_a_mapping(tables, given):
+    # each ended in a bare TypeError; the str of the names passed the
+    # missing-table check as substrings
+    with pytest.raises(rv.InvalidArgument, match=f"got {given}$"):
+        rv.run_reproduction(tables)

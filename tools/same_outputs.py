@@ -21,11 +21,17 @@ and the exit code.  Then each tree, in its own interpreter, computes:
   perfbench table, over the exact space and over 3,000 draws at seed 1:
   each chunk's perms and index by their bytes, dtypes and shapes, hashed
   in stream order, with the count and is_exact (a space above the cap
-  gives its error line).
+  gives its error line);
+- the exception type and message of each call in `REFUSED`, calls the
+  package must refuse: `space_cardinality` on bad sizes, an unknown design
+  and an RCB of (20!)^300, `assignment_stream` on zero-size, oversized and
+  over-cap spaces and on Latin-square settings for an RCB table, and
+  `ls_sampler_settings(0)` (a call that returns gives the type returned).
 
-Prints one line per job and per result and exits 1 when any differ, 2 when
-a directory holds no `src/randova`.  Run it from any directory; the tables
-are written once and read by both trees.
+Prints one line per job and per result, 109 checks in all (12 jobs, 73
+results for the tables, 24 refused calls), and exits 1 when any differ, 2
+when a directory holds no `src/randova`.  Run it from any directory; the
+tables are written once and read by both trees.
 """
 
 from __future__ import annotations
@@ -43,12 +49,37 @@ from perfbench.workloads import FULL, WORKLOADS, make_jobs  # noqa: E402
 
 SEEDS = (1, 2)
 
-# run in each tree's interpreter: argv is a JSON list of [label, table path
-# or bundled name, Monte Carlo study or not]; prints one JSON object of
-# label -> what the tree computed
+# calls to refuse, as expressions over randova (rv), numpy (np),
+# assignment_stream, zeros(design, num_blocks, num_treatments) (a table of
+# zeros of the design's shape), EXACT and SAMPLED (5 draws at seed 1)
+SIZES = ("0", "-1", "2.0", "np.int64(3)")
+REFUSED = [
+    *(f"rv.space_cardinality('rcb', {size}, 3)" for size in SIZES),
+    *(f"rv.space_cardinality('rcb', 3, {size})" for size in SIZES),
+    *(f"rv.space_cardinality('ls', 3, {size})" for size in SIZES),
+    "rv.space_cardinality('latin', 3, 3)",
+    "rv.space_cardinality('rcb', 300, 20)",
+    "assignment_stream(zeros('rcb', 0, 3), EXACT)",
+    "assignment_stream(zeros('rcb', 0, 3), SAMPLED)",
+    "assignment_stream(zeros('ls', 0, 0), EXACT)",
+    "assignment_stream(zeros('ls', 0, 0), SAMPLED)",
+    "assignment_stream(zeros('ls', 6, 6), EXACT)",
+    "assignment_stream(zeros('rcb', 4, 6), EXACT)",
+    "assignment_stream(zeros('rcb', 2, 3), rv.RandomizationSpace.sample(10_000_001, seed=1))",
+    "assignment_stream(zeros('rcb', 2, 3), rv.RandomizationSpace.sample(10, seed=1, burn_in=5))",
+    "assignment_stream(zeros('rcb', 2, 3),"
+    " rv.RandomizationSpace.sample(10, seed=1, ls_measure='all'))",
+    "rv.enumeration.ls_sampler_settings(0)",
+]
+
+# run in each tree's interpreter: argv[1] is a JSON list of [label, table
+# path or bundled name, Monte Carlo study or not], argv[2] a JSON list of
+# the calls in REFUSED; prints one JSON object of label -> what the tree
+# computed
 RESULTS = """
 import hashlib, json, sys
 from dataclasses import asdict, replace
+import numpy as np
 import randova as rv
 from randova.enumeration import assignment_stream
 from randova.inference import _staged
@@ -95,6 +126,20 @@ def single(table):
     return [[a.s0_sq.hex(), a.s1_sq.hex(), a.f_stat.hex()]
             for a in (rv.anova(rv.observe(table, draw)) for draw in stream)]
 
+def zeros(design, num_blocks, num_treatments):
+    rows = num_treatments if design == "ls" else num_blocks
+    return rv.PotentialOutcomeTable(design, np.zeros((rows, num_treatments, num_treatments)))
+
+EXACT = rv.RandomizationSpace.exact()
+SAMPLED = rv.RandomizationSpace.sample(5, seed=1)
+
+def refused(call):
+    try:
+        result = eval(call)
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return f"returned {type(result).__name__}"
+
 results = {}
 for label, source, mc in json.loads(sys.argv[1]):
     t = table(source)
@@ -110,6 +155,8 @@ for label, source, mc in json.loads(sys.argv[1]):
         results[f"staging {label} sampled"] = staging(
             t, rv.RandomizationSpace.sample(3000, seed=1)
         )
+for call in json.loads(sys.argv[2]):
+    results[f"refused {call}"] = refused(call)
 print(json.dumps(results))
 """
 
@@ -130,9 +177,10 @@ def run_job(src: Path, argv: tuple[str, ...], cwd: Path) -> tuple[int, str, str]
 
 
 def library_results(src: Path, cases: list[tuple[str, str, bool]], cwd: Path) -> dict:
-    """What the tree's library computes for each case (`RESULTS`)."""
+    """What the tree's library computes for each case and gives for each
+    call in REFUSED (`RESULTS`)."""
     result = subprocess.run(
-        [sys.executable, "-c", RESULTS, json.dumps(cases)],
+        [sys.executable, "-c", RESULTS, json.dumps(cases), json.dumps(REFUSED)],
         capture_output=True, text=True, env=_env(src), cwd=cwd, check=True,
     )
     return json.loads(result.stdout)
