@@ -58,29 +58,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .enumeration import Assignment
-from .errors import DegenerateDesign, InvalidArgument, ShapeMismatch
-from .potential_outcomes import DesignKind, PotentialOutcomeTable, _array, _Value, validate
+from .errors import DegenerateDesign, InvalidArgument, NonFiniteEntry, ShapeMismatch
+from .potential_outcomes import DesignKind, PotentialOutcomeTable, _Value, validate
 
 
 @dataclass(frozen=True, eq=False)
 class ObservedExperiment(_Value):
-    """Responses produced by one assignment of a table.
+    """One assignment of a table, which it must fit: construction raises
+    as `observe` says.
 
-    observed is y_i(t) indexed [block][treatment] for RCB, and y_ij indexed
-    [row][column] for LS.
+    observed, the responses it reveals, is y_i(t) indexed [block][treatment]
+    for RCB, and y_ij indexed [row][column] for LS, read-only.
     """
 
     table: PotentialOutcomeTable
     assignment: Assignment
-    observed: np.ndarray = _array(float)
+
+    def __post_init__(self) -> None:
+        _fitted_grid(self.table, self.assignment)
 
     @property
     def design(self) -> DesignKind:
         return self.table.design
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        return _responses(self.table, self.assignment.grid)
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,17 @@ def row_tables(
     treatment, outcomes.mean(axis=(0, 1)), for every array of the stack."""
     design = DesignKind(design)
     t = x.shape[-1]
+    # below units * max|y| = 2^-459 the zero rule's floor (units * eps *
+    # max|y|)^2 is subnormal and F loses bits, or every assignment reads as
+    # degenerate: the mirror of validate's 2^480 bound, held by scoring only
+    units = x.shape[-3] * x.shape[-2]
+    top = np.abs(x).max(axis=(-3, -2, -1), initial=0.0)
+    tiny = top[(top > 0.0) & (units * top < 2.0**-459)]
+    if len(tiny):
+        raise NonFiniteEntry(
+            f"outcomes too small: units x max|outcome| is {units} x {tiny.min():.6g},"
+            f" below 2^-459 = {2.0**-459:.6g}, where the zero rule's floor is subnormal"
+        )
     cols = np.arange(t)
     shift = np.asarray(shift, dtype=float)
     sums, maxima = [], []
@@ -252,13 +271,9 @@ def _mean_squares(
     return s0, s1
 
 
-def _fitted_grid(
-    table: PotentialOutcomeTable, assignment: Assignment, observed: np.ndarray | None = None
-) -> np.ndarray:
-    """The assignment's label grid once it fits the table: the one check
-    of `observe` and `anova`, which raises as `observe` says.  Given an
-    experiment's observed responses, InvalidArgument unless they are the
-    table's responses to the grid, in shape and value."""
+def _fitted_grid(table: PotentialOutcomeTable, assignment: Assignment) -> None:
+    """Raises as `observe` says unless the assignment fits the table: the
+    one check of an ObservedExperiment."""
     validate(table)
     if not isinstance(assignment, Assignment):
         raise InvalidArgument(f"expected an Assignment, got {type(assignment).__name__}")
@@ -274,26 +289,15 @@ def _fitted_grid(
     if not assignment.is_valid():
         kind = "a permutation per block" if table.design is DesignKind.RCB else "a Latin square"
         raise InvalidArgument(f"assignment labels are not {kind}: {grid.tolist()}")
-    if observed is not None:
-        responses = _responses(table, grid)
-        if observed.shape != responses.shape:
-            raise InvalidArgument(
-                f"observed responses have shape {observed.shape}, the assignment gives"
-                f" {responses.shape}"
-            )
-        if not (observed == responses).all():
-            raise InvalidArgument(
-                "observed responses are not the table's responses to the assignment"
-            )
-    return grid
 
 
 def _responses(table: PotentialOutcomeTable, grid: np.ndarray) -> np.ndarray:
     """The response of each plot (RCB, ordered by treatment within its
-    block) or cell (LS) to its assigned treatment."""
+    block) or cell (LS) to its assigned treatment, read-only."""
     y = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[:, :, 0]
     if table.design is DesignKind.RCB:
         y = np.take_along_axis(y, np.argsort(grid, axis=1), axis=1)
+    y.setflags(write=False)
     return y
 
 
@@ -304,18 +308,17 @@ def observe(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedExp
     InvalidArgument when the label grid is not a per-block permutation (RCB)
     or a Latin square (LS), or when assignment is not an Assignment.
     """
-    y = _responses(table, _fitted_grid(table, assignment))
-    return ObservedExperiment(table=table, assignment=assignment, observed=y)
+    return ObservedExperiment(table, assignment)
 
 
 def anova(experiment: ObservedExperiment) -> AnovaSummary:
     """ANOVA summary of one observed experiment, by the batch kernel on a
     batch of one: each row's one permutation is its own labels, at index 0.
-    Refuses an experiment, which may be built by hand, whose assignment
-    does not fit its table, as `observe` does, or whose observed responses
-    are not what `observe` gives (InvalidArgument)."""
-    table = experiment.table
-    grid = _fitted_grid(table, experiment.assignment, experiment.observed)
+    InvalidArgument unless experiment is an ObservedExperiment, which fits
+    its table by construction."""
+    if not isinstance(experiment, ObservedExperiment):
+        raise InvalidArgument(f"expected an ObservedExperiment, got {type(experiment).__name__}")
+    table, grid = experiment.table, experiment.assignment.grid
     x = table.outcomes
     tables = row_tables(table.design, x[None], tuple(grid[:, None]), x.mean(axis=(0, 1)))
     kernel = batch_anova_rcb if table.design is DesignKind.RCB else batch_anova_ls

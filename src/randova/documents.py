@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 from pathlib import Path
 from typing import Any
@@ -41,9 +42,12 @@ _BRIEF.maxstring = _BRIEF.maxlong = _BRIEF.maxother = 60
 
 
 def load_table(source: str | Path | dict) -> PotentialOutcomeTable:
-    """Read and validate a table document from a path or parsed dict."""
+    """Read and validate a table document from a path or parsed dict;
+    InvalidArgument, naming the type given, for anything else."""
     if isinstance(source, dict):
         doc = source
+    elif not isinstance(source, (str, os.PathLike)):
+        raise InvalidArgument(f"expected a path or a table document, got {type(source).__name__}")
     else:
         path = Path(source)
         try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ConvergenceFailure,
+    InvalidArgument,
     InvalidDegreesOfFreedom,
     InvalidProbability,
     NegativeArgument,
@@ -92,7 +93,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def f_survival(ref: FReference, x: float) -> float:
-    """P(F_{df1,df2} > x) for a number x >= 0 (NegativeArgument otherwise)."""
+    """P(F_{df1,df2} > x) for a number x >= 0 (NegativeArgument otherwise).
+    InvalidArgument unless ref is an FReference."""
+    if not isinstance(ref, FReference):
+        raise InvalidArgument(f"expected an FReference, got {type(ref).__name__}")
     if not _number(x) >= 0:
         raise NegativeArgument(f"survival function argument must be a number >= 0, got {x!r}")
     if x == 0:

@@ -10,6 +10,7 @@ rationals and checked at 1e-9).
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -55,9 +56,12 @@ def load_bundled_table(name: str) -> PotentialOutcomeTable:
 def load_bundled_tables(
     directory: str | Path | None = None,
 ) -> dict[str, PotentialOutcomeTable]:
-    """All four reference tables, from package data or an override directory."""
+    """All four reference tables, from package data or an override directory;
+    InvalidArgument, naming the type given, unless directory is a path."""
     if directory is None:
         return {name: load_bundled_table(name) for name in BUNDLED_TABLE_NAMES}
+    if not isinstance(directory, (str, os.PathLike)):
+        raise InvalidArgument(f"expected a directory path, got {type(directory).__name__}")
     base = Path(directory)
     return {
         name: load_table(base / f"{name}.json") for name in BUNDLED_TABLE_NAMES

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from helpers import (
     first_occurrence_stage_rows,
     fsum_anova,
     label_grid_anova,
+    observed_by_loops,
     random_ls_table,
     random_rcb_table,
     random_table,
@@ -109,44 +110,34 @@ class TestAnova:
     @pytest.mark.parametrize("case", _UNFIT)
     def test_refuses_what_observe_refuses(self, tables, case):
         # an ObservedExperiment built by hand around an assignment that
-        # observe refuses: anova raises observe's error, not numbers
+        # observe refuses raises observe's error, type and message
         table, design, grid, error = _UNFIT[case]
         table = tables.get(table, table)
         assignment = rv.Assignment(design, grid)
         with pytest.raises(error) as refused:
             rv.observe(table, assignment)
-        experiment = rv.ObservedExperiment(table, assignment, np.zeros(np.shape(grid)))
-        with pytest.raises(error, match=re.escape(str(refused.value))):
-            rv.anova(experiment)
+        with pytest.raises(error, match=re.escape(str(refused.value))) as by_hand:
+            rv.ObservedExperiment(table, assignment)
+        assert type(by_hand.value) is type(refused.value)
 
-    @pytest.mark.parametrize(
-        "case", ["seven zeros", "zeros", "one value off", "rcb in plot order"]
-    )
-    def test_refuses_observed_responses_that_observe_does_not_give(self, tables, case):
-        # a fitting assignment, but the experiment's observed field is not
-        # what observe gives: anova refuses it instead of scoring the table
-        if case == "rcb in plot order":
-            table, grid = _RCB, np.array([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
-        else:
-            table, grid = tables["table4"], np.array(_LS_4)
-        assignment = rv.Assignment(table.design, grid)
-        observed = rv.observe(table, assignment).observed
-        by_plot = np.take_along_axis(table.outcomes, grid[:, :, None], axis=2)[..., 0]
-        off = observed.copy()
-        off[1, 2] += 1.0
-        wrong = {
-            "seven zeros": np.zeros(7),
-            "zeros": np.zeros_like(observed),
-            "one value off": off,
-            # each block's responses by plot, not by treatment
-            "rcb in plot order": by_plot,
-        }[case]
-        assert not np.array_equal(wrong, observed)
-        with pytest.raises(rv.InvalidArgument, match="observed responses"):
-            rv.anova(rv.ObservedExperiment(table, assignment, wrong))
-        # the same responses built by hand score as observe's
-        by_hand = rv.ObservedExperiment(table, assignment, observed.tolist())
-        assert rv.anova(by_hand) == rv.anova(rv.observe(table, assignment))
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table4"])
+    def test_observed_responses_are_derived_from_table_and_assignment(self, tables, name):
+        # an experiment is its table and assignment; the responses are a
+        # read-only function of them, so none can disagree with the table
+        table = tables[name]
+        assert [f.name for f in fields(rv.ObservedExperiment)] == ["table", "assignment"]
+        for assignment in all_assignments(table):
+            experiment = rv.ObservedExperiment(table, assignment)
+            assert experiment == rv.observe(table, assignment)
+            observed = experiment.observed
+            assert observed.dtype == np.float64 and not observed.flags.writeable
+            np.testing.assert_array_equal(observed, observed_by_loops(table, assignment))
+        with pytest.raises(FrozenInstanceError):
+            experiment.observed = np.zeros_like(observed)
+        with pytest.raises(ValueError):
+            observed[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            rv.ObservedExperiment(table, assignment, observed)
 
     def test_table2_enumeration_mean_matches_reference(self, tables):
         table = tables["table2"]

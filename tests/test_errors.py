@@ -159,6 +159,29 @@ def test_bad_setting_raises_invalid_argument(case):
     assert isinstance(excinfo.value, ValueError)
 
 
+# public entries given an argument of the wrong type, with the type each
+# must name; each ended in a bare AttributeError or TypeError
+WRONG_TYPES = {
+    "int experiment for anova": (lambda: rv.anova(5), "int"),
+    "no experiment for anova": (lambda: rv.anova(None), "NoneType"),
+    "table for anova": (
+        lambda: rv.anova(rv.load_bundled_table("table4")), "PotentialOutcomeTable"
+    ),
+    "int reference of a survival": (lambda: rv.f_survival(5, 1.0), "int"),
+    "int reference of a quantile": (lambda: rv.f_quantile(5, 0.5), "int"),
+    "int source of a table": (lambda: rv.load_table(5), "int"),
+    "no source of a table": (lambda: rv.load_table(None), "NoneType"),
+    "int directory of the bundled tables": (lambda: rv.load_bundled_tables(5), "int"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_wrong_type_raises_invalid_argument_naming_it(case):
+    call, given = WRONG_TYPES[case]
+    with pytest.raises(rv.InvalidArgument, match=f"got {given}$"):
+        call()
+
+
 @pytest.mark.parametrize("setting", ["seed", "burn_in", "ls_measure"])
 def test_sampler_setting_of_an_exact_space_is_named(setting):
     # an exact traversal would ignore it and silently give the exact answer

@@ -1206,6 +1206,58 @@ def test_largest_allowed_outcomes_scale_exactly(design, shape):
     assert math.isfinite(ems.e_s1)
 
 
+def _scaled_witness(design, k):
+    """A seeded Normal(20, 15) RCB 3x3 or LS 4 scaled by 2^k, exactly."""
+    seed, shape = (0, (3, 3, 3)) if design == "rcb" else (1, (4, 4, 4))
+    x = np.random.default_rng(seed).normal(20, 15, shape)
+    return rv.PotentialOutcomeTable(design, np.ldexp(x, k))
+
+
+@pytest.mark.parametrize("design", ["rcb", "ls"])
+def test_small_allowed_outcomes_score_exactly(design):
+    # at 2^-400 every floor of the zero rule is a normal float, so F is the
+    # unit table's bit for bit
+    unit, small = _scaled_witness(design, 0), _scaled_witness(design, -400)
+    a, b = rv.exact_distribution(unit), rv.exact_distribution(small)
+    np.testing.assert_array_equal(b.f_stat, a.f_stat)
+    np.testing.assert_array_equal(b.counts, a.counts)
+    assert rv.type1_error(small).rejection_probability == rv.type1_error(unit).rejection_probability
+
+
+@pytest.mark.parametrize("design", ["rcb", "ls"])
+@pytest.mark.parametrize("k", [530, 700])
+def test_outcomes_below_the_floor_bound_refused_by_scoring(design, k):
+    # below units * max|y| = 2^-459 the floor is subnormal: at 2^-530 the F
+    # columns moved, and at 2^-700 every assignment read as degenerate and
+    # type1 gave 0.0
+    tiny = _scaled_witness(design, -k)
+    first = next(iter(all_assignments(tiny)))
+    noisy = dataclasses.replace(tiny, technical_error_sd=2.0**-k)
+    scoring = [
+        lambda: rv.exact_distribution(tiny),
+        lambda: rv.type1_error(tiny),
+        lambda: rv.anova(rv.observe(tiny, first)),
+        lambda: rv.monte_carlo_with_errors(noisy, replications=2),
+    ]
+    for call in scoring:
+        with pytest.raises(rv.NonFiniteEntry, match="outcomes too small"):
+            call()
+    # the table itself stays valid, and so do its exact moments
+    rv.validate(tiny)
+    rv.decompose(tiny)
+    rv.expected_ms(tiny)
+
+
+@pytest.mark.parametrize("design", ["rcb", "ls"])
+def test_all_zero_outcomes_still_scored(design):
+    zero = _scaled_witness(design, 0)
+    zero = dataclasses.replace(zero, outcomes=np.zeros_like(zero.outcomes))
+    summary = rv.exact_distribution(zero)
+    assert np.isnan(summary.f_stat).all()
+    assert rv.type1_error(zero).rejection_probability == 0.0
+    assert rv.anova(rv.observe(zero, next(iter(all_assignments(zero))))).is_degenerate
+
+
 @pytest.mark.parametrize("design,shape", [("rcb", (2, 4, 4)), ("ls", (4, 4, 4))])
 @pytest.mark.parametrize("call", [rv.validate, rv.exact_distribution, rv.expected_ms])
 def test_outcomes_beyond_the_magnitude_bound_rejected(design, shape, call):

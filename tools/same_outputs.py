@@ -17,6 +17,8 @@ and the exit code.  Then each tree, in its own interpreter, computes:
 - `anova(observe(table, a))` of table1-4 and of every perfbench table for
   each of the 20 draws a of `RandomizationSpace.sample(20, seed=1)`: S0^2,
   S1^2 and F in hex;
+- `observe(table, a).observed` for the same tables and draws: each
+  response array's shape, dtype and the hash of its bytes;
 - the staging (`randova.inference._staged`) of table1-4 and of every
   perfbench table, over the exact space and over 3,000 draws at seed 1:
   each chunk's perms and index by their bytes, dtypes and shapes, hashed
@@ -28,7 +30,7 @@ and the exit code.  Then each tree, in its own interpreter, computes:
   over-cap spaces and on Latin-square settings for an RCB table, and
   `ls_sampler_settings(0)` (a call that returns gives the type returned).
 
-Prints one line per job and per result, 109 checks in all (12 jobs, 73
+Prints one line per job and per result, 123 checks in all (12 jobs, 87
 results for the tables, 24 refused calls), and exits 1 when any differ, 2
 when a directory holds no `src/randova`.  Run it from any directory; the
 tables are written once and read by both trees.
@@ -121,10 +123,17 @@ def study(table):
             [p.hex() for p in value] if isinstance(value, tuple) else value
             for key, value in asdict(report).items()}
 
-def single(table):
+def draws(table):
     stream, _, _ = assignment_stream(table, rv.RandomizationSpace.sample(20, seed=1))
+    return stream
+
+def single(table):
     return [[a.s0_sq.hex(), a.s1_sq.hex(), a.f_stat.hex()]
-            for a in (rv.anova(rv.observe(table, draw)) for draw in stream)]
+            for a in (rv.anova(rv.observe(table, draw)) for draw in draws(table))]
+
+def responses(table):
+    return [[list(y.shape), y.dtype.str, hashlib.sha256(y.tobytes()).hexdigest()]
+            for y in (rv.observe(table, draw).observed for draw in draws(table))]
 
 def zeros(design, num_blocks, num_treatments):
     rows = num_treatments if design == "ls" else num_blocks
@@ -151,6 +160,7 @@ for label, source, mc in json.loads(sys.argv[1]):
             t, rv.RandomizationSpace.sample(3000, seed=1)
         )
         results[f"anova {label}"] = single(t)
+        results[f"observed {label}"] = responses(t)
         results[f"staging {label} exact"] = staging(t, rv.RandomizationSpace.exact())
         results[f"staging {label} sampled"] = staging(
             t, rv.RandomizationSpace.sample(3000, seed=1)
